@@ -32,7 +32,6 @@ from .poly import (
 from .envelope import NCPoly, multiply_at, substitute_generators
 from .quantize import (
     StarProduct,
-    bn_coefficient,
     check_deformation_axioms,
     gauge_step,
     pbw_basis_product,

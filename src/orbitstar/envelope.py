@@ -11,17 +11,8 @@ algebra, which makes repeated products cheap.
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import CPoly
+from .poly import CPoly, acc_term
 from .scalars import H, H_ONE, HPoly, as_hpoly
-
-
-def _acc(d, key, val):
-    cur = d.get(key)
-    new = val if cur is None else cur + val
-    if new:
-        d[key] = new
-    else:
-        d.pop(key, None)
 
 
 def _descent(word, strategy):
@@ -64,7 +55,7 @@ def _nf_word(L: LieAlgebra, word, strategy="leftmost"):
         for wk, v in brackets:
             hv = H * v
             for ww, cc in cache[wk].items():
-                _acc(acc, ww, hv * cc)
+                acc_term(acc, ww, hv * cc)
         cache[w] = acc
         stack.pop()
     return cache[word]
@@ -151,7 +142,7 @@ class NCPoly:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            _acc(out, w, c)
+            acc_term(out, w, c)
         return NCPoly(self.algebra, out)
 
     __radd__ = __add__
@@ -180,7 +171,7 @@ class NCPoly:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _acc(out, w1 + w2, c1 * c2)
+                acc_term(out, w1 + w2, c1 * c2)
         return NCPoly(self.algebra, out)
 
     def __mul__(self, other):
@@ -191,7 +182,7 @@ class NCPoly:
                 for w2, c2 in other.terms.items():
                     c = c1 * c2
                     for w, cw in _nf_word(self.algebra, w1 + w2).items():
-                        _acc(out, w, c * cw)
+                        acc_term(out, w, c * cw)
             return NCPoly(self.algebra, out)
         c = as_hpoly(other)
         if c is None:
@@ -215,7 +206,7 @@ class NCPoly:
         out = {}
         for word, coeff in self.terms.items():
             for w, cw in _nf_word(self.algebra, word, strategy).items():
-                _acc(out, w, coeff * cw)
+                acc_term(out, w, coeff * cw)
         return NCPoly(self.algebra, out)
 
     def commutator(self, other):
@@ -270,8 +261,6 @@ class NCPoly:
             exps = [0] * n
             for g in word:
                 exps[g] += 1
-            from .poly import acc_term
-
             acc_term(out, tuple(exps), HPoly((v,)))
         return CPoly(n, out)
 

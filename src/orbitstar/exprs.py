@@ -145,6 +145,9 @@ class _Parser:
         kind, text, pos = tok
         if kind == "number":
             self.advance()
+            den = text.partition("/")[2]
+            if den and not int(den):
+                raise ExprSyntaxError("zero denominator", pos)
             return self.one * Fraction(text)
         if kind == "name":
             self.advance()
@@ -279,7 +282,3 @@ def format_ncpoly(u: NCPoly) -> str:
     for word, coeff in sorted(u.terms.items(), key=lambda kv: (-len(kv[0]), kv[0])):
         pieces.extend(coeff_pieces(coeff, _word_text(word, names)))
     return join_signed(pieces)
-
-
-def format_scalar_matrix(m) -> list:
-    return [[str(x) for x in row] for row in m]

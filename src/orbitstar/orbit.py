@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .envelope import NCPoly, _acc
+from .envelope import NCPoly
 from .lie import LieAlgebra, predefined
 from .poly import (
     CPoly,
     ReductionSystem,
-    kirillov_bracket,
+    acc_term,
     is_invariant,
     monomials_up_to,
     reduce as poly_reduce_by,
@@ -70,19 +70,10 @@ class Orbit:
         if self._sphere and not self.constants[0]:
             raise ValueError("regular orbit needs a nonzero level constant")
         self.priority = (n - 1,) + tuple(range(n - 1))
-        if self._sphere:
-            gen = self.invariants[0] - CPoly.constant(n, self.constants[0])
-            self.basis_rule = ReductionSystem.from_polynomials(
-                [gen], priority=self.priority
-            )
-        else:
-            self.basis_rule = ReductionSystem.from_polynomials(
-                [
-                    p - CPoly.constant(n, c)
-                    for p, c in zip(self.invariants, self.constants)
-                ],
-                priority=self.priority,
-            )
+        self.basis_rule = ReductionSystem.from_polynomials(
+            [p - CPoly.constant(n, c) for p, c in zip(self.invariants, self.constants)],
+            priority=self.priority,
+        )
         self._products = {}
 
     def _need_sphere(self):
@@ -151,13 +142,13 @@ class Orbit:
             coeff = terms.pop(w)
             base = w[:-2]
             if track_quotient:
-                _acc(quotient, base, coeff)
-            _acc(terms, base, coeff * lift)
+                acc_term(quotient, base, coeff)
+            acc_term(terms, base, coeff * lift)
             squares = NCPoly.zero(self.algebra)
             for i in range(z):
                 squares = squares + NCPoly.word(self.algebra, base + (i, i))
             for ww, cc in squares.normal_form().terms.items():
-                _acc(terms, ww, -(coeff * cc))
+                acc_term(terms, ww, -(coeff * cc))
         rem = NCPoly(self.algebra, terms)
         if track_quotient:
             return NCPoly(self.algebra, quotient), rem
@@ -166,16 +157,6 @@ class Orbit:
     def casimir_minus_lift(self, lift=None) -> NCPoly:
         lift = self.lifts[0] if lift is None else as_hpoly(lift)
         return self.casimirs[0] - NCPoly.scalar(self.algebra, lift)
-
-    def lifted_rule(self, lift=None):
-        """The deformed-side rewrite as (leading word, replacement)."""
-        self._need_sphere()
-        lift = self.lifts[0] if lift is None else as_hpoly(lift)
-        z = self.algebra.dim - 1
-        repl = NCPoly.scalar(self.algebra, lift)
-        for i in range(z):
-            repl = repl - NCPoly.word(self.algebra, (i, i))
-        return (z, z), repl
 
     # -- basis correspondences ----------------------------------------------
     def word_lift(self, f: CPoly) -> NCPoly:
@@ -255,14 +236,12 @@ class Orbit:
         """The product on the orbit induced by the ordered-word basis map."""
         self._need_sphere()
         if "orbit" not in self._products:
-            L = self.algebra
             self._products["orbit"] = StarProduct(
-                L,
+                self.algebra,
                 self.word_lift,
                 self.word_lower,
                 nc_reduce=lambda u: self.ideal_reduce(u),
                 poly_reduce=self.orbit_reduce,
-                bracket=lambda f, g: kirillov_bracket(L, f, g),
                 priority=self.priority,
                 name="orbit",
             )

@@ -180,9 +180,6 @@ class CPoly:
             out = out + v
         return out
 
-    def map_coeffs(self, fn):
-        return CPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
     def homogeneous_degree(self):
         """The common total degree of all terms, or None if mixed/zero."""
         degs = {sum(e) for e in self.terms}
@@ -206,13 +203,14 @@ def _as_cpoly(x, nvars):
     return CPoly.constant(nvars, c)
 
 
-def acc_term(d, exps, c):
-    cur = d.get(exps)
+def acc_term(d, key, c):
+    """Add c to d[key] (a monomial or a word), dropping the key on cancellation."""
+    cur = d.get(key)
     new = c if cur is None else cur + c
     if new:
-        d[exps] = new
+        d[key] = new
     else:
-        d.pop(exps, None)
+        d.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,52 +1,38 @@
 """Symmetrizer quantization and star products.
 
-symmetrize sends a monomial of degree p to the average of its p! orderings
-(enumerated over distinct words with multinomial weights), and sym_inverse
-recovers the polynomial by triangular descent on word length.  A StarProduct
-packages an invertible basis correspondence between polynomials and the
-deformed enveloping algebra; the induced product is
+symmetrize sends a monomial of degree p to the average of its p! orderings,
+built by recursion on the first letter and memoized per monomial, and
+sym_inverse recovers the polynomial by triangular descent on word length.
+A StarProduct packages an invertible basis correspondence between
+polynomials and the deformed enveloping algebra; the induced product is
 f * g = backward(forward(f) . forward(g)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .envelope import NCPoly, _acc
+from .envelope import NCPoly
 from .lie import LieAlgebra
 from .poly import CPoly, acc_term, kirillov_bracket, monomials_up_to
-from .scalars import HPoly
 
 
-def _distinct_words(counts):
-    """All distinct orderings of the multiset {i with multiplicity counts[i]}."""
-    total = sum(counts)
-    if total == 0:
-        yield ()
-        return
-    for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        rest = list(counts)
-        rest[i] -= 1
-        for tail in _distinct_words(rest):
-            yield (i,) + tail
+def _sym_monomial(L: LieAlgebra, exps) -> NCPoly:
+    """The symmetrized monomial x^exps, in canonical form.
 
-
-def _sym_monomial(L: LieAlgebra, exps):
-    cached = L._sym_cache.get(exps)
-    if cached is not None:
-        return cached
-    p = sum(exps)
-    weight = Fraction(1, factorial(p))
-    for e in exps:
-        weight *= factorial(e)
-    w_coeff = HPoly.const(weight)
-    raw = {word: w_coeff for word in _distinct_words(exps)}
-    canonical = NCPoly(L, raw).normal_form().terms
-    L._sym_cache[exps] = canonical
-    return canonical
+    Grouping the orderings by their first letter gives the recurrence
+    sym(m) = (1/p) sum_i e_i X_i sym(m / x_i), memoized per exponent vector.
+    """
+    u = L._sym_cache.get(exps)
+    if u is None:
+        p = sum(exps)
+        u = NCPoly.one(L) if p == 0 else NCPoly.zero(L)
+        for i, e in enumerate(exps):
+            if e:
+                rest = _sym_monomial(L, exps[:i] + (e - 1,) + exps[i + 1:])
+                u = u + NCPoly.generator(L, i) * rest * Fraction(e, p)
+        L._sym_cache[exps] = u
+    return u
 
 
 def symmetrize(L: LieAlgebra, f: CPoly) -> NCPoly:
@@ -55,8 +41,8 @@ def symmetrize(L: LieAlgebra, f: CPoly) -> NCPoly:
         raise ValueError("polynomial does not match the algebra's variables")
     out = {}
     for exps, coeff in f.terms.items():
-        for word, cw in _sym_monomial(L, exps).items():
-            _acc(out, word, coeff * cw)
+        for word, cw in _sym_monomial(L, exps).terms.items():
+            acc_term(out, word, coeff * cw)
     return NCPoly(L, out)
 
 
@@ -88,7 +74,7 @@ def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
             acc_term(out, exps, c)
         peeled = symmetrize(L, CPoly(n, layer))
         for w, c in peeled.terms.items():
-            _acc(rem, w, -c)
+            acc_term(rem, w, -c)
     return CPoly(n, out)
 
 
@@ -98,12 +84,12 @@ class StarProduct:
     forward/backward realize the basis correspondence; nc_reduce, when
     present, is applied to every product before inversion (used by orbit
     products to pass to the quotient algebra), and poly_reduce normalizes
-    the commutative side.  bracket is the first-order antisymmetric part
-    the product is expected to deform.
+    the commutative side.  The product is expected to deform the Kirillov
+    bracket at first order.
     """
 
     def __init__(self, algebra: LieAlgebra, forward, backward, *, nc_reduce=None,
-                 poly_reduce=None, bracket=None, priority=None, name="star"):
+                 poly_reduce=None, priority=None, name="star"):
         self.algebra = algebra
         self.nvars = algebra.dim
         self.forward = forward
@@ -112,9 +98,6 @@ class StarProduct:
         self.poly_reduce = poly_reduce
         self.priority = tuple(priority) if priority is not None else None
         self.name = name
-        if bracket is None:
-            bracket = lambda f, g: kirillov_bracket(algebra, f, g)
-        self._bracket = bracket
         self._pair_cache = {}
 
     # -- the product ------------------------------------------------------
@@ -160,7 +143,7 @@ class StarProduct:
         return prod
 
     def bracket(self, f: CPoly, g: CPoly) -> CPoly:
-        b = self._bracket(f, g)
+        b = kirillov_bracket(self.algebra, f, g)
         if self.poly_reduce is not None:
             b = self.poly_reduce(b)
         return b
@@ -208,10 +191,6 @@ def pbw_basis_product(L: LieAlgebra) -> StarProduct:
         return CPoly(L.dim, u.word_exps())
 
     return StarProduct(L, forward, backward, name="pbw")
-
-
-def bn_coefficient(star: StarProduct, f: CPoly, g: CPoly, n: int) -> CPoly:
-    return star.bn(f, g, n)
 
 
 def check_deformation_axioms(star: StarProduct, degree_bound: int,

@@ -168,12 +168,6 @@ class HPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
-    def constant_part(self):
-        return self.coeff(0)
-
     def as_scalar(self):
         """The value as a GaussianRational; raises if h actually occurs."""
         if len(self.coeffs) > 1:

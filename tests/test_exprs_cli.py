@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbitstar
 from orbitstar import cli
 from orbitstar.envelope import NCPoly
 from orbitstar.exprs import (
@@ -158,6 +163,20 @@ def test_cli_parse_error_exit_code(capsys):
     assert cli.main(["star", "x + * y", "y"]) == 2
     assert "offset 4" in capsys.readouterr().err
     assert cli.main(["nf", "Y*X*"]) == 2
+
+
+def test_cli_zero_denominator_exit_code():
+    src = str(Path(orbitstar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitstar.cli", "star", "1/0", "x"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: zero denominator at offset 0\n"
+    assert proc.stdout == ""
 
 
 def test_cli_unknown_suite(capsys):

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from orbitstar.envelope import NCPoly
+from orbitstar.lie import predefined
 from orbitstar.orbit import sphere_orbit
 from orbitstar.poly import CPoly, monomials_up_to
 from orbitstar.quantize import (
-    bn_coefficient,
     check_deformation_axioms,
     gauge_step,
     pbw_basis_product,
@@ -30,10 +30,20 @@ def brute_symmetrize(L, exps):
     return (total * Fraction(1, count)).normal_form()
 
 
-def test_symmetrize_against_permutation_oracle(su2):
-    for exps in monomials_up_to(3, 4):
-        mono = CPoly.monomial(3, exps)
-        assert symmetrize(su2, mono) == brute_symmetrize(su2, exps)
+@pytest.mark.parametrize("name", ["su2", "sl2"])
+def test_symmetrize_against_permutation_oracle(name):
+    L = predefined(name)
+    for exps in monomials_up_to(L.dim, 5):
+        mono = CPoly.monomial(L.dim, exps)
+        assert symmetrize(L, mono) == brute_symmetrize(L, exps)
+
+
+def test_sym_roundtrip_degree_nine(su2):
+    mono = CPoly.monomial(3, (3, 3, 3))
+    u = symmetrize(su2, mono)
+    top = {w: c for w, c in u.terms.items() if len(w) == 9}
+    assert top == {(0, 0, 0, 1, 1, 1, 2, 2, 2): H_ONE}
+    assert sym_inverse(su2, u) == mono
 
 
 def test_symmetrize_goldens(su2, xyz):
@@ -90,11 +100,9 @@ def test_star_goldens(su2, xyz):
 def test_bn_goldens(su2, xyz):
     x, y, z = xyz
     star = symmetrizer_product(su2)
-    assert bn_coefficient(star, x, y, 1) == z * Fraction(1, 2)
-    assert bn_coefficient(star, x * y, y, 0) == x * y * y
-    assert (
-        bn_coefficient(star, x, y, 1) - bn_coefficient(star, y, x, 1) == z
-    )
+    assert star.bn(x, y, 1) == z * Fraction(1, 2)
+    assert star.bn(x * y, y, 0) == x * y * y
+    assert star.bn(x, y, 1) - star.bn(y, x, 1) == z
 
 
 def test_bn_vanishes_beyond_total_degree(su2):
