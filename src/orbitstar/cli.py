@@ -53,9 +53,22 @@ class CLIError(Exception):
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CLIError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CLIError(f"config {path}: the top level must be a JSON object")
+    return data
+
+
+def _from_config(path, load, *args, **kwargs):
+    """Call a JSON loader, turning a malformed description into a CLIError."""
+    try:
+        return load(*args, **kwargs)
+    except KeyError as exc:
+        raise CLIError(f"config {path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CLIError(f"config {path}: {exc}") from exc
 
 
 def _resolve_algebra(args) -> LieAlgebra:
@@ -64,8 +77,9 @@ def _resolve_algebra(args) -> LieAlgebra:
         data = _load_config(config)
         if "algebra" in data and "dim" not in data:
             entry = data["algebra"]
-            return predefined(entry) if isinstance(entry, str) else algebra_from_json(entry)
-        return algebra_from_json(data)
+            load = predefined if isinstance(entry, str) else algebra_from_json
+            return _from_config(config, load, entry)
+        return _from_config(config, algebra_from_json, data)
     return predefined(getattr(args, "name", None) or "su2")
 
 
@@ -74,9 +88,11 @@ def _resolve_orbit(args, algebra=None) -> Orbit:
     if config:
         data = _load_config(config)
         if "invariants" in data:
-            return orbit_from_json(data, algebra=algebra)
+            return _from_config(config, orbit_from_json, data, algebra=algebra)
         if "orbit" in data:
-            return orbit_from_json(data["orbit"], algebra=algebra)
+            if not isinstance(data["orbit"], dict):
+                raise CLIError(f"config {config}: \"orbit\" must be a JSON object")
+            return _from_config(config, orbit_from_json, data["orbit"], algebra=algebra)
     c0 = Fraction(1)
     if getattr(args, "c", None):
         c0 = parse_rational(args.c)
@@ -180,6 +196,11 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
+    # The suites are written against su2 and its predefined orbits.
+    if args.config:
+        raise CLIError("verify does not take --config; its suites fix their own inputs")
+    if args.name not in (None, "su2"):
+        raise CLIError(f"verify runs on su2 only, not --name {args.name}")
     if args.list:
         lines = sorted(SUITES)
         _emit(args, lines, {"suites": lines, "version": SUITES_VERSION})

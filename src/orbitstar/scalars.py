@@ -2,13 +2,21 @@
 
 Every coefficient in the engine lives in Q(i)[h]: polynomials in the
 deformation parameter h whose coefficients have exact rational real and
-imaginary parts.  Values are immutable after construction; equality is
-exact structural equality.
+imaginary parts.  HPoly stores such a polynomial as Gaussian-integer
+numerators over one shared positive denominator, in lowest terms (the
+layout of FLINT's fmpq_poly).  Its sums and products are plain int
+arithmetic, and skip every gcd when the denominator is 1, as it is for all
+PBW rewriting over su2 and sl2.  GaussianRational is the Fraction-based
+scalar of the linear algebra, the structure constants and the
+representations, and the form in which HPoly coefficients are read out and
+printed.  Values are immutable after construction; equality is exact
+structural equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -128,25 +136,30 @@ GR_I = GaussianRational(0, 1)
 
 
 class HPoly:
-    """Polynomial in h over the Gaussian rationals.
+    """Polynomial in h over the Gaussian rationals, stored as num / den.
 
-    coeffs[k] is the coefficient of h^k; the sequence carries no trailing
-    zeros, and the zero polynomial is the empty sequence.  The degree of
-    zero is None (a stand-in for minus infinity).
+    num[k] = (re, im) holds the Gaussian-integer numerator of the h^k
+    coefficient and den > 0 is one denominator shared by all of them.  The
+    form is canonical: gcd(den, every re and im) == 1, num has no trailing
+    (0, 0), and zero is ((), 1).  Equal values therefore have equal fields.
+    The degree of zero is None (a stand-in for minus infinity).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = []
+        gs = []
         for c in coeffs:
             g = as_gauss(c)
             if g is None:
                 raise TypeError(f"bad coefficient {c!r}")
-            cs.append(g)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+            gs.append(g)
+        den = lcm(*(q.denominator for g in gs for q in (g.re, g.im)))
+        self.num, self.den = _canonical(
+            [(g.re.numerator * (den // g.re.denominator),
+              g.im.numerator * (den // g.im.denominator)) for g in gs],
+            den,
+        )
 
     @classmethod
     def const(cls, x):
@@ -156,38 +169,54 @@ class HPoly:
         return cls((g,))
 
     @property
+    def coeffs(self):
+        """The coefficients of h^0, h^1, ... as GaussianRationals."""
+        return tuple(self.coeff(k) for k in range(len(self.num)))
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def coeff(self, k):
         """The coefficient of h^k."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            re, im = self.num[k]
+            return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
         return GR_ZERO
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def as_scalar(self):
         """The value as a GaussianRational; raises if h actually occurs."""
-        if len(self.coeffs) > 1:
+        if len(self.num) > 1:
             raise ValueError(f"{self} is not h-free")
         return self.coeff(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __add__(self, other):
-        other = as_hpoly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if other.__class__ is not HPoly:
+            other = as_hpoly(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        den = self.den
+        if den != other.den:
+            # Bring both to the lcm of the denominators.
+            g = gcd(den, other.den)
+            sa, sb = other.den // g, den // g
+            den *= sa
+            a = [(re * sa, im * sa) for re, im in a]
+            b = [(re * sb, im * sb) for re, im in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return HPoly(out)
+        for k, (re, im) in enumerate(b):
+            ore, oim = out[k]
+            out[k] = (ore + re, oim + im)
+        return _hpoly(*_canonical(out, den))
 
     __radd__ = __add__
 
@@ -204,23 +233,35 @@ class HPoly:
         return other - self
 
     def __neg__(self):
-        return HPoly([-c for c in self.coeffs])
+        return _hpoly(tuple((-re, -im) for re, im in self.num), self.den)
 
     def __mul__(self, other):
-        other = as_hpoly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if other.__class__ is not HPoly:
+            other = as_hpoly(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
         if not a or not b:
             return H_ZERO
-        out = [GR_ZERO] * (len(a) + len(b) - 1)
-        for j, cj in enumerate(a):
-            if not cj:
-                continue
-            for k, ck in enumerate(b):
-                if ck:
-                    out[j + k] = out[j + k] + cj * ck
-        return HPoly(out)
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            (ar, ai), = a
+            num = tuple([(ar * br - ai * bi, ar * bi + ai * br) for br, bi in b])
+        else:
+            n = len(a) + len(b) - 1
+            res = [0] * n
+            ims = [0] * n
+            for j, (ar, ai) in enumerate(a):
+                for k, (br, bi) in enumerate(b):
+                    res[j + k] += ar * br - ai * bi
+                    ims[j + k] += ar * bi + ai * br
+            num = tuple(zip(res, ims))
+        # Z[i] has no zero divisors, so the top coefficient is nonzero.
+        den = self.den * other.den
+        if den == 1:
+            return _hpoly(num, 1)
+        return _hpoly(*_canonical(num, den))
 
     __rmul__ = __mul__
 
@@ -228,7 +269,15 @@ class HPoly:
         g = as_gauss(other)
         if g is None:
             return NotImplemented
-        return HPoly([c / g for c in self.coeffs])
+        # p / g == p * s * (a - b*i) / (a^2 + b^2), with g = (a + b*i) / s.
+        s = lcm(g.re.denominator, g.im.denominator)
+        a = g.re.numerator * (s // g.re.denominator)
+        b = g.im.numerator * (s // g.im.denominator)
+        norm = a * a + b * b
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        num = [((re * a + im * b) * s, (im * a - re * b) * s) for re, im in self.num]
+        return _hpoly(*_canonical(num, self.den * norm))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -242,10 +291,10 @@ class HPoly:
         other = as_hpoly(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def evaluate(self, h0):
         """Substitute h := h0 exactly (Horner)."""
@@ -259,7 +308,7 @@ class HPoly:
 
     def truncate(self, k):
         """Drop all terms of h-degree >= k."""
-        return HPoly(self.coeffs[:k])
+        return _hpoly(*_canonical(self.num[:k], self.den))
 
     def __str__(self):
         return format_hpoly(self)
@@ -268,10 +317,36 @@ class HPoly:
         return format_hpoly(self)
 
 
+def _hpoly(num, den):
+    """An HPoly from fields already in canonical form."""
+    p = object.__new__(HPoly)
+    p.num = num
+    p.den = den
+    return p
+
+
+def _canonical(num, den):
+    """(num, den) with trailing (0, 0) pairs dropped and the gcd divided out."""
+    n = len(num)
+    while n and num[n - 1] == (0, 0):
+        n -= 1
+    num = tuple(num[:n])
+    if den == 1 or not num:
+        return num, 1
+    g = den
+    for re, im in num:
+        g = gcd(g, re, im)
+        if g == 1:
+            return num, den
+    return tuple((re // g, im // g) for re, im in num), den // g
+
+
 def as_hpoly(x):
     """Coerce x to HPoly, or None if it is not coefficient-like."""
     if isinstance(x, HPoly):
         return x
+    if x.__class__ is int:
+        return _hpoly(((x, 0),), 1) if x else H_ZERO
     g = as_gauss(x)
     if g is None:
         return None
@@ -279,8 +354,8 @@ def as_hpoly(x):
 
 
 H_ZERO = HPoly()
-H_ONE = HPoly((GR_ONE,))
-H = HPoly((GR_ZERO, GR_ONE))
+H_ONE = HPoly((1,))
+H = HPoly((0, 1))
 
 
 # ---------------------------------------------------------------------------

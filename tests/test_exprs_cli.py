@@ -165,15 +165,19 @@ def test_cli_parse_error_exit_code(capsys):
     assert cli.main(["nf", "Y*X*"]) == 2
 
 
-def test_cli_zero_denominator_exit_code():
+def _run_cli(*args):
     src = str(Path(orbitstar.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbitstar.cli", "star", "1/0", "x"],
+    return subprocess.run(
+        [sys.executable, "-m", "orbitstar.cli", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
+
+
+def test_cli_zero_denominator_exit_code():
+    proc = _run_cli("star", "1/0", "x")
     assert proc.returncode == 2
     assert proc.stderr == "error: zero denominator at offset 0\n"
     assert proc.stdout == ""
@@ -261,3 +265,44 @@ def test_cli_orbit_config(tmp_path, capsys):
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["algebra", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("algebra", [1, 2], "the top level must be a JSON object"),
+        ("algebra", {"dim": None}, "int() argument"),
+        ("algebra", {"dim": 3, "names": 5, "brackets": []}, "has no len()"),
+        ("algebra", {"dim": 3, "names": ["X", "Y", "Z"], "brackets": 7},
+         "is not iterable"),
+        ("reduce", {"algebra": "su2", "invariants": ["x^2+y^2+z^2"]},
+         "missing key 'constants'"),
+        ("reduce", {"algebra": "su2", "orbit": [1]}, '"orbit" must be a JSON object'),
+    ],
+    ids=["top-level-list", "dim-null", "names-int", "brackets-int",
+         "orbit-missing-constants", "orbit-entry-list"],
+)
+def test_cli_malformed_config_exit_code(tmp_path, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = [command, "--config", str(path)] + (["x"] if command == "reduce" else [])
+    proc = _run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: config {path}: ")
+    assert message in lines[0]
+
+
+def test_cli_verify_rejects_other_algebra(capsys):
+    assert cli.main(["verify", "centrality", "--name", "sl2"]) == 2
+    assert "su2" in capsys.readouterr().err
+    assert cli.main(["verify", "centrality", "--name", "su2"]) == 0
+
+
+def test_cli_verify_rejects_config(tmp_path, capsys):
+    config = tmp_path / "algebra.json"
+    config.write_text(json.dumps({"algebra": "sl2"}))
+    assert cli.main(["verify", "centrality", "--config", str(config)]) == 2
+    assert "--config" in capsys.readouterr().err

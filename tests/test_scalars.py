@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -118,3 +119,113 @@ def test_formatting():
     assert format_hpoly(HPoly([3, 2, -1])) == "3 + 2*h - h^2"
     assert format_hpoly(H_ZERO) == "0"
     assert format_hpoly(HPoly([gr(0), gr(0, 2)])) == "2*i*h"
+
+
+# ---------------------------------------------------------------------------
+# HPoly against a coefficient-wise GaussianRational oracle.  The oracle keeps
+# a polynomial as a plain list of GaussianRationals and shares no code with
+# the integer-numerator kernel.
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _oracle_add(a, b):
+    n = max(len(a), len(b))
+    pad = lambda cs: list(cs) + [gr(0)] * (n - len(cs))
+    return _strip(x + y for x, y in zip(pad(a), pad(b)))
+
+
+def _oracle_mul(a, b):
+    out = [gr(0)] * max(len(a) + len(b) - 1, 0)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return _strip(out)
+
+
+def _oracle_evaluate(a, h0):
+    total, power = gr(0), gr(1)
+    for x in a:
+        total = total + x * power
+        power = power * h0
+    return total
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert not p.num or p.num[-1] != (0, 0)
+    assert math.gcd(p.den, *(v for pair in p.num for v in pair)) == 1
+    if not p.num:
+        assert p.den == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hpoly_against_gaussian_oracle(seed):
+    rng = random.Random(500 + seed)
+
+    def rand_gauss():
+        return gr(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 12)),
+        )
+
+    def rand_coeffs():
+        return _strip(
+            rand_gauss() if rng.random() < 0.8 else gr(0)
+            for _ in range(rng.randint(0, 5))
+        )
+
+    for _ in range(60):
+        ca, cb = rand_coeffs(), rand_coeffs()
+        a, b = HPoly(ca), HPoly(cb)
+        assert list(a.coeffs) == ca
+        neg_b = [-x for x in cb]
+        cases = [
+            (a + b, _oracle_add(ca, cb)),
+            (a - b, _oracle_add(ca, neg_b)),
+            (-b, neg_b),
+            (a * b, _oracle_mul(ca, cb)),
+        ]
+        g = rand_gauss()
+        cases.append((a / g, [x / g for x in ca]))
+        k = rng.randint(0, 5)
+        cases.append((a.truncate(k), _strip(ca[:k])))
+        for got, want in cases:
+            _assert_canonical(got)
+            assert list(got.coeffs) == want
+            assert got == HPoly(want)
+        h0 = rand_gauss()
+        assert a.evaluate(h0) == _oracle_evaluate(ca, h0)
+
+
+def test_hpoly_canonical_form():
+    half = HPoly([Fraction(1, 2)])
+    assert half + half == H_ONE
+    assert hash(half + half) == hash(H_ONE)
+    assert ((half + half).num, (half + half).den) == (((1, 0),), 1)
+
+    a = HPoly([gr(Fraction(1, 3), 2), gr(0, Fraction(-1, 4))])
+    b = HPoly([Fraction(5, 6), gr(Fraction(2, 7), 1)])
+    c = gr(Fraction(3, 5), Fraction(-1, 2))
+    left, right = (a * b) / c, a * (b / c)
+    assert left == right
+    assert hash(left) == hash(right)
+    assert (left.num, left.den) == (right.num, right.den)
+
+    zero = HPoly([0, 0])
+    assert zero == H_ZERO
+    assert (zero.num, zero.den) == ((), 1)
+    assert a - a == H_ZERO and (a - a).den == 1
+    assert HPoly([Fraction(2, 4), Fraction(6, 4)]).den == 2
+
+
+@pytest.mark.parametrize("divisor", [0, Fraction(0), gr(0)])
+def test_hpoly_division_by_zero(divisor):
+    with pytest.raises(ZeroDivisionError):
+        HPoly([1, gr(0, 1)]) / divisor
+    with pytest.raises(ZeroDivisionError):
+        H_ZERO / divisor
