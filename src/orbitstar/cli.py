@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
-from .cohomology import Cochain1, d1, h2_dimension, solve_coboundary
+from .cohomology import coboundary_roundtrip, h2_dimension
 from .envelope import NCPoly
 from .exprs import (
     ExprSyntaxError,
@@ -33,7 +34,6 @@ from .lie import (
     predefined,
 )
 from .orbit import Orbit, orbit_from_json, sphere_orbit
-from .poly import CPoly, monomials_of_degree
 from .quantize import symmetrizer_product, pbw_basis_product
 from .reps import (
     casimir_scalar,
@@ -75,8 +75,10 @@ def _resolve_algebra(args) -> LieAlgebra:
     config = getattr(args, "config", None)
     if config:
         data = _load_config(config)
-        if "algebra" in data and "dim" not in data:
-            entry = data["algebra"]
+        # An orbit config names its algebra like orbit_from_json: su2 unless
+        # "algebra" says otherwise.
+        if "dim" not in data and data.keys() & {"algebra", "invariants", "orbit"}:
+            entry = data.get("algebra", "su2")
             load = predefined if isinstance(entry, str) else algebra_from_json
             return _from_config(config, load, entry)
         return _from_config(config, algebra_from_json, data)
@@ -270,21 +272,8 @@ def cmd_cohomology(args):
     L = _resolve_algebra(args)
     bound = args.max_degree if args.max_degree is not None else 4
     dims = {d: h2_dimension(L, d) for d in range(bound + 1)}
-    certificates = {}
-    import random
-
     rng = random.Random(args.seed)
-    for d in range(bound + 1):
-        basis = monomials_of_degree(L.dim, d)
-        values = []
-        for _ in range(L.dim):
-            p = CPoly.zero(L.dim)
-            for exps in basis:
-                p = p + CPoly.monomial(L.dim, exps, rng.randint(-2, 2))
-            values.append(p)
-        target = d1(L, Cochain1(L, values))
-        sol = solve_coboundary(L, target, d)
-        certificates[d] = bool(sol is not None and d1(L, sol) == target)
+    certificates = {d: coboundary_roundtrip(L, d, rng) for d in range(bound + 1)}
     payload = {
         "h2_dimension": {str(d): v for d, v in dims.items()},
         "solver_roundtrip": {str(d): v for d, v in certificates.items()},

@@ -133,11 +133,19 @@ def is_cocycle(L: LieAlgebra, C: Cochain2) -> bool:
     return all(v.is_zero() for v in d2(L, C).values())
 
 
-def _vectorize(p: CPoly, basis_index):
-    out = {}
-    for exps, c in p.terms.items():
-        out[basis_index[exps]] = c.as_scalar()
-    return out
+def random_cochain1(L: LieAlgebra, degree: int, rng) -> Cochain1:
+    """A 1-cochain of homogeneous values: one coefficient in [-3, 3] per
+    monomial of the degree, drawn from rng."""
+    basis = monomials_of_degree(L.dim, degree)
+    return Cochain1(L, [CPoly(L.dim, {e: rng.randint(-3, 3) for e in basis})
+                        for _ in range(L.dim)])
+
+
+def coboundary_roundtrip(L: LieAlgebra, degree: int, rng) -> bool:
+    """Does solve_coboundary invert d1 on a random 1-cochain?"""
+    target = d1(L, random_cochain1(L, degree, rng))
+    sol = solve_coboundary(L, target, degree)
+    return sol is not None and d1(L, sol) == target
 
 
 def solve_coboundary(L: LieAlgebra, C: Cochain2, degree: int):

@@ -5,13 +5,15 @@ coefficients.  An element is canonical when every word is nondecreasing
 (ordered-monomial form); normal_form rewrites any element to that basis by
 swapping out-of-order adjacent pairs, each swap trading one inversion for an
 h-weighted shorter word.  Normal forms of single words are cached on the
-algebra, which makes repeated products cheap.
+algebra, which makes repeated products cheap.  Products and normal forms
+accumulate into one dict in place, as poly.Sparse does for sums, and skip
+every product by the interned H_ONE.
 """
 
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .poly import CPoly, acc_term
+from .poly import CPoly, Sparse, acc_scaled, acc_term
 from .scalars import H, H_ONE, HPoly, as_hpoly
 
 
@@ -53,15 +55,13 @@ def _nf_word(L: LieAlgebra, word, strategy="leftmost"):
             continue
         acc = dict(cache[swapped])
         for wk, v in brackets:
-            hv = H * v
-            for ww, cc in cache[wk].items():
-                acc_term(acc, ww, hv * cc)
+            acc_scaled(acc, cache[wk], H * v)
         cache[w] = acc
         stack.pop()
     return cache[word]
 
 
-class NCPoly:
+class NCPoly(Sparse):
     """An element of the deformed enveloping algebra of a Lie algebra."""
 
     __slots__ = ("algebra", "terms")
@@ -103,111 +103,83 @@ class NCPoly:
         return cls(algebra, {tuple(indices): as_hpoly(coeff)})
 
     @classmethod
-    def ordered_word(cls, algebra, exps, coeff=1):
-        """The nondecreasing word with the given exponent vector."""
-        w = tuple(i for i, e in enumerate(exps) for _ in range(e))
-        return cls(algebra, {w: as_hpoly(coeff)})
+    def ordered_words(cls, algebra, f: CPoly):
+        """Each monomial x^a of f as its nondecreasing word X^a."""
+        return cls(algebra, {
+            tuple(i for i, e in enumerate(exps) for _ in range(e)): c
+            for exps, c in f.terms.items()
+        })
 
     # -- structure --------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def is_canonical(self):
         return all(
             all(w[k] <= w[k + 1] for k in range(len(w) - 1)) for w in self.terms
         )
 
+    def _coerce(self, x):
+        if isinstance(x, NCPoly):
+            return x
+        c = as_hpoly(x)
+        return None if c is None else NCPoly.scalar(self.algebra, c)
+
     def _check(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("elements live over different algebras")
 
+    def _new(self, terms):
+        u = object.__new__(NCPoly)
+        u.algebra = self.algebra
+        u.terms = terms
+        return u
+
     def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            other = _as_nc(other, self.algebra)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
         return hash((id(self.algebra), frozenset(self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
-        other = _as_nc(other, self.algebra)
-        if other is None:
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc_term(out, w, c)
-        return NCPoly(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_nc(other, self.algebra)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_nc(other, self.algebra)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return NCPoly(self.algebra, {w: -c for w, c in self.terms.items()})
-
     def concat(self, other):
         """The raw word-concatenation product, without normalization."""
-        other = _as_nc(other, self.algebra)
+        other = self._coerce(other)
         if other is None:
             raise TypeError("cannot concatenate")
         self._check(other)
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                acc_term(out, w1 + w2, c1 * c2)
-        return NCPoly(self.algebra, out)
+            acc_scaled(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
+        return self._new(out)
 
     def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            self._check(other)
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    c = c1 * c2
-                    for w, cw in _nf_word(self.algebra, w1 + w2).items():
-                        acc_term(out, w, c * cw)
-            return NCPoly(self.algebra, out)
-        c = as_hpoly(other)
-        if c is None:
-            return NotImplemented
-        return NCPoly(self.algebra, {w: v * c for w, v in self.terms.items()})
+        if not isinstance(other, NCPoly):
+            return self._scaled(other)
+        self._check(other)
+        L = self.algebra
+        memo = L._nf_cache["leftmost"]
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = w1 + w2
+                nf = memo.get(w) or _nf_word(L, w)
+                c = c2 if c1 is H_ONE else c1 if c2 is H_ONE else c1 * c2
+                acc_scaled(out, nf, c)
+        return self._new(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = NCPoly.one(self.algebra)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- the rewriting kernel ------------------------------------------------
     def normal_form(self, strategy="leftmost"):
         """Rewrite to the ordered-word basis; equal to self modulo the
         commutation ideal, deterministic for a fixed strategy."""
+        L = self.algebra
+        memo = L._nf_cache[strategy]
         out = {}
         for word, coeff in self.terms.items():
-            for w, cw in _nf_word(self.algebra, word, strategy).items():
-                acc_term(out, w, coeff * cw)
-        return NCPoly(self.algebra, out)
+            acc_scaled(out, memo.get(word) or _nf_word(L, word, strategy), coeff)
+        return self._new(out)
 
     def commutator(self, other):
         return self * other - other * self
@@ -282,15 +254,6 @@ class NCPoly:
         from .exprs import format_ncpoly
 
         return format_ncpoly(self)
-
-
-def _as_nc(x, algebra):
-    if isinstance(x, NCPoly):
-        return x
-    c = as_hpoly(x)
-    if c is None:
-        return None
-    return NCPoly.scalar(algebra, c)
 
 
 def multiply_at(a: NCPoly, b: NCPoly, h0) -> NCPoly:

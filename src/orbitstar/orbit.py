@@ -20,6 +20,7 @@ from .lie import LieAlgebra, predefined
 from .poly import (
     CPoly,
     ReductionSystem,
+    acc_scaled,
     acc_term,
     is_invariant,
     monomials_up_to,
@@ -144,11 +145,8 @@ class Orbit:
             if track_quotient:
                 acc_term(quotient, base, coeff)
             acc_term(terms, base, coeff * lift)
-            squares = NCPoly.zero(self.algebra)
-            for i in range(z):
-                squares = squares + NCPoly.word(self.algebra, base + (i, i))
-            for ww, cc in squares.normal_form().terms.items():
-                acc_term(terms, ww, -(coeff * cc))
+            squares = NCPoly(self.algebra, {base + (i, i): H_ONE for i in range(z)})
+            acc_scaled(terms, squares.normal_form().terms, -coeff)
         rem = NCPoly(self.algebra, terms)
         if track_quotient:
             return NCPoly(self.algebra, quotient), rem
@@ -161,10 +159,7 @@ class Orbit:
     # -- basis correspondences ----------------------------------------------
     def word_lift(self, f: CPoly) -> NCPoly:
         """Monomials to ordered words, x^a y^b z^t -> X^a Y^b Z^t."""
-        out = NCPoly.zero(self.algebra)
-        for exps, c in f.terms.items():
-            out = out + NCPoly.ordered_word(self.algebra, exps, c)
-        return out
+        return NCPoly.ordered_words(self.algebra, f)
 
     def word_lower(self, u: NCPoly, check_basis=True) -> CPoly:
         """Ordered words back to monomials; the inverse of word_lift on the

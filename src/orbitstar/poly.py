@@ -3,7 +3,8 @@
 CPoly models elements of C[x_1..x_n][h] as a map from exponent vectors to
 HPoly coefficients.  The module also provides the Kirillov Poisson bracket,
 the infinitesimal invariance test, and multivariate division by a supplied
-confluent reduction system.
+confluent reduction system.  Results accumulate into one dict in place
+(acc_scaled), skipping every product by the interned H_ONE.
 """
 
 from __future__ import annotations
@@ -12,7 +13,66 @@ from .lie import LieAlgebra
 from .scalars import H_ONE, H_ZERO, HPoly, as_hpoly
 
 
-class CPoly:
+class Sparse:
+    """Arithmetic shared by CPoly and NCPoly, whose terms map keys to nonzero
+    HPoly coefficients.  Subclasses supply _coerce (a same-space element or a
+    lifted scalar, else None), _check (same space or ValueError) and _new
+    (wrap terms already clean, without validating them again)."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        acc_scaled(out, other.terms, H_ONE)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def _scaled(self, c):
+        """self times a scalar, or NotImplemented for a non-scalar."""
+        c = as_hpoly(c)
+        if c is None:
+            return NotImplemented
+        out = {}
+        if c:
+            acc_scaled(out, self.terms, c)
+        return self._new(out)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = self._coerce(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+class CPoly(Sparse):
     """A commutative polynomial; terms maps exponent tuples to coefficients."""
 
     __slots__ = ("nvars", "terms")
@@ -56,12 +116,6 @@ class CPoly:
         return cls(nvars, {tuple(exps): as_hpoly(coeff)})
 
     # -- basic structure ----------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def degree(self):
         """Total degree in the x variables; None for the zero polynomial."""
         if not self.terms:
@@ -77,70 +131,42 @@ class CPoly:
         return self.terms.get(tuple(exps), H_ZERO)
 
     def __eq__(self, other):
-        if not isinstance(other, CPoly):
-            other = _as_cpoly(other, self.nvars)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- arithmetic -----------------------------------------------------
+    def _coerce(self, x):
+        if isinstance(x, CPoly):
+            return x
+        c = as_hpoly(x)
+        return None if c is None else CPoly.constant(self.nvars, c)
+
     def _check(self, other):
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable sets")
 
-    def __add__(self, other):
-        other = _as_cpoly(other, self.nvars)
-        if other is None:
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc_term(out, exps, c)
-        return CPoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_cpoly(other, self.nvars)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_cpoly(other, self.nvars)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return CPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+    def _new(self, terms):
+        p = object.__new__(CPoly)
+        p.nvars = self.nvars
+        p.terms = terms
+        return p
 
     def __mul__(self, other):
-        if isinstance(other, CPoly):
-            self._check(other)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    acc_term(out, exps, c1 * c2)
-            return CPoly(self.nvars, out)
-        c = as_hpoly(other)
-        if c is None:
-            return NotImplemented
-        return CPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        if not isinstance(other, CPoly):
+            return self._scaled(other)
+        self._check(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            acc_scaled(out, {tuple([a + b for a, b in zip(e1, e2)]): c2
+                             for e2, c2 in other.terms.items()}, c1)
+        return self._new(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = CPoly.one(self.nvars)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- calculus and h-structure ----------------------------------------
     def partial(self, i):
@@ -194,15 +220,6 @@ class CPoly:
         return format_cpoly(self, names)
 
 
-def _as_cpoly(x, nvars):
-    if isinstance(x, CPoly):
-        return x
-    c = as_hpoly(x)
-    if c is None:
-        return None
-    return CPoly.constant(nvars, c)
-
-
 def acc_term(d, key, c):
     """Add c to d[key] (a monomial or a word), dropping the key on cancellation."""
     cur = d.get(key)
@@ -211,6 +228,25 @@ def acc_term(d, key, c):
         d[key] = new
     else:
         d.pop(key, None)
+
+
+def acc_scaled(d, terms, c):
+    """Add c times each of terms (key -> coefficient) to d in place, dropping
+    keys that cancel.  c must be nonzero; no product is formed when either
+    factor is H_ONE (by identity)."""
+    one = H_ONE
+    for key, v in terms.items():
+        if c is not one:
+            v = c if v is one else c * v
+        cur = d.get(key)
+        if cur is None:
+            d[key] = v
+        else:
+            v = cur + v
+            if v:
+                d[key] = v
+            else:
+                del d[key]
 
 
 # ---------------------------------------------------------------------------
@@ -317,30 +353,33 @@ def reduce(f: CPoly, system: ReductionSystem):
     Returns (quotients, remainder) with f = sum_r quotients[r]*rule_r +
     remainder, rule_r = lead_r - replacement_r, and no remainder monomial
     divisible by any rule lead.  Rules are tried in listed order, so the
-    division is deterministic.
+    division is deterministic.  Leading monomials strictly decrease, so each
+    quotient or remainder key is set once.
     """
     if f.nvars != system.nvars:
         raise ValueError("variable count mismatch")
-    quotients = [CPoly.zero(f.nvars) for _ in system.rules]
+    order = lambda e: grlex_key(e, system.priority)
+    quotients = [{} for _ in system.rules]
     remainder = {}
-    work = f
-    while not work.is_zero():
-        exps, coeff = leading_term(work, system.priority)
-        hit = None
+    work = dict(f.terms)
+    while work:
+        exps = max(work, key=order)
+        coeff = work.pop(exps)
         for r, (lead, repl) in enumerate(system.rules):
             if _divides(lead, exps):
-                hit = (r, lead, repl)
                 break
-        if hit is None:
-            acc_term(remainder, exps, coeff)
-            work = work - CPoly.monomial(f.nvars, exps, coeff)
+        else:
+            remainder[exps] = coeff
             continue
-        r, lead, repl = hit
-        shift = tuple(a - b for a, b in zip(exps, lead))
-        qterm = CPoly.monomial(f.nvars, shift, coeff)
-        quotients[r] = quotients[r] + qterm
-        work = work - qterm * (CPoly.monomial(f.nvars, lead) - repl)
-    return quotients, CPoly(f.nvars, remainder)
+        # coeff * x^shift * (lead - repl) cancels the leading term and
+        # leaves coeff * x^shift * repl.
+        shift = tuple([a - b for a, b in zip(exps, lead)])
+        quotients[r][shift] = coeff
+        acc_scaled(work, {
+            tuple([a + b for a, b in zip(shift, e)]): c
+            for e, c in repl.terms.items()
+        }, coeff)
+    return [f._new(q) for q in quotients], f._new(remainder)
 
 
 # ---------------------------------------------------------------------------

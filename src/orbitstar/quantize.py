@@ -5,7 +5,8 @@ built by recursion on the first letter and memoized per monomial, and
 sym_inverse recovers the polynomial by triangular descent on word length.
 A StarProduct packages an invertible basis correspondence between
 polynomials and the deformed enveloping algebra; the induced product is
-f * g = backward(forward(f) . forward(g)).
+f * g = backward(forward(f) . forward(g)), memoized per monomial pair and
+summed bilinearly into one dict in place.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 
 from .envelope import NCPoly
 from .lie import LieAlgebra
-from .poly import CPoly, acc_term, kirillov_bracket, monomials_up_to
+from .poly import CPoly, acc_scaled, acc_term, kirillov_bracket, monomials_up_to
+from .scalars import H_ONE
 
 
 def _sym_monomial(L: LieAlgebra, exps) -> NCPoly:
@@ -41,8 +43,7 @@ def symmetrize(L: LieAlgebra, f: CPoly) -> NCPoly:
         raise ValueError("polynomial does not match the algebra's variables")
     out = {}
     for exps, coeff in f.terms.items():
-        for word, cw in _sym_monomial(L, exps).terms.items():
-            acc_term(out, word, coeff * cw)
+        acc_scaled(out, _sym_monomial(L, exps).terms, coeff)
     return NCPoly(L, out)
 
 
@@ -99,6 +100,7 @@ class StarProduct:
         self.priority = tuple(priority) if priority is not None else None
         self.name = name
         self._pair_cache = {}
+        self._domain = set()
 
     # -- the product ------------------------------------------------------
     def _star_monomials(self, e1, e2):
@@ -118,22 +120,30 @@ class StarProduct:
         """f * g, extended bilinearly over the monomial basis."""
         self._check_domain(f)
         self._check_domain(g)
-        out = CPoly.zero(self.nvars)
+        out = {}
         for e1, c1 in f.terms.items():
             for e2, c2 in g.terms.items():
-                out = out + self._star_monomials(e1, e2) * (c1 * c2)
-        return out
+                c = c2 if c1 is H_ONE else c1 if c2 is H_ONE else c1 * c2
+                acc_scaled(out, self._star_monomials(e1, e2).terms, c)
+        return f._new(out)
 
     def _check_domain(self, f):
         if f.nvars != self.nvars:
             raise ValueError("polynomial over the wrong variables")
-        if self.poly_reduce is not None:
-            for exps in f.terms:
-                m = CPoly.monomial(self.nvars, exps)
-                if self.poly_reduce(m) != m:
-                    raise ValueError(
-                        f"inputs not in the product's basis span: {exps}"
-                    )
+        for exps in f.terms:
+            if not self._in_domain(exps):
+                raise ValueError(f"inputs not in the product's basis span: {exps}")
+
+    def _in_domain(self, exps):
+        """Is x^exps reduced under poly_reduce?  Accepted vectors are
+        remembered; a rejected one is tested again on every call."""
+        if self.poly_reduce is None or exps in self._domain:
+            return True
+        m = CPoly.monomial(self.nvars, exps)
+        if self.poly_reduce(m) != m:
+            return False
+        self._domain.add(exps)
+        return True
 
     def b0(self, f: CPoly, g: CPoly) -> CPoly:
         """The undeformed product (reduced when the domain is a quotient)."""
@@ -156,14 +166,11 @@ class StarProduct:
 
     def monomial_basis(self, max_degree):
         """Exponent vectors of the product's monomial basis up to a degree."""
-        out = []
-        for exps in monomials_up_to(self.nvars, max_degree, self.priority):
-            if self.poly_reduce is not None:
-                m = CPoly.monomial(self.nvars, exps)
-                if self.poly_reduce(m) != m:
-                    continue
-            out.append(exps)
-        return out
+        return [
+            exps
+            for exps in monomials_up_to(self.nvars, max_degree, self.priority)
+            if self._in_domain(exps)
+        ]
 
 
 def symmetrizer_product(L: LieAlgebra) -> StarProduct:
@@ -179,18 +186,13 @@ def symmetrizer_product(L: LieAlgebra) -> StarProduct:
 def pbw_basis_product(L: LieAlgebra) -> StarProduct:
     """The star product of the ordered-word basis map x^a -> X^a."""
 
-    def forward(f):
-        out = NCPoly.zero(L)
-        for exps, c in f.terms.items():
-            out = out + NCPoly.ordered_word(L, exps, c)
-        return out
-
     def backward(u):
         if not u.is_canonical():
             raise ValueError("cannot invert a non-canonical element")
         return CPoly(L.dim, u.word_exps())
 
-    return StarProduct(L, forward, backward, name="pbw")
+    return StarProduct(L, lambda f: NCPoly.ordered_words(L, f), backward,
+                       name="pbw")
 
 
 def check_deformation_axioms(star: StarProduct, degree_bound: int,

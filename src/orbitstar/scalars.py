@@ -342,11 +342,12 @@ def _canonical(num, den):
 
 
 def as_hpoly(x):
-    """Coerce x to HPoly, or None if it is not coefficient-like."""
+    """Coerce x to HPoly, or None if it is not coefficient-like; 1 gives the
+    interned H_ONE, whose products the kernels skip."""
     if isinstance(x, HPoly):
         return x
     if x.__class__ is int:
-        return _hpoly(((x, 0),), 1) if x else H_ZERO
+        return H_ONE if x == 1 else _hpoly(((x, 0),), 1) if x else H_ZERO
     g = as_gauss(x)
     if g is None:
         return None

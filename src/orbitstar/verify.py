@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cohomology import Cochain1, Cochain2, d1, d2, h2_dimension, solve_coboundary
+from .cohomology import Cochain2, d1, d2, h2_dimension, solve_coboundary
+from .cohomology import coboundary_roundtrip, random_cochain1
 from .envelope import NCPoly, multiply_at, substitute_generators
 from .exprs import format_cpoly, format_ncpoly
 from .lie import LieAlgebra, adjoint_rep, predefined
 from .orbit import sphere_orbit
-from .poly import CPoly, monomials_of_degree, monomials_up_to
+from .poly import CPoly, monomials_up_to
 from .quantize import (
     check_deformation_axioms,
     symmetrize,
@@ -379,17 +380,9 @@ def suite_cohomology(max_degree=None, seed=0, **_):
     bound = max_degree if max_degree is not None else 4
     rng = random.Random(seed)
     out = []
-
-    def rand_poly(L, d):
-        p = CPoly.zero(L.dim)
-        for exps in monomials_of_degree(L.dim, d):
-            p = p + CPoly.monomial(L.dim, exps, rng.randint(-3, 3))
-        return p
-
     ok = True
     for d in range(bound + 1):
-        C = Cochain1(su2, [rand_poly(su2, d) for _ in range(3)])
-        image = d2(su2, d1(su2, C))
+        image = d2(su2, d1(su2, random_cochain1(su2, d, rng)))
         if not all(v.is_zero() for v in image.values()):
             ok = False
             break
@@ -400,14 +393,7 @@ def suite_cohomology(max_degree=None, seed=0, **_):
     out.append(_case("cohomology", f"h2 dimensions 0..{bound} all vanish",
                      all(v == 0 for v in dims), dims))
 
-    ok = True
-    for d in range(min(bound, 3) + 1):
-        C = Cochain1(su2, [rand_poly(su2, d) for _ in range(3)])
-        target = d1(su2, C)
-        sol = solve_coboundary(su2, target, d)
-        if sol is None or d1(su2, sol) != target:
-            ok = False
-            break
+    ok = all(coboundary_roundtrip(su2, d, rng) for d in range(min(bound, 3) + 1))
     out.append(_case("cohomology", "coboundary solver round-trips d1 images", ok))
 
     ab = LieAlgebra(("A", "B"), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])

@@ -5,6 +5,7 @@ import pytest
 
 from orbitstar.envelope import NCPoly, multiply_at, substitute_generators
 from orbitstar.poly import CPoly
+from conftest import rand_coeff
 from orbitstar.scalars import H, H_ONE, GaussianRational, HPoly
 
 
@@ -170,3 +171,50 @@ def test_word_exps_requires_canonical(su2):
     raw = NCPoly(su2, {(1, 0): H_ONE, (0, 1): H_ONE})
     with pytest.raises(ValueError):
         raw.word_exps()
+
+
+def _rand_element(rng, L):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 4)))
+        terms[word] = H_ONE if rng.random() < 0.3 else rand_coeff(rng)
+    # c*(X_i X_j - X_j X_i) makes the X_i X_j terms cancel in the product
+    i, j = rng.sample(range(L.dim), 2)
+    c = rand_coeff(rng)
+    terms[(i, j)] = c
+    terms[(j, i)] = -c
+    return NCPoly(L, terms)
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2"])
+def test_product_against_concat_oracle(name, su2, sl2):
+    L = {"su2": su2, "sl2": sl2}[name]
+    rng = random.Random(41)
+    X, Y = NCPoly.generator(L, 0), NCPoly.generator(L, 1)
+    # Y X - X Y + h [X, Y]: zero in the algebra, not as a sum of words
+    null = NCPoly(L, {(1, 0): H_ONE, (0, 1): -H_ONE}) + (X * Y - Y * X)
+    assert len(null.terms) >= 3 and null.normal_form().is_zero()
+    for _ in range(25):
+        a, b = _rand_element(rng, L), _rand_element(rng, L)
+        for left, right in ((a, b), (b, a), (a, null), (null, b)):
+            got = left * right
+            assert got == left.concat(right).normal_form("rightmost")
+            assert all(got.terms.values())
+            assert got.is_canonical()
+    assert (a * null).is_zero()
+
+
+def test_unit_coefficient_identity_is_only_a_shortcut(su2):
+    rng = random.Random(42)
+    fresh_one = HPoly((1,))
+    assert fresh_one == H_ONE and fresh_one is not H_ONE
+    for _ in range(10):
+        a, b = _rand_element(rng, su2), _rand_element(rng, su2)
+        a_fresh = NCPoly(su2, {w: fresh_one if c is H_ONE else c
+                               for w, c in a.terms.items()})
+        assert a_fresh * b == a * b
+        assert b * a_fresh == b * a
+        assert a * fresh_one == a * H_ONE == a * 1 == a
+        assert a.normal_form() == a_fresh.normal_form()
+        assert (a + a_fresh * -1).is_zero()
+        assert not (a * 0).terms

@@ -165,10 +165,10 @@ def test_cli_parse_error_exit_code(capsys):
     assert cli.main(["nf", "Y*X*"]) == 2
 
 
-def _run_cli(*args):
+def _run_cli(*args, module="orbitstar.cli"):
     src = str(Path(orbitstar.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "orbitstar.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
@@ -260,6 +260,29 @@ def test_cli_orbit_config(tmp_path, capsys):
         ["star", "--product", "orbit", "--config", str(config), "z", "z"]
     ) == 0
     assert capsys.readouterr().out.splitlines()[0] == "1 - x^2 - y^2"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"invariants": ["x^2+y^2+z^2"], "constants": ["1"]},
+        {"orbit": {"invariants": ["x^2+y^2+z^2"], "constants": ["1"]}},
+    ],
+    ids=["invariants", "orbit-entry"],
+)
+def test_cli_orbit_config_without_algebra(tmp_path, capsys, config):
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["reduce", "z^2"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["reduce", "--config", str(path), "z^2"]) == 0
+    assert capsys.readouterr().out == want == "1 - x^2 - y^2\n"
+
+
+def test_python_m_orbitstar():
+    proc = _run_cli("nf", "Y*X", module="orbitstar")
+    assert proc.returncode == 0
+    assert proc.stdout == "X*Y - h*Z\n"
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

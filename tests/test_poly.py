@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rand_coeff
 from orbitstar.poly import (
     CPoly,
     ReductionSystem,
@@ -13,7 +14,7 @@ from orbitstar.poly import (
     monomials_up_to,
     reduce,
 )
-from orbitstar.scalars import H
+from orbitstar.scalars import H, GaussianRational
 
 
 def test_product_of_conjugate_binomials(xyz):
@@ -175,3 +176,34 @@ def test_h_coefficient_and_truncate(xyz):
     assert f.h_coefficient(0) == x * y
     assert f.h_coefficient(1) == x
     assert f.truncate_h(2) == x * H + x * y
+
+
+def _two_rule_system():
+    # z^2 -> 3/2 - x^2 - y^2, then x*z -> (2/3)(y^2 - (1/2 + i) h y)
+    x, y, z = (CPoly.variable(3, i) for i in range(3))
+    sphere = x * x + y * y + z * z - CPoly.constant(3, Fraction(3, 2))
+    tail = y * H * GaussianRational(Fraction(1, 2), 1)
+    second = x * z * Fraction(3, 2) - y * y + tail
+    return ReductionSystem.from_polynomials([sphere, second], priority=(2, 0, 1))
+
+
+@pytest.mark.parametrize("rules", ["sphere", "two-rule"])
+def test_reduce_division_identity(rules):
+    system = _unit_sphere_rule() if rules == "sphere" else _two_rule_system()
+    rule_polys = system.rule_polynomials()
+    leads = [lead for lead, _ in system.rules]
+    rng = random.Random(44)
+    for _ in range(25):
+        f = CPoly(3, {
+            tuple(rng.randint(0, 3) for _ in range(3)): rand_coeff(rng)
+            for _ in range(rng.randint(1, 6))
+        })
+        quots, rem = reduce(f, system)
+        rebuilt = rem
+        for q, rule in zip(quots, rule_polys):
+            rebuilt = rebuilt + q * rule
+        assert rebuilt == f
+        for e in rem.terms:
+            assert not any(all(a <= b for a, b in zip(lead, e)) for lead in leads)
+        assert all(rem.terms.values())
+        assert all(all(q.terms.values()) for q in quots)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rand_coeff
 from orbitstar.envelope import NCPoly
 from orbitstar.lie import predefined
 from orbitstar.orbit import sphere_orbit
@@ -227,3 +228,46 @@ def test_gauge_step_rejects_bad_partial(su2):
     bogus = {e: CPoly.monomial(3, e) for e in basis}  # T_1 = Id, not a fix
     with pytest.raises(ValueError):
         gauge_step(star_s, pbw, 2, 2, t_partial=[bogus])
+
+
+def _bilinear_star(star, f, g):
+    """The star product summed term by term with plain CPoly arithmetic."""
+    out = CPoly.zero(star.nvars)
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            out = out + star._star_monomials(e1, e2) * (c1 * c2)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["sym", "orbit"])
+def test_star_against_bilinear_oracle(kind, su2):
+    if kind == "sym":
+        star = symmetrizer_product(su2)
+    else:
+        star = sphere_orbit(2, lift=HPoly([2, Fraction(1, 3)]),
+                            algebra=su2).star_product()
+    basis = star.monomial_basis(3)
+    rng = random.Random(43)
+    for _ in range(12):
+        f, g = (
+            CPoly(3, {
+                e: H_ONE if rng.random() < 0.3 else rand_coeff(rng)
+                for e in rng.sample(basis, rng.randint(1, 4))
+            })
+            for _ in range(2)
+        )
+        for left, right in ((f, g), (g, f), (f, f - f), (f + g, f - g)):
+            got = star.star(left, right)
+            assert got == _bilinear_star(star, left, right)
+            assert all(got.terms.values())
+
+
+def test_orbit_star_domain_memo_still_rejects(su2, xyz):
+    x, y, z = xyz
+    star = sphere_orbit(1, algebra=su2).star_product()
+    assert star.star(x * z, y) == star.star(x * z, y)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            star.star(z * z, x)
+        with pytest.raises(ValueError):
+            star.star(x, x + z * z)
