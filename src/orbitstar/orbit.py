@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .envelope import NCPoly
 from .lie import LieAlgebra, predefined
@@ -135,18 +136,32 @@ class Orbit:
         z = self.algebra.dim - 1
         terms = dict(u.terms)
         quotient = {}
-        while True:
-            cand = [w for w in terms if len(w) >= 2 and w[-2] == z]
-            if not cand:
-                break
-            w = max(cand)
-            coeff = terms.pop(w)
+        # The words ending in Z Z, largest first: a heap keyed by the
+        # negated letters plus a sentinel above them, which reverses tuple
+        # order.  Every such word in terms has an entry; entries whose word
+        # has since cancelled or been rewritten are skipped when popped.
+        heap = []
+
+        def push(words):
+            for w in words:
+                if len(w) >= 2 and w[-2] == z:
+                    heappush(heap, (tuple([-i for i in w]) + (1,), w))
+
+        push(terms)
+        while heap:
+            w = heappop(heap)[1]
+            coeff = terms.pop(w, None)
+            if coeff is None:
+                continue
             base = w[:-2]
             if track_quotient:
                 acc_term(quotient, base, coeff)
             acc_term(terms, base, coeff * lift)
             squares = NCPoly(self.algebra, {base + (i, i): H_ONE for i in range(z)})
-            acc_scaled(terms, squares.normal_form().terms, -coeff)
+            nf = squares.normal_form().terms
+            acc_scaled(terms, nf, -coeff)
+            push((base,))
+            push(nf)
         rem = NCPoly(self.algebra, terms)
         if track_quotient:
             return NCPoly(self.algebra, quotient), rem

@@ -2,12 +2,15 @@
 
 Every coefficient in the engine lives in Q(i)[h]: polynomials in the
 deformation parameter h whose coefficients have exact rational real and
-imaginary parts.  HPoly stores such a polynomial as Gaussian-integer
-numerators over one shared positive denominator, in lowest terms (the
-layout of FLINT's fmpq_poly).  Its sums and products are plain int
-arithmetic, and skip every gcd when the denominator is 1, as it is for all
-PBW rewriting over su2 and sl2.  GaussianRational is the Fraction-based
-scalar of the linear algebra, the structure constants and the
+imaginary parts.  HPoly stores such a polynomial as h^val * num / den:
+Gaussian-integer numerators over one shared positive denominator, in lowest
+terms (the layout of FLINT's fmpq_poly), times a power of h (its h-adic
+valuation).  Its sums and products are plain int arithmetic, and skip every
+gcd when the denominator is 1, as it is for all PBW rewriting over su2 and
+sl2.  The deformed relations are graded in h, so PBW rewriting yields only
+single powers c*h^k; with the valuation held apart these are one numerator
+pair, and they multiply and add in constant time.  GaussianRational is the
+Fraction-based scalar of the linear algebra, the structure constants and the
 representations, and the form in which HPoly coefficients are read out and
 printed.  Values are immutable after construction; equality is exact
 structural equality.
@@ -136,16 +139,18 @@ GR_I = GaussianRational(0, 1)
 
 
 class HPoly:
-    """Polynomial in h over the Gaussian rationals, stored as num / den.
+    """Polynomial in h over the Gaussian rationals, stored as h^val * num / den.
 
-    num[k] = (re, im) holds the Gaussian-integer numerator of the h^k
-    coefficient and den > 0 is one denominator shared by all of them.  The
-    form is canonical: gcd(den, every re and im) == 1, num has no trailing
-    (0, 0), and zero is ((), 1).  Equal values therefore have equal fields.
-    The degree of zero is None (a stand-in for minus infinity).
+    num[k] = (re, im) holds the Gaussian-integer numerator of the h^(val+k)
+    coefficient, den > 0 is one denominator shared by all of them, and val
+    >= 0 is the h-adic valuation.  The form is canonical: gcd(den, every re
+    and im) == 1, num[0] and num[-1] are not (0, 0), and zero is ((), 1, 0).
+    Equal values therefore have equal fields, and a single power c*h^k is
+    one numerator pair.  The degree of zero is None (a stand-in for minus
+    infinity).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "val")
 
     def __init__(self, coeffs=()):
         gs = []
@@ -155,10 +160,11 @@ class HPoly:
                 raise TypeError(f"bad coefficient {c!r}")
             gs.append(g)
         den = lcm(*(q.denominator for g in gs for q in (g.re, g.im)))
-        self.num, self.den = _canonical(
+        self.num, self.den, self.val = _canonical(
             [(g.re.numerator * (den // g.re.denominator),
               g.im.numerator * (den // g.im.denominator)) for g in gs],
             den,
+            0,
         )
 
     @classmethod
@@ -171,14 +177,15 @@ class HPoly:
     @property
     def coeffs(self):
         """The coefficients of h^0, h^1, ... as GaussianRationals."""
-        return tuple(self.coeff(k) for k in range(len(self.num)))
+        return tuple(self.coeff(k) for k in range(self.val + len(self.num)))
 
     @property
     def degree(self):
-        return len(self.num) - 1 if self.num else None
+        return self.val + len(self.num) - 1 if self.num else None
 
     def coeff(self, k):
         """The coefficient of h^k."""
+        k -= self.val
         if 0 <= k < len(self.num):
             re, im = self.num[k]
             return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
@@ -189,7 +196,7 @@ class HPoly:
 
     def as_scalar(self):
         """The value as a GaussianRational; raises if h actually occurs."""
-        if len(self.num) > 1:
+        if self.val or len(self.num) > 1:
             raise ValueError(f"{self} is not h-free")
         return self.coeff(0)
 
@@ -202,7 +209,13 @@ class HPoly:
             if other is None:
                 return NotImplemented
         a, b = self.num, other.num
-        den = self.den
+        den, val = self.den, self.val
+        if len(a) == 1 and len(b) == 1 and val == other.val and den == other.den:
+            (ar, ai), (br, bi) = a[0], b[0]
+            re, im = ar + br, ai + bi
+            if den == 1:
+                return _hpoly(((re, im),), 1, val) if re or im else H_ZERO
+            return _hpoly(*_canonical(((re, im),), den, val))
         if den != other.den:
             # Bring both to the lcm of the denominators.
             g = gcd(den, other.den)
@@ -210,13 +223,19 @@ class HPoly:
             den *= sa
             a = [(re * sa, im * sa) for re, im in a]
             b = [(re * sb, im * sb) for re, im in b]
+        # Align both at the lower valuation.
+        if val < other.val:
+            b = [(0, 0)] * (other.val - val) + list(b)
+        elif val > other.val:
+            a = [(0, 0)] * (val - other.val) + list(a)
+            val = other.val
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, (re, im) in enumerate(b):
             ore, oim = out[k]
             out[k] = (ore + re, oim + im)
-        return _hpoly(*_canonical(out, den))
+        return _hpoly(*_canonical(out, den, val))
 
     __radd__ = __add__
 
@@ -233,7 +252,7 @@ class HPoly:
         return other - self
 
     def __neg__(self):
-        return _hpoly(tuple((-re, -im) for re, im in self.num), self.den)
+        return _hpoly(tuple((-re, -im) for re, im in self.num), self.den, self.val)
 
     def __mul__(self, other):
         if other.__class__ is not HPoly:
@@ -257,11 +276,12 @@ class HPoly:
                     res[j + k] += ar * br - ai * bi
                     ims[j + k] += ar * bi + ai * br
             num = tuple(zip(res, ims))
-        # Z[i] has no zero divisors, so the top coefficient is nonzero.
+        # Z[i] has no zero divisors, so the end coefficients are nonzero.
+        val = self.val + other.val
         den = self.den * other.den
         if den == 1:
-            return _hpoly(num, 1)
-        return _hpoly(*_canonical(num, den))
+            return _hpoly(num, 1, val)
+        return _hpoly(*_canonical(num, den, val))
 
     __rmul__ = __mul__
 
@@ -270,14 +290,12 @@ class HPoly:
         if g is None:
             return NotImplemented
         # p / g == p * s * (a - b*i) / (a^2 + b^2), with g = (a + b*i) / s.
-        s = lcm(g.re.denominator, g.im.denominator)
-        a = g.re.numerator * (s // g.re.denominator)
-        b = g.im.numerator * (s // g.im.denominator)
+        s, a, b = _gauss_ints(g)
         norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
         num = [((re * a + im * b) * s, (im * a - re * b) * s) for re, im in self.num]
-        return _hpoly(*_canonical(num, self.den * norm))
+        return _hpoly(*_canonical(num, self.den * norm, self.val))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -291,24 +309,36 @@ class HPoly:
         other = as_hpoly(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.num, self.den, self.val) == (other.num, other.den, other.val)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.den, self.val))
 
     def evaluate(self, h0):
-        """Substitute h := h0 exactly (Horner)."""
+        """Substitute h := h0 exactly (Horner on the integer numerators)."""
         g = as_gauss(h0)
         if g is None:
             raise TypeError(f"bad substitution value {h0!r}")
-        out = GR_ZERO
-        for c in reversed(self.coeffs):
-            out = out * g + c
-        return out
+        if not self.num:
+            return GR_ZERO
+        # With h0 = (a + b*i) / s, s^(n-1) * sum num[k] h0^k is the Gaussian
+        # integer that Horner's rule builds from num[k] * s^(n-1-k).
+        s, a, b = _gauss_ints(g)
+        re, im = self.num[-1]
+        scale = 1
+        for cr, ci in reversed(self.num[:-1]):
+            scale *= s
+            re, im = re * a - im * b + cr * scale, re * b + im * a + ci * scale
+        for _ in range(self.val):
+            re, im = re * a - im * b, re * b + im * a
+        den = self.den * s ** (len(self.num) - 1 + self.val)
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def truncate(self, k):
         """Drop all terms of h-degree >= k."""
-        return _hpoly(*_canonical(self.num[:k], self.den))
+        if k <= self.val:
+            return H_ZERO
+        return _hpoly(*_canonical(self.num[:k - self.val], self.den, self.val))
 
     def __str__(self):
         return format_hpoly(self)
@@ -317,28 +347,43 @@ class HPoly:
         return format_hpoly(self)
 
 
-def _hpoly(num, den):
+def _hpoly(num, den, val):
     """An HPoly from fields already in canonical form."""
     p = object.__new__(HPoly)
     p.num = num
     p.den = den
+    p.val = val
     return p
 
 
-def _canonical(num, den):
-    """(num, den) with trailing (0, 0) pairs dropped and the gcd divided out."""
+def _canonical(num, den, val):
+    """(num, den, val) with the (0, 0) pairs at both ends dropped, val raised
+    by the number dropped at the low end, and the gcd divided out."""
     n = len(num)
     while n and num[n - 1] == (0, 0):
         n -= 1
-    num = tuple(num[:n])
-    if den == 1 or not num:
-        return num, 1
+    lo = 0
+    while lo < n and num[lo] == (0, 0):
+        lo += 1
+    if lo == n:
+        return (), 1, 0
+    num = tuple(num[lo:n])
+    val += lo
+    if den == 1:
+        return num, 1, val
     g = den
     for re, im in num:
         g = gcd(g, re, im)
         if g == 1:
-            return num, den
-    return tuple((re // g, im // g) for re, im in num), den // g
+            return num, den, val
+    return tuple((re // g, im // g) for re, im in num), den // g, val
+
+
+def _gauss_ints(g):
+    """(s, a, b) with g == (a + b*i) / s and s the lcm of g's denominators."""
+    re, im = g.re, g.im
+    s = lcm(re.denominator, im.denominator)
+    return s, re.numerator * (s // re.denominator), im.numerator * (s // im.denominator)
 
 
 def as_hpoly(x):
@@ -347,7 +392,7 @@ def as_hpoly(x):
     if isinstance(x, HPoly):
         return x
     if x.__class__ is int:
-        return H_ONE if x == 1 else _hpoly(((x, 0),), 1) if x else H_ZERO
+        return H_ONE if x == 1 else _hpoly(((x, 0),), 1, 0) if x else H_ZERO
     g = as_gauss(x)
     if g is None:
         return None

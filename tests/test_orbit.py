@@ -5,9 +5,17 @@ import pytest
 
 from orbitstar.envelope import NCPoly
 from orbitstar.orbit import Orbit, orbit_from_json, sphere_orbit
-from orbitstar.poly import CPoly, kirillov_bracket, monomials_up_to
+from orbitstar.poly import (
+    CPoly,
+    acc_scaled,
+    acc_term,
+    kirillov_bracket,
+    monomials_up_to,
+)
 from orbitstar.quantize import check_deformation_axioms, symmetrizer_product
 from orbitstar.scalars import H, H_ONE
+
+from conftest import rand_coeff
 
 
 def test_orbit_validation(su2, xyz):
@@ -105,6 +113,42 @@ def test_ideal_reduce_with_lift(su2):
     X2 = NCPoly.word(su2, (0, 0))
     Y2 = NCPoly.word(su2, (1, 1))
     assert orb.ideal_reduce(Z2) == NCPoly.scalar(su2, H_ONE + H) - X2 - Y2
+
+
+def _rescan_ideal_reduce(orb, u, lift):
+    """The ideal reduction as a plain rescanning loop: rewrite the largest
+    word ending in Z Z until none is left."""
+    z = orb.algebra.dim - 1
+    terms, quotient = dict(u.terms), {}
+    while True:
+        cand = [w for w in terms if len(w) >= 2 and w[-2] == z]
+        if not cand:
+            break
+        w = max(cand)
+        coeff = terms.pop(w)
+        base = w[:-2]
+        acc_term(quotient, base, coeff)
+        acc_term(terms, base, coeff * lift)
+        squares = NCPoly(orb.algebra, {base + (i, i): H_ONE for i in range(z)})
+        acc_scaled(terms, squares.normal_form().terms, -coeff)
+    return NCPoly(orb.algebra, quotient), NCPoly(orb.algebra, terms)
+
+
+@pytest.mark.parametrize(
+    "lift", [None, H_ONE * 2 + H * Fraction(1, 3)], ids=["level", "h-part"]
+)
+def test_ideal_reduce_against_rescan_oracle(su2, lift):
+    rng = random.Random(35)
+    orb = sphere_orbit(2, lift=lift)
+    for _ in range(4):
+        u = NCPoly.zero(su2)
+        for _ in range(3):
+            w = tuple(sorted(rng.randrange(3) for _ in range(rng.randint(8, 10))))
+            u = u + NCPoly.word(su2, w, rand_coeff(rng))
+        q, r = orb.ideal_reduce(u, track_quotient=True)
+        assert (q, r) == _rescan_ideal_reduce(orb, u, orb.lifts[0])
+        assert q * orb.casimir_minus_lift() + r == u
+        assert all(len(w) < 2 or w[-2] != 2 for w in r.terms)
 
 
 def test_h0_limit_of_deformed_reduction(su2):

@@ -156,11 +156,11 @@ def _oracle_evaluate(a, h0):
 
 
 def _assert_canonical(p):
-    assert p.den > 0
-    assert not p.num or p.num[-1] != (0, 0)
+    assert p.den > 0 and p.val >= 0
+    assert not p.num or (p.num[0] != (0, 0) and p.num[-1] != (0, 0))
     assert math.gcd(p.den, *(v for pair in p.num for v in pair)) == 1
     if not p.num:
-        assert p.den == 1
+        assert (p.den, p.val) == (1, 0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -174,9 +174,16 @@ def test_hpoly_against_gaussian_oracle(seed):
         )
 
     def rand_coeffs():
+        # Dense, a single power c*h^k, or dense above a run of low zeros,
+        # so operands also differ in h-adic valuation.
+        low = [gr(0)] * rng.randint(1, 4)
+        shape = rng.randrange(3)
+        if shape == 1:
+            return low + [rand_gauss()]
         return _strip(
-            rand_gauss() if rng.random() < 0.8 else gr(0)
-            for _ in range(rng.randint(0, 5))
+            (low if shape == 2 else [])
+            + [rand_gauss() if rng.random() < 0.8 else gr(0)
+               for _ in range(rng.randint(0, 5))]
         )
 
     for _ in range(60):
@@ -184,11 +191,14 @@ def test_hpoly_against_gaussian_oracle(seed):
         a, b = HPoly(ca), HPoly(cb)
         assert list(a.coeffs) == ca
         neg_b = [-x for x in cb]
+        j = rng.randint(0, len(ca))
         cases = [
             (a + b, _oracle_add(ca, cb)),
             (a - b, _oracle_add(ca, neg_b)),
             (-b, neg_b),
             (a * b, _oracle_mul(ca, cb)),
+            # the low-order terms cancel
+            (a - HPoly(ca[:j]), _strip([gr(0)] * j + ca[j:])),
         ]
         g = rand_gauss()
         cases.append((a / g, [x / g for x in ca]))
@@ -221,6 +231,22 @@ def test_hpoly_canonical_form():
     assert (zero.num, zero.den) == ((), 1)
     assert a - a == H_ZERO and (a - a).den == 1
     assert HPoly([Fraction(2, 4), Fraction(6, 4)]).den == 2
+
+    # h^val * num / den: a single power is one numerator pair.
+    h2 = HPoly([0, 0, 1])
+    assert (h2.num, h2.den, h2.val) == (((1, 0),), 1, 2)
+    for left, right in ((H * H, h2), ((H_ONE + H) - 1, H)):
+        assert left == right
+        assert hash(left) == hash(right)
+        assert (left.num, left.den, left.val) == (right.num, right.den, right.val)
+    assert (h2 * Fraction(1, 3)).truncate(2) == H_ZERO
+    assert (h2 * Fraction(1, 3)).truncate(1) == H_ZERO
+    assert (h2 + H).truncate(2) == H
+    p = HPoly([0, gr(Fraction(1, 2), 1), 0, -3])  # (1/2 + i) h - 3 h^3
+    assert p.evaluate(0) == gr(0)
+    assert HPoly([5, 1]).evaluate(0) == gr(5)
+    assert p.evaluate(Fraction(-2, 3)) == gr(Fraction(5, 9), Fraction(-2, 3))
+    assert p.evaluate(gr(0, 2)) == gr(-2, 25)
 
 
 @pytest.mark.parametrize("divisor", [0, Fraction(0), gr(0)])
