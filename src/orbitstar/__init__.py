@@ -7,7 +7,8 @@ differentiability probes, representation-theoretic witnesses, and the
 polynomial Chevalley-Eilenberg solver.
 """
 
-from .scalars import GaussianRational, HPoly, H, H_ONE, H_ZERO, as_gauss, as_hpoly
+from .scalars import (GaussianRational, HPoly, H, H_ONE, H_ZERO, as_gauss, as_hpoly,
+                      format_hpoly)
 from .lie import (
     BasisChange,
     LieAlgebra,
@@ -64,7 +65,6 @@ from .cohomology import (
 from .exprs import (
     ExprSyntaxError,
     format_cpoly,
-    format_hpoly,
     format_ncpoly,
     parse_expression,
     parse_hpoly,

@@ -4,7 +4,9 @@ The module action of a generator on a polynomial is {x_i, .}, which
 preserves total degree, so the complex splits into finite-dimensional
 homogeneous components and every solve below is exact linear algebra on one
 component.  For a semisimple algebra the degree-two cohomology vanishes,
-which is what powers the coboundary solver.
+which is what powers the coboundary solver.  The solver and h2_dimension
+share the d1 images of the unit 1-cochains as matrix columns, and each
+cochain component becomes scalar rows through LinearSystem.add_polys.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations
 from .lie import LieAlgebra
 from .linalg import LinearSystem
 from .poly import CPoly, kirillov_bracket, monomials_of_degree
-from .scalars import GR_ZERO, HPoly
+from .scalars import HPoly
 
 
 def _action(L, i, f):
@@ -148,6 +150,19 @@ def coboundary_roundtrip(L: LieAlgebra, degree: int, rng) -> bool:
     return sol is not None and d1(L, sol) == target
 
 
+def _d1_columns(L: LieAlgebra, degree: int):
+    """d1 of each unit 1-cochain: x^e in slot gen, at column gen * nb + t for
+    the t-th monomial e of the degree."""
+    n = L.dim
+    columns = []
+    for gen in range(n):
+        for exps in monomials_of_degree(n, degree):
+            vals = [CPoly.zero(n)] * n
+            vals[gen] = CPoly.monomial(n, exps)
+            columns.append(d1(L, Cochain1(L, vals)))
+    return columns
+
+
 def solve_coboundary(L: LieAlgebra, C: Cochain2, degree: int):
     """Find a homogeneous 1-cochain with d1 equal to C, or None.
 
@@ -159,36 +174,16 @@ def solve_coboundary(L: LieAlgebra, C: Cochain2, degree: int):
     if C.degree is not None and C.degree != degree:
         raise ValueError("cochain degree does not match the requested degree")
     n = L.dim
-    basis = monomials_of_degree(n, degree)
-    basis_index = {e: t for t, e in enumerate(basis)}
-    nb = len(basis)
-    unknowns = n * nb
-
-    def unit_cochain(gen, exps):
-        vals = [CPoly.zero(n) for _ in range(n)]
-        vals[gen] = CPoly.monomial(n, exps)
-        return Cochain1(L, vals)
-
-    columns = {}
-    for gen in range(n):
-        for t, exps in enumerate(basis):
-            columns[gen * nb + t] = d1(L, unit_cochain(gen, exps))
-
-    system = LinearSystem(unknowns)
+    columns = _d1_columns(L, degree)
+    system = LinearSystem(len(columns))
     for i, j in combinations(range(n), 2):
-        support = set(C.get(i, j).terms)
-        for col, image in columns.items():
-            support.update(image.get(i, j).terms)
-        for exps in sorted(support):
-            row = {}
-            for col, image in columns.items():
-                v = image.get(i, j).coeff(exps).as_scalar()
-                if v:
-                    row[col] = v
-            system.add(row, C.get(i, j).coeff(exps).as_scalar())
+        system.add_polys({col: image.get(i, j) for col, image in enumerate(columns)},
+                         C.get(i, j), tag=(i, j))
     solution = system.solve()
     if solution is None:
         return None
+    basis = monomials_of_degree(n, degree)
+    nb = len(basis)
     values = []
     for gen in range(n):
         p = CPoly.zero(n)
@@ -200,62 +195,31 @@ def solve_coboundary(L: LieAlgebra, C: Cochain2, degree: int):
     return Cochain1(L, values)
 
 
-def _matrix_rank(L, sources, apply_fn, component_keys, degree):
-    """Rank of a differential on one homogeneous component."""
-    n = L.dim
-    basis = monomials_of_degree(n, degree)
-    images = [apply_fn(src) for src in sources]
-    # one scalar row per (component key, monomial), columns = sources
-    system = LinearSystem(len(sources))
-    for key in component_keys:
-        for exps in basis:
-            row = {}
-            for col, image in enumerate(images):
-                v = image[key].coeff(exps).as_scalar()
-                if v:
-                    row[col] = v
-            system.add(row, GR_ZERO)
-    return system.rank
-
-
 def h2_dimension(L: LieAlgebra, degree: int) -> int:
     """dim ker(d2) - dim im(d1) on the homogeneous component of a degree."""
     if degree < 0:
         return 0
     n = L.dim
-    basis = monomials_of_degree(n, degree)
-    nb = len(basis)
+    zero = CPoly.zero(n)
     pairs = list(combinations(range(n), 2))
-    triples = list(combinations(range(n), 3))
+    d1_images = [c.entries for c in _d1_columns(L, degree)]
+    d2_images = [
+        d2(L, Cochain2(L, {pair: CPoly.monomial(n, exps)}))
+        for pair in pairs
+        for exps in monomials_of_degree(n, degree)
+    ]
 
-    c1_sources = []
-    for gen in range(n):
-        for exps in basis:
-            vals = [CPoly.zero(n) for _ in range(n)]
-            vals[gen] = CPoly.monomial(n, exps)
-            c1_sources.append(Cochain1(L, vals))
+    def rank(images, keys):
+        # one scalar row per (component key, monomial), one column per source
+        system = LinearSystem(len(images))
+        for key in keys:
+            system.add_polys({col: im[key] for col, im in enumerate(images)
+                              if key in im}, zero)
+        return system.rank
 
-    def d1_components(c):
-        image = d1(L, c)
-        return {pair: image.get(*pair) for pair in pairs}
-
-    rank_d1 = _matrix_rank(L, c1_sources, d1_components, pairs, degree)
-
-    c2_sources = []
-    for pair in pairs:
-        for exps in basis:
-            c2_sources.append(
-                Cochain2(L, {pair: CPoly.monomial(n, exps)})
-            )
-    rank_d2 = _matrix_rank(
-        L,
-        c2_sources,
-        lambda c: d2(L, c),
-        triples,
-        degree,
-    )
-    dim_c2 = len(pairs) * nb
-    return (dim_c2 - rank_d2) - rank_d1
+    dim_c2 = len(d2_images)
+    return (dim_c2 - rank(d2_images, combinations(range(n), 3))
+            - rank(d1_images, pairs))
 
 
 def extend_c1(C: Cochain1):

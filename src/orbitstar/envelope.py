@@ -61,6 +61,14 @@ def _nf_word(L: LieAlgebra, word, strategy="leftmost"):
     return cache[word]
 
 
+def word_exps(word, n):
+    """The exponent vector of a word over n generators: its letter counts."""
+    exps = [0] * n
+    for g in word:
+        exps[g] += 1
+    return tuple(exps)
+
+
 class NCPoly(Sparse):
     """An element of the deformed enveloping algebra of a Lie algebra."""
 
@@ -230,25 +238,15 @@ class NCPoly(Sparse):
             v = coeff.coeff(0)
             if not v:
                 continue
-            exps = [0] * n
-            for g in word:
-                exps[g] += 1
-            acc_term(out, tuple(exps), HPoly((v,)))
+            acc_term(out, word_exps(word, n), HPoly((v,)))
         return CPoly(n, out)
 
     def word_exps(self):
         """For a canonical element: terms as exponent-vector -> coefficient."""
+        if not self.is_canonical():
+            raise ValueError("element is not canonical")
         n = self.algebra.dim
-        out = {}
-        for word, coeff in self.terms.items():
-            exps = [0] * n
-            for g in word:
-                exps[g] += 1
-            key = tuple(exps)
-            if key in out:
-                raise ValueError("element is not canonical")
-            out[key] = coeff
-        return out
+        return {word_exps(w, n): c for w, c in self.terms.items()}
 
     def __repr__(self):
         from .exprs import format_ncpoly

@@ -26,7 +26,6 @@ from .scalars import (
     H,
     HPoly,
     coeff_pieces,
-    format_hpoly,
     join_signed,
 )
 

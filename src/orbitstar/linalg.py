@@ -1,7 +1,9 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Dense helpers for small matrices (products, determinants, inverses) plus an
-incremental sparse row-reduction used by the coboundary and gauge solvers.
+incremental sparse row-reduction used by the coboundary, gauge and
+bidifferential solvers.  LinearSystem.add_polys is the one place where an
+equation between polynomials becomes scalar rows, one per monomial.
 Everything is exact; there is no pivot-size heuristic because there is no
 rounding.
 """
@@ -163,6 +165,24 @@ class LinearSystem:
             if self.conflict is None:
                 self.conflict = tag if tag is not None else True
             return False
+        return True
+
+    def add_polys(self, lin, rhs, tag=None) -> bool:
+        """Add sum_col x_col * lin[col] == rhs for h-free polynomials.
+
+        One row per key of the joint support, in sorted key order, tagged
+        (tag, key); False at the first inconsistent row.
+        """
+        support = set(rhs.terms)
+        for p in lin.values():
+            support.update(p.terms)
+        for key in sorted(support):
+            row = {col: p.terms[key].as_scalar()
+                   for col, p in lin.items() if key in p.terms}
+            b = rhs.terms.get(key)
+            if not self.add(row, GR_ZERO if b is None else b.as_scalar(),
+                            tag=(tag, key)):
+                return False
         return True
 
     def solve(self):

@@ -1,13 +1,15 @@
 """Orbit algebras: reduction modulo the orbit ideal on both sides of the
 quantization, the induced star products, and the checks that probe them.
 
-An Orbit couples an invariant polynomial p (validated Poisson-invariant)
-with a level constant c0 and a lift c(h) with c(0) = c0.  On the commutative
-side the ideal (p - c0) is handled by one confluent rewrite rule with the
-last variable leading (z^2 -> c0 - x^2 - y^2 for the rank-one sphere); on
-the deformed side the central element P = symmetrize(p) drives the analogous
-word rewrite Z^2 -> c(h) - X^2 - Y^2 with renormalization, which terminates
-because each substitution lowers the generator degree.
+An Orbit couples the sum of squares p = x_1^2 + ... + x_n^2 (validated
+Poisson-invariant) with a nonzero level constant c0 and a lift c(h) with
+c(0) = c0.  This rank-one sphere is the only orbit shape implemented, and
+the constructor rejects every other invariant.  On the commutative side the
+ideal (p - c0) is handled by one confluent rewrite rule with the last
+variable leading (z^2 -> c0 - x^2 - y^2); on the deformed side the central
+element P = symmetrize(p) drives the analogous word rewrite
+Z^2 -> c(h) - X^2 - Y^2 with renormalization, which terminates because each
+substitution lowers the generator degree.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from heapq import heappop, heappush
 
 from .envelope import NCPoly
 from .lie import LieAlgebra, predefined
+from .linalg import LinearSystem
 from .poly import (
     CPoly,
     ReductionSystem,
@@ -32,7 +35,8 @@ from .scalars import H, H_ONE, HPoly, as_gauss, as_hpoly
 
 
 class Orbit:
-    """A regular level set p = c0 together with a lift of its ideal."""
+    """The sphere p = c0 (p the sum of the squared coordinates, c0 nonzero)
+    together with a lift c(h) of its ideal."""
 
     def __init__(self, algebra: LieAlgebra, invariants, constants, lifts=None):
         self.algebra = algebra
@@ -41,15 +45,17 @@ class Orbit:
         for p in self.invariants:
             if not is_invariant(algebra, p):
                 raise ValueError("orbit generator is not an invariant polynomial")
-        consts = []
-        for c in constants:
-            g = as_gauss(c if not isinstance(c, str) else Fraction(c))
-            if g is None:
-                raise TypeError(f"bad orbit constant {c!r}")
-            consts.append(g)
-        self.constants = tuple(consts)
+        self.constants = tuple(_scalar(c) for c in constants)
         if len(self.constants) != len(self.invariants):
             raise ValueError("need one constant per invariant")
+        # Only the rank-one sphere is implemented: other invariants need a
+        # Groebner basis of the Casimirs, which ideal_reduce does not build.
+        if self.invariants != (_sum_of_squares(n),):
+            raise ValueError(
+                "only the sum-of-squares orbit x_1^2 + ... + x_n^2 = c0 is supported"
+            )
+        if not self.constants[0]:
+            raise ValueError("regular orbit needs a nonzero level constant")
         if lifts is None:
             lifts = [HPoly.const(c) for c in self.constants]
         self.lifts = tuple(as_hpoly(c) for c in lifts)
@@ -61,28 +67,13 @@ class Orbit:
         for P in self.casimirs:
             if not P.is_central():
                 raise ValueError("symmetrized invariant is not central")
-        # rank-one sphere shape: a single sum-of-squares generator, reduced
-        # with the last variable leading
-        sphere = CPoly.zero(n)
-        for i in range(n):
-            sphere = sphere + CPoly.variable(n, i) ** 2
-        self._sphere = (
-            len(self.invariants) == 1 and self.invariants[0] == sphere
-        )
-        if self._sphere and not self.constants[0]:
-            raise ValueError("regular orbit needs a nonzero level constant")
+        # the last variable leads the reduction
         self.priority = (n - 1,) + tuple(range(n - 1))
         self.basis_rule = ReductionSystem.from_polynomials(
-            [p - CPoly.constant(n, c) for p, c in zip(self.invariants, self.constants)],
+            [self.invariants[0] - CPoly.constant(n, self.constants[0])],
             priority=self.priority,
         )
         self._products = {}
-
-    def _need_sphere(self):
-        if not self._sphere:
-            raise ValueError(
-                "this operation needs the rank-one sum-of-squares orbit"
-            )
 
     # -- commutative side --------------------------------------------------
     def orbit_reduce(self, f: CPoly) -> CPoly:
@@ -92,7 +83,6 @@ class Orbit:
 
     def decompose(self, f: CPoly):
         """Split f = a*(p - c0) + r(x, y) + s(x, y)*z exactly."""
-        self._need_sphere()
         n = self.algebra.dim
         quots, rem = poly_reduce_by(f, self.basis_rule)
         r_terms, s_terms = {}, {}
@@ -105,7 +95,6 @@ class Orbit:
 
     def basis_monomials(self, max_degree):
         """Orbit-basis exponent vectors (leading-variable exponent <= 1)."""
-        self._need_sphere()
         return [
             e
             for e in monomials_up_to(self.algebra.dim, max_degree, self.priority)
@@ -113,10 +102,9 @@ class Orbit:
         ]
 
     # -- deformed side -----------------------------------------------------
-    def neighbor_lift(self, c0_prime, index=0) -> HPoly:
+    def neighbor_lift(self, c0_prime) -> HPoly:
         """The ideal lift of the nearby level c0': same h-part, shifted value."""
-        g = as_gauss(c0_prime if not isinstance(c0_prime, str) else Fraction(c0_prime))
-        return self.lifts[index] + (g - self.constants[index])
+        return self.lifts[0] + (_scalar(c0_prime) - self.constants[0])
 
     def ideal_reduce(self, u: NCPoly, lift=None, track_quotient=False):
         """Reduce a canonical element modulo (P - c(h)).
@@ -127,7 +115,6 @@ class Orbit:
         words with leading exponent <= 1.  With track_quotient the left
         cofactor q with u = q*(P - c(h)) + r is returned as well.
         """
-        self._need_sphere()
         if u.algebra is not self.algebra:
             raise ValueError("element lives over a different algebra")
         if not u.is_canonical():
@@ -179,18 +166,14 @@ class Orbit:
     def word_lower(self, u: NCPoly, check_basis=True) -> CPoly:
         """Ordered words back to monomials; the inverse of word_lift on the
         reduced span."""
-        if not u.is_canonical():
-            raise ValueError("cannot lower a non-canonical element")
-        z = self.algebra.dim - 1
         exps = u.word_exps()
-        if check_basis and any(e[z] > 1 for e in exps):
+        if check_basis and any(e[-1] > 1 for e in exps):
             raise ValueError("inputs not in the orbit basis span")
         return CPoly(self.algebra.dim, exps)
 
     def split_embed(self, f: CPoly) -> NCPoly:
         """Embed along the split f = a*(p - c0) + rem: the cofactor rides on
         the central generator, the remainder maps to ordered words."""
-        self._need_sphere()
         a, r, s = self.decompose(f)
         n = self.algebra.dim
         rem = r + s * CPoly.variable(n, n - 1)
@@ -202,7 +185,6 @@ class Orbit:
         return out.normal_form()
 
     def split_embed_inverse(self, u: NCPoly) -> CPoly:
-        self._need_sphere()
         c0 = self.constants[0]
         q, r = self.ideal_reduce(u, lift=HPoly.const(c0), track_quotient=True)
         n = self.algebra.dim
@@ -212,7 +194,6 @@ class Orbit:
     def tangential_embed(self, f: CPoly) -> NCPoly:
         """Embed along powers of the generator: (p - c0)^k * b maps to
         (P - c(h))^k times the ordered word of b."""
-        self._need_sphere()
         parts = []
         work = f
         while not work.is_zero():
@@ -228,7 +209,6 @@ class Orbit:
         return out
 
     def tangential_embed_inverse(self, u: NCPoly) -> CPoly:
-        self._need_sphere()
         n = self.algebra.dim
         gen = self.invariants[0] - CPoly.constant(n, self.constants[0])
         out = CPoly.zero(n)
@@ -242,46 +222,28 @@ class Orbit:
         return out
 
     # -- star products -------------------------------------------------------
+    def _product(self, name, forward, backward, **reductions) -> StarProduct:
+        if name not in self._products:
+            self._products[name] = StarProduct(
+                self.algebra, forward, backward, priority=self.priority,
+                name=name, **reductions,
+            )
+        return self._products[name]
+
     def star_product(self) -> StarProduct:
         """The product on the orbit induced by the ordered-word basis map."""
-        self._need_sphere()
-        if "orbit" not in self._products:
-            self._products["orbit"] = StarProduct(
-                self.algebra,
-                self.word_lift,
-                self.word_lower,
-                nc_reduce=lambda u: self.ideal_reduce(u),
-                poly_reduce=self.orbit_reduce,
-                priority=self.priority,
-                name="orbit",
-            )
-        return self._products["orbit"]
+        return self._product("orbit", self.word_lift, self.word_lower,
+                             nc_reduce=self.ideal_reduce,
+                             poly_reduce=self.orbit_reduce)
 
     def tangential_product(self) -> StarProduct:
         """The ambient product of the tangential embedding."""
-        self._need_sphere()
-        if "tangential" not in self._products:
-            self._products["tangential"] = StarProduct(
-                self.algebra,
-                self.tangential_embed,
-                self.tangential_embed_inverse,
-                priority=self.priority,
-                name="tangential",
-            )
-        return self._products["tangential"]
+        return self._product("tangential", self.tangential_embed,
+                             self.tangential_embed_inverse)
 
     def split_product(self) -> StarProduct:
         """The ambient product of the quotient-split embedding."""
-        self._need_sphere()
-        if "split" not in self._products:
-            self._products["split"] = StarProduct(
-                self.algebra,
-                self.split_embed,
-                self.split_embed_inverse,
-                priority=self.priority,
-                name="split",
-            )
-        return self._products["split"]
+        return self._product("split", self.split_embed, self.split_embed_inverse)
 
     def orbit_star(self, f: CPoly, g: CPoly) -> CPoly:
         return self.star_product().star(f, g)
@@ -292,10 +254,9 @@ class Orbit:
         nearby ideal?  Sweeps monomial cofactors g with deg(g) + 2 within the
         bound and reduces embed(g*(p - c0')) modulo (P - lift').  Returns the
         first nonvanishing remainder as a witness."""
-        self._need_sphere()
         n = self.algebra.dim
         gen = self.invariants[0] - CPoly.constant(n, _scalar(c0_prime))
-        lift = self.neighbor_lift(_scalar(c0_prime))
+        lift = self.neighbor_lift(c0_prime)
         for exps in monomials_up_to(n, max(degree_bound - 2, 0), self.priority):
             g = CPoly.monomial(n, exps)
             rem = self.ideal_reduce(embed(g * gen).normal_form(), lift=lift)
@@ -308,7 +269,6 @@ class Orbit:
 
     def reduction_compatibility_check(self, embed, degree_bound):
         """Reducing after embedding must equal embedding the reduction."""
-        self._need_sphere()
         n = self.algebra.dim
         for exps in monomials_up_to(n, degree_bound, self.priority):
             f = CPoly.monomial(n, exps)
@@ -324,13 +284,10 @@ class Orbit:
     def invariant_product_check(self, star: StarProduct, degree_bound):
         """Multiplication by invariants should be undeformed: g*p = gp.
 
-        Sweeps monomial g within the bound against the invariant generators
-        and their pairwise products."""
+        Sweeps monomial g within the bound against the invariant p and p^2."""
         n = self.algebra.dim
-        fs = list(self.invariants)
-        for p in self.invariants:
-            for q in self.invariants:
-                fs.append(p * q)
+        p = self.invariants[0]
+        fs = [p, p * p]
         for exps in monomials_up_to(n, degree_bound, self.priority):
             g = CPoly.monomial(n, exps)
             for f in fs:
@@ -351,7 +308,6 @@ class Orbit:
     def first_order_check(self, p1: CPoly, p2: CPoly):
         """For polynomials in x, y on the unit sphere, the product's first
         two orders follow p1*p2 - h z (dp1/dy)(dp2/dx)."""
-        self._need_sphere()
         n = self.algebra.dim
         if self.lifts[0] != H_ONE:
             raise ValueError("the first-order rule is stated on the unit level")
@@ -381,10 +337,6 @@ class Orbit:
         (z, z) value for fault-injection controls.  Returns the solve outcome
         together with the residual equation as a certificate.
         """
-        self._need_sphere()
-        from .linalg import LinearSystem
-        from .scalars import GR_ZERO
-
         n = self.algebra.dim
         star = self.star_product()
         x = CPoly.variable(n, 0)
@@ -401,45 +353,30 @@ class Orbit:
         )
 
         basis = self.basis_monomials(coeff_degree_bound)
-        index = {}
-        for uv in b_values:
-            for exps in basis:
-                index[(uv, exps)] = len(index)
-        system = LinearSystem(len(index))
-        # match the ansatz on coordinate pairs: b_uv = engine B1(x_u, x_v)
-        for uv, val in b_values.items():
-            for exps in set(val.terms) | set(basis):
-                want = val.coeff(exps).as_scalar()
-                key = (uv, exps)
-                if key in index:
-                    system.add({index[key]: 1}, want, tag=("match", uv, exps))
-                elif want and system.conflict is None:
-                    system.conflict = ("degree", uv, exps)
+        cols = [(uv, exps) for uv in b_values for exps in basis]
         # the cleared (z, z) equation: sum_uv b_uv * x_u x_v = cleared value
-        rows = {}
-        for iu, iv in b_values:
-            uv_poly = self.orbit_reduce(
-                CPoly.variable(n, iu) * CPoly.variable(n, iv)
-            )
-            for exps in basis:
-                col = index[((iu, iv), exps)]
-                prod = self.orbit_reduce(CPoly.monomial(n, exps) * uv_poly)
-                for mexps, c in prod.terms.items():
-                    row = rows.setdefault(mexps, {})
-                    row[col] = row.get(col, GR_ZERO) + c.as_scalar()
-        for mexps in sorted(set(rows) | set(cleared_zz.terms)):
-            system.add(
-                rows.get(mexps, {}),
-                cleared_zz.coeff(mexps).as_scalar(),
-                tag=("chart", mexps),
-            )
+        chart = {
+            col: self.orbit_reduce(CPoly.monomial(n, exps) * CPoly.variable(n, iu)
+                                   * CPoly.variable(n, iv))
+            for col, ((iu, iv), exps) in enumerate(cols)
+        }
+        # match the ansatz on coordinate pairs, b_uv = engine B1(x_u, x_v),
+        # where a term of B1 beyond the degree bound is a conflict; then
+        # the chart equation
+        system = LinearSystem(len(cols))
+        feasible = all(
+            system.add_polys(
+                {col: CPoly.monomial(n, exps)
+                 for col, (key, exps) in enumerate(cols) if key == uv},
+                val, tag=("match", uv))
+            for uv, val in b_values.items()
+        ) and system.add_polys(chart, cleared_zz, tag="chart")
         # the forced ansatz requires cleared_zz = forced; the certificate is
         # the unsatisfiable equation 0 = forced - cleared_zz
         forced = CPoly.zero(n)
         for (iu, iv), val in b_values.items():
             forced = forced + val * CPoly.variable(n, iu) * CPoly.variable(n, iv)
         residual = self.orbit_reduce(forced - cleared_zz)
-        feasible = system.conflict is None
         return {
             "feasible": feasible,
             "certificate": None if feasible else residual,
@@ -461,15 +398,15 @@ def _scalar(x):
     return g
 
 
+def _sum_of_squares(n) -> CPoly:
+    return CPoly(n, {tuple(2 * (j == i) for j in range(n)): 1 for i in range(n)})
+
+
 def sphere_orbit(c0=1, lift=None, algebra=None) -> Orbit:
     """The standard orbit p = c0 for the compact rank-one algebra."""
     L = algebra if algebra is not None else predefined("su2")
-    n = L.dim
-    p = CPoly.zero(n)
-    for i in range(n):
-        p = p + CPoly.variable(n, i) ** 2
-    lifts = None if lift is None else [as_hpoly(lift)]
-    return Orbit(L, [p], [_scalar(c0)], lifts)
+    lifts = None if lift is None else [lift]
+    return Orbit(L, [_sum_of_squares(L.dim)], [c0], lifts)
 
 
 def orbit_from_json(data, algebra=None) -> Orbit:
@@ -491,7 +428,7 @@ def orbit_from_json(data, algebra=None) -> Orbit:
         parse_expression(text, mode="commutative", algebra=L)
         for text in data["invariants"]
     ]
-    constants = [Fraction(str(c)) for c in data["constants"]]
+    constants = [str(c) for c in data["constants"]]
     lifts = None
     if data.get("lifts"):
         lifts = [parse_hpoly(str(t)) for t in data["lifts"]]

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .envelope import NCPoly
+from .envelope import NCPoly, word_exps
 from .lie import LieAlgebra
+from .linalg import LinearSystem
 from .poly import CPoly, acc_scaled, acc_term, kirillov_bracket, monomials_up_to
 from .scalars import H_ONE
 
@@ -67,10 +68,7 @@ def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
         for w, c in list(rem.items()):
             if len(w) != top:
                 continue
-            exps = [0] * n
-            for g in w:
-                exps[g] += 1
-            layer[tuple(exps)] = c
+            layer[word_exps(w, n)] = c
         for exps, c in layer.items():
             acc_term(out, exps, c)
         peeled = symmetrize(L, CPoly(n, layer))
@@ -186,13 +184,8 @@ def symmetrizer_product(L: LieAlgebra) -> StarProduct:
 def pbw_basis_product(L: LieAlgebra) -> StarProduct:
     """The star product of the ordered-word basis map x^a -> X^a."""
 
-    def backward(u):
-        if not u.is_canonical():
-            raise ValueError("cannot invert a non-canonical element")
-        return CPoly(L.dim, u.word_exps())
-
-    return StarProduct(L, lambda f: NCPoly.ordered_words(L, f), backward,
-                       name="pbw")
+    return StarProduct(L, lambda f: NCPoly.ordered_words(L, f),
+                       lambda u: CPoly(L.dim, u.word_exps()), name="pbw")
 
 
 def check_deformation_axioms(star: StarProduct, degree_bound: int,
@@ -417,7 +410,7 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
             )
         return acc
 
-    system = LinearSystemOverMonomials(len(unknown_index))
+    system = LinearSystem(len(unknown_index))
     for e1 in basis:
         for e2 in basis:
             if sum(e1) + sum(e2) > degree_bound:
@@ -430,7 +423,7 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
             expr = expr.add(images[e1].mul_poly(mono(e2), b0).neg())
             expr = expr.add(images[e2].mul_poly(mono(e1), b0).neg())
             expr = expr.add(_Affine(residual(mono(e1), mono(e2))).neg())
-            if not system.add_affine(expr, tag=(e1, e2)):
+            if not system.add_polys(expr.lin, -expr.const, tag=(e1, e2)):
                 return {
                     "feasible": False,
                     "order": n,
@@ -452,34 +445,5 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
         "degree_bound": degree_bound,
         "operator": t_n,
         "unknowns": len(unknown_index),
-        "rank": system.system.rank,
+        "rank": system.rank,
     }
-
-
-class LinearSystemOverMonomials:
-    """Flatten polynomial-valued affine constraints into scalar rows."""
-
-    def __init__(self, nunknowns):
-        from .linalg import LinearSystem
-
-        self.system = LinearSystem(nunknowns)
-        self.conflict = None
-
-    def add_affine(self, expr: _Affine, tag=None) -> bool:
-        support = set(expr.const.terms)
-        for p in expr.lin.values():
-            support.update(p.terms)
-        for exps in sorted(support):
-            row = {}
-            for u, p in expr.lin.items():
-                v = p.coeff(exps).as_scalar()
-                if v:
-                    row[u] = v
-            rhs = -expr.const.coeff(exps).as_scalar()
-            if not self.system.add(row, rhs, tag=(tag, exps)):
-                self.conflict = self.system.conflict
-                return False
-        return True
-
-    def solve(self):
-        return self.system.solve()

@@ -168,9 +168,10 @@ def test_algebra_mismatch_rejected(su2, sl2):
 
 
 def test_word_exps_requires_canonical(su2):
-    raw = NCPoly(su2, {(1, 0): H_ONE, (0, 1): H_ONE})
-    with pytest.raises(ValueError):
-        raw.word_exps()
+    # colliding words, and a single out-of-order word with no collision
+    for terms in ({(1, 0): H_ONE, (0, 1): H_ONE}, {(1, 0): H_ONE}):
+        with pytest.raises(ValueError):
+            NCPoly(su2, terms).word_exps()
 
 
 def _rand_element(rng, L):

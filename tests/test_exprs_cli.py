@@ -14,7 +14,6 @@ from orbitstar.envelope import NCPoly
 from orbitstar.exprs import (
     ExprSyntaxError,
     format_cpoly,
-    format_hpoly,
     format_ncpoly,
     parse_expression,
     parse_hpoly,
@@ -22,7 +21,7 @@ from orbitstar.exprs import (
     parse_scalar,
 )
 from orbitstar.poly import CPoly, monomials_up_to
-from orbitstar.scalars import GaussianRational, HPoly
+from orbitstar.scalars import GaussianRational, HPoly, format_hpoly
 
 
 def test_parse_invariant(su2, casimir_poly):
@@ -301,9 +300,11 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("reduce", {"algebra": "su2", "invariants": ["x^2+y^2+z^2"]},
          "missing key 'constants'"),
         ("reduce", {"algebra": "su2", "orbit": [1]}, '"orbit" must be a JSON object'),
+        ("reduce", {"invariants": ["x^2+y^2+z^2", "(x^2+y^2+z^2)^2"],
+                    "constants": ["1", "2"]}, "only the sum-of-squares orbit"),
     ],
     ids=["top-level-list", "dim-null", "names-int", "brackets-int",
-         "orbit-missing-constants", "orbit-entry-list"],
+         "orbit-missing-constants", "orbit-entry-list", "orbit-two-invariants"],
 )
 def test_cli_malformed_config_exit_code(tmp_path, command, config, message):
     path = tmp_path / "config.json"

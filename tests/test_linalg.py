@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
+
 from orbitstar import linalg
+from orbitstar.poly import CPoly, monomials_up_to
 from orbitstar.scalars import GR_ZERO, GaussianRational
 
 
@@ -55,3 +59,56 @@ def test_scalar_matrix_detection():
     assert linalg.mat_is_scalar(m) == GaussianRational(Fraction(-3, 4))
     m2 = linalg.mat([[1, 1], [0, 1]])
     assert linalg.mat_is_scalar(m2) is None
+
+
+class _RecordingSystem(linalg.LinearSystem):
+    def __init__(self, ncols):
+        super().__init__(ncols)
+        self.calls = []
+
+    def add(self, row, rhs, tag=None):
+        self.calls.append((row, rhs, tag))
+        return super().add(row, rhs, tag=tag)
+
+
+def test_add_polys_sorted_rows_and_tags():
+    x, y = CPoly.variable(2, 0), CPoly.variable(2, 1)
+    system = _RecordingSystem(2)
+    assert system.add_polys({0: x * x + 3 * y, 1: 2 * y + 1}, x * x + 3 * y,
+                            tag="eq")
+    g = GaussianRational
+    assert system.calls == [
+        ({1: g(1)}, GR_ZERO, ("eq", (0, 0))),
+        ({0: g(3), 1: g(2)}, g(3), ("eq", (0, 1))),
+        ({0: g(1)}, g(1), ("eq", (2, 0))),
+    ]
+    assert system.solve() == [g(1), GR_ZERO]
+
+
+def test_add_polys_untouched_key_is_a_conflict():
+    x, y = CPoly.variable(2, 0), CPoly.variable(2, 1)
+    system = linalg.LinearSystem(1)
+    assert not system.add_polys({0: x}, x + 2 * y * y, tag="t")
+    assert system.conflict == ("t", (0, 2))
+    assert system.solve() is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_polys_rank_matches_hand_flattened_rows(seed):
+    # few monomials against up to 7 columns, so many systems are rank-deficient
+    rng = random.Random(seed)
+    keys = monomials_up_to(3, 1)
+
+    def rand_poly():
+        return CPoly(3, {e: rng.randint(-2, 2) for e in rng.sample(keys, 2)})
+
+    ncols = rng.randint(2, 7)
+    system = linalg.LinearSystem(ncols)
+    dense = []
+    for _ in range(rng.randint(1, 3)):
+        lin = {col: rand_poly() for col in range(ncols) if rng.random() < 0.7}
+        system.add_polys(lin, CPoly.zero(3))
+        for e in keys:
+            dense.append([lin[col].coeff(e).as_scalar() if col in lin else GR_ZERO
+                          for col in range(ncols)])
+    assert system.rank == linalg.rank_dense(dense)

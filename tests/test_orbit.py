@@ -26,6 +26,12 @@ def test_orbit_validation(su2, xyz):
         sphere_orbit(0)  # irregular level
     with pytest.raises(ValueError):
         sphere_orbit(1, lift=H)  # lift misses the constant at h=0
+    p = x * x + y * y + z * z
+    # invariant, but not the sphere's single sum-of-squares generator
+    for invariants, constants in (([p, p * p], [1, 2]), ([2 * p], [2]),
+                                  ([p * p], [1])):
+        with pytest.raises(ValueError):
+            Orbit(su2, invariants, constants)
 
 
 def test_orbit_reduce_goldens(sphere, xyz):

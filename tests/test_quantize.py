@@ -180,6 +180,7 @@ def test_gauge_step_sym_vs_pbw(su2):
     pbw = pbw_basis_product(su2)
     res = gauge_step(star_s, pbw, 1, 3)
     assert res["feasible"]
+    assert (res["rank"], res["unknowns"]) == (0, 60)
     T1 = res["operator"]
     assert any(not v.is_zero() for v in T1.values())
     # the found operator must intertwine the products at first order
@@ -194,30 +195,32 @@ def test_gauge_step_sym_vs_pbw(su2):
 
 
 def test_gauge_step_orbit_lifts(su2):
-    # same level, different lifts: outcome is recorded, and when a solution
-    # comes back it must actually satisfy the order-1 equations
+    # same level, different lifts: the particular solution (free columns
+    # zero) is pinned, and it must satisfy the order-1 equations
     orb_a = sphere_orbit(1)
     orb_b = sphere_orbit(1, lift=H_ONE + H)
     star_a, star_b = orb_a.star_product(), orb_b.star_product()
     res = gauge_step(star_a, star_b, 1, 2)
     assert res["order"] == 1
-    if res["feasible"]:
-        T1 = res["operator"]
-        for e1 in star_a.monomial_basis(2):
-            for e2 in star_a.monomial_basis(2):
-                if sum(e1) + sum(e2) > 2:
-                    continue
-                a = CPoly.monomial(3, e1)
-                b = CPoly.monomial(3, e2)
-                lhs = _apply(T1, star_a.bn(a, b, 0)) + star_a.bn(a, b, 1)
-                rhs = (
-                    star_b.bn(a, b, 1)
-                    + star_b.bn(_apply(T1, a), b, 0)
-                    + star_b.bn(a, _apply(T1, b), 0)
-                )
-                assert lhs == rhs
-    else:
-        assert res["witness_pair"] is not None
+    assert res["feasible"]
+    assert (res["rank"], res["unknowns"]) == (16, 27)
+    T1 = res["operator"]
+    for i in range(3):
+        e = tuple(int(j == i) for j in range(3))
+        assert T1[e] == CPoly.monomial(3, e, Fraction(-1, 2))
+    for e1 in star_a.monomial_basis(2):
+        for e2 in star_a.monomial_basis(2):
+            if sum(e1) + sum(e2) > 2:
+                continue
+            a = CPoly.monomial(3, e1)
+            b = CPoly.monomial(3, e2)
+            lhs = _apply(T1, star_a.bn(a, b, 0)) + star_a.bn(a, b, 1)
+            rhs = (
+                star_b.bn(a, b, 1)
+                + star_b.bn(_apply(T1, a), b, 0)
+                + star_b.bn(a, _apply(T1, b), 0)
+            )
+            assert lhs == rhs
 
 
 def test_gauge_step_rejects_bad_partial(su2):
