@@ -2,7 +2,8 @@
 
 Subcommands: algebra, nf, star, reduce, verify, rep, cohomology.  Exit
 codes: 0 on success, 1 when a verification suite fails, 2 on configuration
-or parse errors.
+or parse errors, 3 on an internal fault (an exception escaping a
+verification suite, or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ from .reps import (
     su2_defining_rep,
 )
 from .scalars import H_ONE
-from .verify import SUITES, SUITES_VERSION, run_suite, run_suites
+from .verify import SUITES, SUITES_VERSION, run_suite
 
 
 class CLIError(Exception):
     """A configuration problem; reported on stderr with exit code 2."""
+
+
+class InternalError(Exception):
+    """A fault of the engine itself; reported on stderr with exit code 3."""
 
 
 def _load_config(path):
@@ -217,14 +222,21 @@ def cmd_verify(args):
         options["c0"] = parse_rational(args.c)
     if args.lift:
         options["lift"] = parse_hpoly(args.lift)
+    if args.c or args.lift:
+        # a bad level or lift is an input error, not a fault of a suite
+        sphere_orbit(options.get("c0", 1), lift=options.get("lift"))
     if args.suite in (None, "all"):
-        reports = run_suites(**options)
+        names = list(SUITES)
+    elif args.suite in SUITES:
+        names = [args.suite]
     else:
-        if args.suite not in SUITES:
-            raise CLIError(
-                f"unknown suite {args.suite!r}; use verify --list"
-            )
-        reports = run_suite(args.suite, **options)
+        raise CLIError(f"unknown suite {args.suite!r}; use verify --list")
+    reports = []
+    for name in names:
+        try:
+            reports.extend(run_suite(name, **options))
+        except Exception as exc:
+            raise InternalError(f"suite {name}: {_describe(exc)}") from exc
     lines = []
     for rep in reports:
         mark = "PASS" if rep["status"] == "pass" else "FAIL"
@@ -355,6 +367,11 @@ def build_parser():
     return parser
 
 
+def _describe(exc):
+    """One line naming an unexpected exception."""
+    return " ".join(f"{type(exc).__name__}: {exc}".split())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -363,6 +380,12 @@ def main(argv=None) -> int:
     except (CLIError, ExprSyntaxError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {_describe(exc)}", file=sys.stderr)
+        return 3
 
 
 def run():

@@ -5,8 +5,9 @@ preserves total degree, so the complex splits into finite-dimensional
 homogeneous components and every solve below is exact linear algebra on one
 component.  For a semisimple algebra the degree-two cohomology vanishes,
 which is what powers the coboundary solver.  The solver and h2_dimension
-share the d1 images of the unit 1-cochains as matrix columns, and each
-cochain component becomes scalar rows through LinearSystem.add_polys.
+share the d1 images of the unit 1-cochains as matrix columns, computed once
+per algebra and degree, and each cochain component becomes scalar rows
+through LinearSystem.add_polys.
 """
 
 from __future__ import annotations
@@ -152,14 +153,18 @@ def coboundary_roundtrip(L: LieAlgebra, degree: int, rng) -> bool:
 
 def _d1_columns(L: LieAlgebra, degree: int):
     """d1 of each unit 1-cochain: x^e in slot gen, at column gen * nb + t for
-    the t-th monomial e of the degree."""
-    n = L.dim
-    columns = []
-    for gen in range(n):
-        for exps in monomials_of_degree(n, degree):
-            vals = [CPoly.zero(n)] * n
-            vals[gen] = CPoly.monomial(n, exps)
-            columns.append(d1(L, Cochain1(L, vals)))
+    the t-th monomial e of the degree.  Computed once per algebra and
+    degree."""
+    columns = L._d1_cache.get(degree)
+    if columns is None:
+        n = L.dim
+        columns = []
+        for gen in range(n):
+            for exps in monomials_of_degree(n, degree):
+                vals = [CPoly.zero(n)] * n
+                vals[gen] = CPoly.monomial(n, exps)
+                columns.append(d1(L, Cochain1(L, vals)))
+        columns = L._d1_cache[degree] = tuple(columns)
     return columns
 
 

@@ -2,12 +2,18 @@
 
 NCPoly stores linear combinations of generator-index words with Q(i)[h]
 coefficients.  An element is canonical when every word is nondecreasing
-(ordered-monomial form); normal_form rewrites any element to that basis by
-swapping out-of-order adjacent pairs, each swap trading one inversion for an
-h-weighted shorter word.  Normal forms of single words are cached on the
-algebra, which makes repeated products cheap.  Products and normal forms
-accumulate into one dict in place, as poly.Sparse does for sums, and skip
-every product by the interned H_ONE.
+(ordered-monomial form).  Normal forms use the multiplication-table method
+for algebras of solvable type (Levandovskyy and Schoenemann, "Plural",
+2003): a memoized table holds X_i X^b for a generator i and a nondecreasing
+word b, X^(i b) when b is empty or i <= b0, else
+X_b0 (X_i X^r) + h sum_k c^k_(i,b0) X_k X^r for b = (b0,) + r.  Any other
+word is one table step of its first letter onto the memoized normal form of
+its tail; products, normal_form() and the orbit ideal reduction all take
+this path.  The swap rewriter, trading one adjacent inversion for an
+h-weighted shorter word at a time, is kept only as an independent reference
+behind normal_form("leftmost"/"rightmost"), with memos of its own.
+Products and normal forms accumulate into one dict in place, as poly.Sparse
+does for sums, and skip every product by the interned H_ONE.
 """
 
 from __future__ import annotations
@@ -15,6 +21,45 @@ from __future__ import annotations
 from .lie import LieAlgebra
 from .poly import CPoly, Sparse, acc_scaled, acc_term
 from .scalars import H, H_ONE, HPoly, as_hpoly
+
+def _times(L: LieAlgebra, i, b):
+    """Canonical terms of X_i X^b for a nondecreasing word b: the table."""
+    if not b or i <= b[0]:
+        return {(i,) + b: H_ONE}
+    table = L._nf_cache["table"]
+    word = (i,) + b
+    hit = table.get(word)
+    if hit is None:
+        b0, r = b[0], b[1:]
+        hit = {}
+        for v, c in _times(L, i, r).items():
+            acc_scaled(hit, _times(L, b0, v), c)
+        for k, ck in L.bracket_terms(i, b0):
+            acc_scaled(hit, _times(L, k, r), H * ck)
+        table[word] = hit
+    return hit
+
+
+def _nf_word(L: LieAlgebra, word):
+    """Canonical terms of a single word, as a dict word -> coefficient."""
+    memo = L._nf_cache["engine"]
+    hit = memo.get(word)
+    if hit is not None:
+        return hit
+    # word[k:] is the longest nondecreasing suffix
+    k = len(word) - 1
+    while k > 0 and word[k - 1] <= word[k]:
+        k -= 1
+    if k <= 0:
+        return {word: H_ONE}
+    first, tail = word[0], word[1:]
+    if k == 1:
+        return _times(L, first, tail)
+    out = {}
+    for v, c in _nf_word(L, tail).items():
+        acc_scaled(out, _times(L, first, v), c)
+    memo[word] = out
+    return out
 
 
 def _descent(word, strategy):
@@ -27,8 +72,9 @@ def _descent(word, strategy):
     return None
 
 
-def _nf_word(L: LieAlgebra, word, strategy="leftmost"):
-    """Canonical terms of a single word, as a dict word -> coefficient."""
+def _rewrite_word(L: LieAlgebra, word, strategy):
+    """The reference rewriter's canonical terms of a single word: swap the
+    leftmost (or rightmost) descent until none is left."""
     cache = L._nf_cache[strategy]
     hit = cache.get(word)
     if hit is not None:
@@ -166,7 +212,7 @@ class NCPoly(Sparse):
             return self._scaled(other)
         self._check(other)
         L = self.algebra
-        memo = L._nf_cache["leftmost"]
+        memo = L._nf_cache["engine"]
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -179,14 +225,21 @@ class NCPoly(Sparse):
     __rmul__ = __mul__
 
     # -- the rewriting kernel ------------------------------------------------
-    def normal_form(self, strategy="leftmost"):
+    def normal_form(self, strategy=None):
         """Rewrite to the ordered-word basis; equal to self modulo the
-        commutation ideal, deterministic for a fixed strategy."""
+        commutation ideal.  The default is the engine's table path;
+        strategy "leftmost" or "rightmost" runs the reference rewriter."""
         L = self.algebra
-        memo = L._nf_cache[strategy]
+        if strategy is None:
+            memo = L._nf_cache["engine"]
+            nf = lambda w: memo.get(w) or _nf_word(L, w)
+        elif strategy in ("leftmost", "rightmost"):
+            nf = lambda w: _rewrite_word(L, w, strategy)
+        else:
+            raise ValueError(f"unknown rewriting strategy {strategy!r}")
         out = {}
         for word, coeff in self.terms.items():
-            acc_scaled(out, memo.get(word) or _nf_word(L, word, strategy), coeff)
+            acc_scaled(out, nf(word), coeff)
         return self._new(out)
 
     def commutator(self, other):

@@ -98,9 +98,12 @@ class LieAlgebra:
             )
             for i in range(self.dim)
         )
-        # normal-form caches, keyed by rewriting strategy then word
-        self._nf_cache = {"leftmost": {}, "rightmost": {}}
+        # normal-form memos keyed by word: the engine's memo and its
+        # multiplication table, and one memo per reference rewriting strategy
+        self._nf_cache = {"engine": {}, "table": {}, "leftmost": {}, "rightmost": {}}
         self._sym_cache = {}
+        # d1 images of the unit 1-cochains, keyed by degree (cohomology)
+        self._d1_cache = {}
 
     def bracket_terms(self, i, j):
         """Nonzero components of [X_i, X_j] as (k, coefficient) pairs."""

@@ -6,7 +6,8 @@ sym_inverse recovers the polynomial by triangular descent on word length.
 A StarProduct packages an invertible basis correspondence between
 polynomials and the deformed enveloping algebra; the induced product is
 f * g = backward(forward(f) . forward(g)), memoized per monomial pair and
-summed bilinearly into one dict in place.
+summed bilinearly into one dict in place.  The forward image of each
+monomial is computed once per product and shared by every pair it enters.
 """
 
 from __future__ import annotations
@@ -98,16 +99,22 @@ class StarProduct:
         self.priority = tuple(priority) if priority is not None else None
         self.name = name
         self._pair_cache = {}
+        self._images = {}
         self._domain = set()
 
     # -- the product ------------------------------------------------------
+    def _image(self, exps):
+        """forward(x^exps), computed once per monomial."""
+        u = self._images.get(exps)
+        if u is None:
+            u = self._images[exps] = self.forward(CPoly.monomial(self.nvars, exps))
+        return u
+
     def _star_monomials(self, e1, e2):
         key = (e1, e2)
         hit = self._pair_cache.get(key)
         if hit is None:
-            m1 = CPoly.monomial(self.nvars, e1)
-            m2 = CPoly.monomial(self.nvars, e2)
-            u = self.forward(m1) * self.forward(m2)
+            u = self._image(e1) * self._image(e2)
             if self.nc_reduce is not None:
                 u = self.nc_reduce(u)
             hit = self.backward(u)

@@ -56,7 +56,8 @@ def _fmt(p, L):
 # ---------------------------------------------------------------------------
 
 def suite_pbw(max_degree=None, **_):
-    """Rewriting kernel: golden normal forms, associativity, confluence."""
+    """Rewriting kernel: golden normal forms, associativity, confluence of
+    the reference rewriter, and the engine's table path against it."""
     L = _su2()
     bound = max_degree or 6
     out = []
@@ -72,7 +73,7 @@ def suite_pbw(max_degree=None, **_):
                          None if ok else format_ncpoly(got)))
 
     words_by_len = {0: [()]}
-    for n in range(1, bound + 1):
+    for n in range(1, max(bound, 5) + 1):
         words_by_len[n] = [w + (g,) for w in words_by_len[n - 1] for g in range(3)]
     bad = None
     checked = 0
@@ -104,7 +105,8 @@ def suite_pbw(max_degree=None, **_):
     for n in range(1, 6):
         for w in words_by_len[n]:
             e = NCPoly.word(L, w)
-            if e.normal_form("leftmost") != e.normal_form("rightmost"):
+            if not (e.normal_form() == e.normal_form("leftmost")
+                    == e.normal_form("rightmost")):
                 mismatch = w
                 break
     out.append(_case("pbw", "confluence on all words of length <= 5",

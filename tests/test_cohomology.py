@@ -139,3 +139,27 @@ def test_extend_c1(su2):
         f = rand_poly(rng, 3, 2)
         g = rand_poly(rng, 3, 3)
         assert op(f * g) == op(f) * g + f * op(g)
+
+
+def test_d1_columns_computed_once_per_degree(monkeypatch):
+    from orbitstar import cohomology
+    from orbitstar.lie import predefined
+
+    L = LieAlgebra(("X", "Y", "Z"), predefined("su2").c)
+    target = d1(L, rand_c1(random.Random(3), L, 2))
+    calls = []
+
+    def counting_d1(algebra, C):
+        calls.append(C.degree)
+        return d1(algebra, C)
+
+    monkeypatch.setattr(cohomology, "d1", counting_d1)
+    assert h2_dimension(L, 2) == 0
+    columns = 3 * len(monomials_of_degree(3, 2))
+    assert calls == [2] * columns
+    assert solve_coboundary(L, target, 2) is not None
+    assert h2_dimension(L, 2) == 0
+    assert calls == [2] * columns
+    assert solve_coboundary(L, target, 2) is not None
+    h2_dimension(L, 1)
+    assert len(calls) == columns + 3 * 3

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbitstar.envelope import NCPoly, multiply_at, substitute_generators
+from orbitstar.lie import algebra_from_json, predefined
 from orbitstar.poly import CPoly
 from conftest import rand_coeff
 from orbitstar.scalars import H, H_ONE, GaussianRational, HPoly
@@ -219,3 +220,98 @@ def test_unit_coefficient_identity_is_only_a_shortcut(su2):
         assert a.normal_form() == a_fresh.normal_form()
         assert (a + a_fresh * -1).is_zero()
         assert not (a * 0).terms
+
+
+# -- the engine's multiplication table against the reference rewriter --------
+
+def _su2_scaled(factor, minus_factor):
+    """su2 with every bracket scaled by factor, loaded from its JSON form."""
+    return algebra_from_json({
+        "dim": 3,
+        "names": ["X", "Y", "Z"],
+        "brackets": [[0, 1, [[2, factor]]], [1, 2, [[0, factor]]],
+                     [0, 2, [[1, minus_factor]]]],
+    })
+
+
+def _sl2_plus_central():
+    """sl2 (F, H, E) with a central W placed between F and H, so the
+    ordering of words interleaves the central letter."""
+    return algebra_from_json({
+        "dim": 4,
+        "names": ["F", "W", "H", "E"],
+        "brackets": [[0, 2, [[0, 2]]], [2, 3, [[3, 2]]], [0, 3, [[2, -1]]]],
+    })
+
+
+ORACLE_ALGEBRAS = {
+    "su2": lambda: algebra_from_json({
+        "dim": 3, "names": ["X", "Y", "Z"],
+        "brackets": [[0, 1, [[2, 1]]], [1, 2, [[0, 1]]], [0, 2, [[1, -1]]]]}),
+    "sl2": lambda: algebra_from_json({
+        "dim": 3, "names": ["F", "H", "E"],
+        "brackets": [[0, 1, [[0, 2]]], [1, 2, [[2, 2]]], [0, 2, [[1, -1]]]]}),
+    "su2-half": lambda: _su2_scaled("1/2", "-1/2"),
+    "su2-i": lambda: _su2_scaled("i", "-i"),
+    "sl2+W": _sl2_plus_central,
+}
+
+
+def _assert_engine_matches_reference(L, words):
+    for w in words:
+        e = NCPoly.word(L, w)
+        engine = e.normal_form()
+        assert engine == e.normal_form("leftmost"), w
+        assert engine == e.normal_form("rightmost"), w
+        assert engine.is_canonical()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_engine_normal_form_matches_reference_short_words(name):
+    L = ORACLE_ALGEBRAS[name]()
+    words = [()]
+    layer = [()]
+    for _ in range(6):
+        layer = [w + (g,) for w in layer for g in range(L.dim)]
+        words.extend(layer)
+    _assert_engine_matches_reference(L, words)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_engine_normal_form_matches_reference_long_words(name):
+    L = ORACLE_ALGEBRAS[name]()
+    rng = random.Random(sorted(ORACLE_ALGEBRAS).index(name) + 70)
+    words = [tuple(rng.randrange(L.dim) for _ in range(rng.randint(10, 12)))
+             for _ in range(8)]
+    _assert_engine_matches_reference(L, words)
+
+
+def test_oracle_algebras_are_the_intended_ones():
+    su2 = ORACLE_ALGEBRAS["su2"]()
+    assert su2.c == predefined("su2").c
+    assert ORACLE_ALGEBRAS["sl2"]().c == predefined("sl2").c
+    half = GaussianRational(Fraction(1, 2))
+    assert ORACLE_ALGEBRAS["su2-half"]().c == tuple(
+        tuple(tuple(v * half for v in row) for row in plane) for plane in su2.c)
+    i = GaussianRational(0, 1)
+    assert ORACLE_ALGEBRAS["su2-i"]().c == tuple(
+        tuple(tuple(v * i for v in row) for row in plane) for plane in su2.c)
+    L = _sl2_plus_central()
+    W = NCPoly.generator(L, 1)
+    assert W.is_central()
+    assert not NCPoly.generator(L, 0).is_central()
+
+
+def test_engine_memos_are_separate_from_the_reference():
+    L = _sl2_plus_central()
+    e = NCPoly.word(L, (3, 2, 1, 0, 3))
+    e.normal_form()
+    assert L._nf_cache["table"] and not L._nf_cache["leftmost"]
+    assert not L._nf_cache["rightmost"]
+    e.normal_form("leftmost")
+    assert not L._nf_cache["rightmost"]
+
+
+def test_unknown_strategy_rejected(su2):
+    with pytest.raises(ValueError):
+        NCPoly.word(su2, (1, 0)).normal_form("middle")

@@ -186,6 +186,47 @@ def test_cli_unknown_suite(capsys):
     assert cli.main(["verify", "nope"]) == 2
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("bad\nvalue"),
+                                 KeyError("k")])
+def test_cli_suite_fault_exits_3(monkeypatch, capsys, exc):
+    from orbitstar import verify
+
+    def broken(**_):
+        raise exc
+
+    monkeypatch.setitem(verify.SUITES, "lemma", broken)
+    assert cli.main(["verify", "lemma"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: suite lemma: ")
+    assert type(exc).__name__ in lines[0] and "Traceback" not in captured.err
+    # the suites before a faulty one are not reported either
+    assert cli.main(["verify", "all"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "cmd_algebra", broken)
+    assert cli.main(["algebra"]) == 3
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_cli_bad_verify_input_exits_2(capsys):
+    assert cli.main(["verify", "orbit-star", "--c", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: regular orbit needs")
+    assert cli.main(["verify", "orbit-star", "--lift", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: lift must restrict")
+
+
+def test_cli_verify_pbw_low_bound(capsys):
+    assert cli.main(["verify", "pbw", "--max-degree", "3"]) == 0
+    assert "confluence on all words of length <= 5" in capsys.readouterr().out
+
+
 def test_cli_verify_list(capsys):
     assert cli.main(["verify", "--list"]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from orbitstar.lie import predefined
 from orbitstar.orbit import sphere_orbit
 from orbitstar.poly import CPoly, monomials_up_to
 from orbitstar.quantize import (
+    StarProduct,
     check_deformation_axioms,
     gauge_step,
     pbw_basis_product,
@@ -274,3 +275,30 @@ def test_orbit_star_domain_memo_still_rejects(su2, xyz):
             star.star(z * z, x)
         with pytest.raises(ValueError):
             star.star(x, x + z * z)
+
+
+@pytest.mark.parametrize("kind", ["sym", "orbit"])
+def test_forward_image_built_once_per_monomial(kind):
+    L = predefined("su2")
+    if kind == "sym":
+        forward, backward = (lambda f: symmetrize(L, f)), (lambda u: sym_inverse(L, u))
+        extra = {}
+    else:
+        orb = sphere_orbit(2, lift=HPoly((2, Fraction(1, 3))), algebra=L)
+        forward, backward = orb.word_lift, orb.word_lower
+        extra = {"nc_reduce": orb.ideal_reduce, "poly_reduce": orb.orbit_reduce}
+    calls = {}
+
+    def counting(f):
+        (exps,) = f.terms
+        calls[exps] = calls.get(exps, 0) + 1
+        return forward(f)
+
+    star = StarProduct(L, counting, backward, **extra)
+    basis = star.monomial_basis(2)
+    for e1 in basis:
+        for e2 in basis:
+            got = star.star(CPoly.monomial(3, e1), CPoly.monomial(3, e2))
+            fresh = StarProduct(L, forward, backward, **extra)
+            assert got == fresh.star(CPoly.monomial(3, e1), CPoly.monomial(3, e2))
+    assert calls == {e: 1 for e in basis}
