@@ -101,7 +101,10 @@ class LieAlgebra:
         # normal-form memos keyed by word: the engine's memo and its
         # multiplication table, and one memo per reference rewriting strategy
         self._nf_cache = {"engine": {}, "table": {}, "leftmost": {}, "rightmost": {}}
+        # symmetrizer images keyed by exponent vector, and the inverse
+        # symmetrizer keyed by nondecreasing word (quantize)
         self._sym_cache = {}
+        self._sym_inv_cache = {}
         # d1 images of the unit 1-cochains, keyed by degree (cohomology)
         self._d1_cache = {}
 

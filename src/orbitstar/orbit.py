@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .envelope import NCPoly
+from .envelope import NCPoly, _nf_word
 from .lie import LieAlgebra, predefined
 from .linalg import LinearSystem
 from .poly import (
@@ -74,6 +74,10 @@ class Orbit:
             priority=self.priority,
         )
         self._products = {}
+        # canonical terms of sum_{i<z} b X_i X_i per word b (ideal_reduce)
+        self._squares = {}
+        # (P - c(h))^k for the default lift, extended by tangential_embed
+        self._shifted_powers = [NCPoly.one(algebra), self.casimir_minus_lift()]
 
     # -- commutative side --------------------------------------------------
     def orbit_reduce(self, f: CPoly) -> CPoly:
@@ -120,7 +124,9 @@ class Orbit:
         if not u.is_canonical():
             u = u.normal_form()
         lift = self.lifts[0] if lift is None else as_hpoly(lift)
-        z = self.algebra.dim - 1
+        L = self.algebra
+        z = L.dim - 1
+        squares = self._squares
         terms = dict(u.terms)
         quotient = {}
         # The words ending in Z Z, largest first: a heap keyed by the
@@ -144,14 +150,17 @@ class Orbit:
             if track_quotient:
                 acc_term(quotient, base, coeff)
             acc_term(terms, base, coeff * lift)
-            squares = NCPoly(self.algebra, {base + (i, i): H_ONE for i in range(z)})
-            nf = squares.normal_form().terms
+            nf = squares.get(base)
+            if nf is None:
+                nf = squares[base] = {}
+                for i in range(z):
+                    acc_scaled(nf, _nf_word(L, base + (i, i)), H_ONE)
             acc_scaled(terms, nf, -coeff)
             push((base,))
             push(nf)
-        rem = NCPoly(self.algebra, terms)
+        rem = u._new(terms)
         if track_quotient:
-            return NCPoly(self.algebra, quotient), rem
+            return u._new(quotient), rem
         return rem
 
     def casimir_minus_lift(self, lift=None) -> NCPoly:
@@ -200,12 +209,12 @@ class Orbit:
             quots, rem = poly_reduce_by(work, self.basis_rule)
             parts.append(rem)
             work = quots[0]
-        shifted = self.casimir_minus_lift()
+        powers = self._shifted_powers
+        while len(powers) < len(parts):
+            powers.append(powers[-1] * powers[1])
         out = NCPoly.zero(self.algebra)
-        power = NCPoly.one(self.algebra)
-        for rem in parts:
+        for rem, power in zip(parts, powers):
             out = out + self.word_lift(rem) * power
-            power = power * shifted
         return out
 
     def tangential_embed_inverse(self, u: NCPoly) -> CPoly:

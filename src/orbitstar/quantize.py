@@ -1,8 +1,10 @@
 """Symmetrizer quantization and star products.
 
 symmetrize sends a monomial of degree p to the average of its p! orderings,
-built by recursion on the first letter and memoized per monomial, and
-sym_inverse recovers the polynomial by triangular descent on word length.
+built by recursion on the first letter and memoized per monomial.
+sym_inverse reads a table memoized per ordered word: X^a is the top-length
+part of sym(x^a), so its inverse is x^a minus the inverses of the strictly
+shorter words of sym(x^a).
 A StarProduct packages an invertible basis correspondence between
 polynomials and the deformed enveloping algebra; the induced product is
 f * g = backward(forward(f) . forward(g)), memoized per monomial pair and
@@ -17,7 +19,7 @@ from fractions import Fraction
 from .envelope import NCPoly, word_exps
 from .lie import LieAlgebra
 from .linalg import LinearSystem
-from .poly import CPoly, acc_scaled, acc_term, kirillov_bracket, monomials_up_to
+from .poly import CPoly, acc_scaled, kirillov_bracket, monomials_up_to
 from .scalars import H_ONE
 
 
@@ -49,33 +51,34 @@ def symmetrize(L: LieAlgebra, f: CPoly) -> NCPoly:
     return NCPoly(L, out)
 
 
-def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
-    """The inverse of symmetrize on canonical elements.
+def _sym_inv_word(L: LieAlgebra, word):
+    """sym_inverse of one nondecreasing word X^a, memoized per word.
 
-    Peels the longest words: they coincide with the top-degree part of the
-    symmetrization of the matching monomials, so subtracting it strictly
-    lowers the maximal word length.
+    The top-length part of sym(x^a) is exactly X^a and its other words are
+    strictly shorter, so inv(X^a) = x^a - sum_w c_w inv(w) over those words.
     """
+    hit = L._sym_inv_cache.get(word)
+    if hit is None:
+        exps = word_exps(word, L.dim)
+        hit = {exps: H_ONE}
+        for w, c in _sym_monomial(L, exps).terms.items():
+            if w != word:
+                acc_scaled(hit, _sym_inv_word(L, w), -c)
+        L._sym_inv_cache[word] = hit
+    return hit
+
+
+def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
+    """The inverse of symmetrize on canonical elements, summed from the
+    per-word table."""
     if u.algebra is not L:
         raise ValueError("element lives over a different algebra")
     if not u.is_canonical():
         raise ValueError("sym_inverse expects a canonical element")
-    n = L.dim
-    rem = dict(u.terms)
     out = {}
-    while rem:
-        top = max(len(w) for w in rem)
-        layer = {}
-        for w, c in list(rem.items()):
-            if len(w) != top:
-                continue
-            layer[word_exps(w, n)] = c
-        for exps, c in layer.items():
-            acc_term(out, exps, c)
-        peeled = symmetrize(L, CPoly(n, layer))
-        for w, c in peeled.terms.items():
-            acc_term(rem, w, -c)
-    return CPoly(n, out)
+    for w, c in u.terms.items():
+        acc_scaled(out, _sym_inv_word(L, w), c)
+    return CPoly(L.dim, out)
 
 
 class StarProduct:

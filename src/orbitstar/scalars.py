@@ -11,9 +11,11 @@ sl2.  The deformed relations are graded in h, so PBW rewriting yields only
 single powers c*h^k; with the valuation held apart these are one numerator
 pair, and they multiply and add in constant time.  GaussianRational is the
 Fraction-based scalar of the linear algebra, the structure constants and the
-representations, and the form in which HPoly coefficients are read out and
-printed.  Values are immutable after construction; equality is exact
-structural equality.
+representations, and the form in which HPoly coefficients are read out.
+The printers read HPoly's integer fields directly, reducing each numerator
+against the denominator with one gcd; only a coefficient with both a real
+and an imaginary part is printed through GaussianRational.  Values are
+immutable after construction; equality is exact structural equality.
 """
 
 from __future__ import annotations
@@ -408,85 +410,54 @@ H = HPoly((0, 1))
 # Text form.  The printed form of every value re-parses to the same value
 # under the expression grammar used by the CLI.
 
-def _frac_text(q: Fraction) -> str:
-    return str(q)
-
-
 def format_scalar(s: GaussianRational) -> str:
     if not s:
         return "0"
-    if not s.im:
-        return _frac_text(s.re)
-    if s.im == 1:
-        im = "i"
-    elif s.im == -1:
-        im = "-i"
-    else:
-        im = f"{_frac_text(s.im)}*i"
-    if not s.re:
-        return im
-    if s.im > 0:
-        im = im if s.im != 1 else "i"
-        return f"{_frac_text(s.re)} + {im}"
-    mag = -s.im
-    im = "i" if mag == 1 else f"{_frac_text(mag)}*i"
-    return f"{_frac_text(s.re)} - {im}"
+    re, im = s.re, s.im
+    if not im:
+        return str(re)
+    mag = abs(im)
+    text = "i" if mag == 1 else f"{mag}*i"
+    if not re:
+        return text if im > 0 else f"-{text}"
+    return f"{re} {'+' if im > 0 else '-'} {text}"
 
 
-def _hterm_sign_split(s: GaussianRational):
-    """(negative, magnitude) when a leading minus can be folded out, else None."""
-    if not s.im:
-        return (s.re < 0, GaussianRational(abs(s.re)))
-    if not s.re:
-        return (s.im < 0, GaussianRational(0, abs(s.im)))
-    return None
+def _ratio_text(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, without building the Fraction."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def _scalar_factor_text(s: GaussianRational, tail: bool) -> str:
-    """Render s as a leading factor of a product; tail says more factors follow."""
-    if not s.im:
-        if s.re == 1 and tail:
-            return ""
-        return _frac_text(s.re)
-    if not s.re:
-        txt = "i" if s.im == 1 else f"{_frac_text(s.im)}*i"
-        return txt
-    return f"({format_scalar(s)})"
-
-
-def _hterm_text(s: GaussianRational, k: int, tail: bool) -> str:
-    """Render s*h^k as a product prefix; tail says a monomial follows.
-
-    Returns "" when the factor is exactly 1 and a monomial follows.
-    """
-    parts = []
-    head = _scalar_factor_text(s, tail or k > 0)
-    if head:
-        parts.append(head)
-    if k == 1:
-        parts.append("h")
-    elif k > 1:
-        parts.append(f"h^{k}")
-    if not parts and not tail:
-        parts.append("1")
-    return "*".join(parts)
+def _hterm_pieces(p: HPoly):
+    """(sign, text) for each nonzero term c*h^k of p, read from its integer
+    fields; a leading minus is folded out of a real or imaginary c."""
+    den = p.den
+    pieces = []
+    for k, (re, im) in enumerate(p.num, p.val):
+        sign = "+"
+        if re and im:
+            s = GaussianRational(Fraction(re, den), Fraction(im, den))
+            head = f"({format_scalar(s)})"
+        elif re or im:
+            n = re or im
+            if n < 0:
+                sign, n = "-", -n
+            if im:
+                head = "i" if n == den else f"{_ratio_text(n, den)}*i"
+            else:
+                head = "" if n == den and k else _ratio_text(n, den)
+        else:
+            continue
+        if k:
+            power = "h" if k == 1 else f"h^{k}"
+            head = f"{head}*{power}" if head else power
+        pieces.append((sign, head))
+    return pieces
 
 
 def format_hpoly(p: HPoly) -> str:
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for k, s in enumerate(p.coeffs):
-        if not s:
-            continue
-        split = _hterm_sign_split(s)
-        if split is None:
-            neg, mag = False, s
-        else:
-            neg, mag = split
-        text = _hterm_text(mag, k, tail=False)
-        pieces.append(("-" if neg else "+", text))
-    return join_signed(pieces)
+    return join_signed(_hterm_pieces(p)) if p.num else "0"
 
 
 def join_signed(pieces) -> str:
@@ -505,28 +476,10 @@ def coeff_pieces(c: HPoly, monomial_text: str):
     with several h-terms is kept in parentheses so the printed expression
     re-parses to the same value.
     """
-    nonzero = [(k, s) for k, s in enumerate(c.coeffs) if s]
-    if not nonzero:
-        return []
-    if not monomial_text:
-        return [piece for k, s in nonzero for piece in _const_pieces(s, k)]
-    if len(nonzero) == 1:
-        k, s = nonzero[0]
-        split = _hterm_sign_split(s)
-        if split is None:
-            neg, mag = False, s
-        else:
-            neg, mag = split
-        head = _hterm_text(mag, k, tail=True)
-        text = f"{head}*{monomial_text}" if head else monomial_text
-        return [("-" if neg else "+", text)]
-    return [("+", f"({format_hpoly(c)})*{monomial_text}")]
-
-
-def _const_pieces(s: GaussianRational, k: int):
-    split = _hterm_sign_split(s)
-    if split is None:
-        neg, mag = False, s
-    else:
-        neg, mag = split
-    return [("-" if neg else "+", _hterm_text(mag, k, tail=False))]
+    pieces = _hterm_pieces(c)
+    if not monomial_text or not pieces:
+        return pieces
+    if len(pieces) > 1:
+        return [("+", f"({join_signed(pieces)})*{monomial_text}")]
+    (sign, text), = pieces
+    return [(sign, monomial_text if text == "1" else f"{text}*{monomial_text}")]

@@ -75,26 +75,32 @@ def suite_pbw(max_degree=None, **_):
     words_by_len = {0: [()]}
     for n in range(1, max(bound, 5) + 1):
         words_by_len[n] = [w + (g,) for w in words_by_len[n - 1] for g in range(3)]
-    bad = None
+    elem = {w: NCPoly.word(L, w) for n in range(1, bound) for w in words_by_len[n]}
+    products = {}
+
+    def prod(v, w):
+        """elem[v] * elem[w], built once per pair of words."""
+        p = products.get((v, w))
+        if p is None:
+            p = products[v, w] = elem[v] * elem[w]
+        return p
+
+    def first_bad():
+        nonlocal checked
+        for la in range(1, bound - 1):
+            for lb in range(1, bound - la):
+                for lc in range(1, bound - la - lb + 1):
+                    for wa in words_by_len[la]:
+                        for wb in words_by_len[lb]:
+                            ab = prod(wa, wb)
+                            for wc in words_by_len[lc]:
+                                checked += 1
+                                if ab * elem[wc] != elem[wa] * prod(wb, wc):
+                                    return (wa, wb, wc)
+        return None
+
     checked = 0
-    for la in range(1, bound - 1):
-        for lb in range(1, bound - la):
-            for lc in range(1, bound - la - lb + 1):
-                for wa in words_by_len[la]:
-                    a = NCPoly.word(L, wa)
-                    for wb in words_by_len[lb]:
-                        ab = a * NCPoly.word(L, wb)
-                        for wc in words_by_len[lc]:
-                            c = NCPoly.word(L, wc)
-                            checked += 1
-                            b = NCPoly.word(L, wb)
-                            if (ab * c) != (a * (b * c)):
-                                bad = (wa, wb, wc)
-                                break
-                        if bad:
-                            break
-                    if bad:
-                        break
+    bad = first_bad()
     out.append(_case("pbw", f"associativity on {checked} word triples (len<={bound})",
                      bad is None, bad))
 

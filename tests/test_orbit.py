@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitstar import orbit as orbit_module
 from orbitstar.envelope import NCPoly
 from orbitstar.orbit import Orbit, orbit_from_json, sphere_orbit
 from orbitstar.poly import (
@@ -11,6 +12,7 @@ from orbitstar.poly import (
     acc_term,
     kirillov_bracket,
     monomials_up_to,
+    reduce as poly_reduce,
 )
 from orbitstar.quantize import check_deformation_axioms, symmetrizer_product
 from orbitstar.scalars import H, H_ONE
@@ -157,6 +159,19 @@ def test_ideal_reduce_against_rescan_oracle(su2, lift):
         assert all(len(w) < 2 or w[-2] != 2 for w in r.terms)
 
 
+def test_ideal_reduce_memoizes_sums_of_squares(su2, monkeypatch):
+    orb = sphere_orbit(2, lift=H_ONE * 2 + H * Fraction(1, 3), algebra=su2)
+    u = NCPoly.word(su2, (0, 1, 2, 2, 2, 2), Fraction(2, 3)) + NCPoly.word(
+        su2, (1, 1, 2, 2, 2))
+    first = orb.ideal_reduce(u)
+    assert (0, 1, 2, 2) in orb._squares and (1, 1, 2) in orb._squares
+    for base, nf in orb._squares.items():
+        want = NCPoly(su2, {base + (0, 0): 1, base + (1, 1): 1}).normal_form()
+        assert nf == want.terms
+    monkeypatch.setattr(orbit_module, "_nf_word", None)
+    assert orb.ideal_reduce(u) == first
+
+
 def test_h0_limit_of_deformed_reduction(su2):
     # with any lift through the level, h -> 0 recovers the orbit reduction
     orb = sphere_orbit(1, lift=H_ONE + H)
@@ -211,6 +226,40 @@ def test_tangential_embed_inverse_roundtrip(sphere):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
             f = f + CPoly.monomial(3, exps, rng.randint(-3, 3))
         assert sphere.tangential_embed_inverse(sphere.tangential_embed(f)) == f
+
+
+def _fresh_tangential_embed(orb, f):
+    """The tangential embedding with (P - c(h))^k multiplied out afresh."""
+    out, power, work = NCPoly.zero(orb.algebra), NCPoly.one(orb.algebra), f
+    while not work.is_zero():
+        quots, rem = poly_reduce(work, orb.basis_rule)
+        out = out + orb.word_lift(rem) * power
+        power = power * orb.casimir_minus_lift()
+        work = quots[0]
+    return out
+
+
+def test_tangential_powers_kept_on_the_orbit(su2, xyz):
+    x, y, z = xyz
+    orb = sphere_orbit(2, lift=H_ONE * 2 + H * Fraction(1, 3), algebra=su2)
+    powers = orb._shifted_powers
+    assert len(powers) == 2
+    gen = x * x + y * y + z * z - CPoly.constant(3, 2)
+    f = x * gen * gen * gen + z
+    assert orb.tangential_embed(f) == _fresh_tangential_embed(orb, f)
+    assert len(powers) == 4
+    cubed = powers[3]
+    rng = random.Random(36)
+    for _ in range(8):
+        f = CPoly.zero(3)
+        for _ in range(3):
+            exps = tuple(rng.randint(0, 3) for _ in range(3))
+            f = f + CPoly.monomial(3, exps, rand_coeff(rng))
+        assert orb.tangential_embed(f) == _fresh_tangential_embed(orb, f)
+    assert orb._shifted_powers is powers and powers[3] is cubed
+    assert powers[:2] == [NCPoly.one(su2), orb.casimir_minus_lift()]
+    assert all(powers[k] * powers[1] == powers[k + 1]
+               for k in range(len(powers) - 1))
 
 
 def test_tangential_embed_preserves_nearby_ideals(sphere):

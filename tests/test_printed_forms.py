@@ -1,0 +1,56 @@
+"""The printed forms, pinned by SHA-256 digest.
+
+Each command below runs in a fresh interpreter, and the digest of its stdout
+must equal the one recorded before the printers were rewritten to read
+HPoly's integer fields.  A change to a printer, to a term order or to a
+witness shows up here.  Re-record a digest only for an intended change of
+output, and say so in CHANGES.md.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DIGESTS = {
+    ("-m", "orbitstar", "verify", "all", "--format", "json"):
+        "2fda078a63df03094c7983acb3c267f5aada3c1bddcedf5aa2697ce61eb824fa",
+    ("-m", "orbitstar", "verify", "all"):
+        "d56811a58b52066c7849bce97d17e71fc72b7f51f4307212f4fd122f74b7ad96",
+    ("-m", "orbitstar", "cohomology", "--max-degree", "4", "--seed", "3",
+     "--format", "json"):
+        "dbe7010071107283bfd1e164f37b3e10642c0cbe0c93f880f42e24a0ef510618",
+    ("demos/01_pbw_rewriting.py",):
+        "6242eb0599a9845f9e7c0fc93f6a399c11d97bf600ba45d3b122108f6bf53c88",
+    ("demos/02_symmetrizer_star.py",):
+        "d7988f59f25a8c3228173cfb64c0c886e67e974c6a52c19d68887d0b707c31cb",
+    ("demos/03_orbit_product.py",):
+        "2e6a5ba2f82b7ceb61c90072eedfa4318aba9a408fc73dee50026e99d4c15d4e",
+    ("demos/04_tangentiality.py",):
+        "b1391a2af70913529c0a3e83a91deb2378e888cc6442d19ccaf8eadd1a2a9d9f",
+    ("demos/05_nondifferentiability.py",):
+        "80e576a257d4d7e1cadb209b49f04e0ba2b92e282cd15adafd007abe5a26b5db",
+    ("demos/06_spectra_gauge_cohomology.py",):
+        "a378f088968418a399e7c5bba39e5e43d35645f9eb54a1eab052d85e46b6f9dc",
+}
+
+
+def test_every_demo_is_pinned():
+    pinned = {args[0] for args in DIGESTS if args[0].startswith("demos/")}
+    assert pinned == {f"demos/{p.name}" for p in (ROOT / "demos").glob("*.py")}
+
+
+@pytest.mark.parametrize("args", list(DIGESTS), ids=" ".join)
+def test_printed_form_digest(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[args]

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_coeff
-from orbitstar.envelope import NCPoly
-from orbitstar.lie import predefined
+from orbitstar import quantize
+from orbitstar.envelope import NCPoly, word_exps
+from orbitstar.lie import LieAlgebra, predefined
 from orbitstar.orbit import sphere_orbit
-from orbitstar.poly import CPoly, monomials_up_to
+from orbitstar.poly import CPoly, acc_term, monomials_up_to
 from orbitstar.quantize import (
     StarProduct,
     check_deformation_axioms,
@@ -89,6 +90,72 @@ def test_sym_roundtrip_random(su2):
                 3, rng.choice(monos), HPoly([rng.randint(-3, 3), rng.randint(-1, 1)])
             )
         assert sym_inverse(su2, symmetrize(su2, f)) == f
+
+
+def peel_sym_inverse(L, u):
+    """Triangular descent on word length: the longest words coincide with the
+    top-degree part of the symmetrization of the matching monomials, so
+    subtracting that strictly lowers the maximal word length.  Oracle for
+    the per-word table behind sym_inverse."""
+    n = L.dim
+    rem = dict(u.terms)
+    out = {}
+    while rem:
+        top = max(len(w) for w in rem)
+        layer = {word_exps(w, n): c for w, c in rem.items() if len(w) == top}
+        for exps, c in layer.items():
+            acc_term(out, exps, c)
+        for w, c in symmetrize(L, CPoly(n, layer)).terms.items():
+            acc_term(rem, w, -c)
+    return CPoly(n, out)
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2"])
+def test_sym_inverse_against_peeling_oracle(name):
+    L = predefined(name)
+    words = [tuple(i for i, e in enumerate(exps) for _ in range(e))
+             for exps in monomials_up_to(L.dim, 6)]
+    assert len(words) == 84
+    for w in words:
+        u = NCPoly.word(L, w)
+        assert sym_inverse(L, u) == peel_sym_inverse(L, u), w
+    rng = random.Random(8)
+    for _ in range(12):
+        u = NCPoly(L, {rng.choice(words): rand_coeff(rng) for _ in range(5)})
+        assert sym_inverse(L, u) == peel_sym_inverse(L, u)
+        assert symmetrize(L, sym_inverse(L, u)) == u
+
+
+def test_sym_inverse_table_filled_once_per_word(monkeypatch):
+    L = LieAlgebra(("X", "Y", "Z"), predefined("su2").c)
+    assert L._sym_inv_cache == {} and L._sym_cache == {}
+    word = (0, 0, 1, 2, 2)
+    sym_inverse(L, NCPoly.word(L, word))
+    table = dict(L._sym_inv_cache)
+    assert word in table and (0, 2) in table and (1,) in table
+    # kept apart from the symmetrizer memo, whose keys are exponent vectors:
+    # the word Y^3 and the monomial xyz share the key (1, 1, 1)
+    assert (1, 1, 1) in table and (1, 1, 1) in L._sym_cache
+    assert all(isinstance(u, NCPoly) for u in L._sym_cache.values())
+    assert all(isinstance(t, dict) for t in table.values())
+    assert {word_exps(w, 3) for w in table} <= set(L._sym_cache)
+    # a second pass reads the table and symmetrizes nothing
+    u = NCPoly(L, {word: 3, (0, 2): H, (1,): 1})
+    want = peel_sym_inverse(L, u)
+    calls = []
+    monkeypatch.setattr(quantize, "_sym_monomial",
+                        lambda *args: calls.append(args))
+    assert sym_inverse(L, u) == want
+    assert calls == []
+    assert L._sym_inv_cache == table
+    assert all(L._sym_inv_cache[w] is t for w, t in table.items())
+
+
+def test_sym_inverse_rejects_bad_input(su2, sl2):
+    with pytest.raises(ValueError, match="canonical"):
+        sym_inverse(su2, NCPoly.word(su2, (1, 0)))
+    with pytest.raises(ValueError, match="different algebra"):
+        sym_inverse(su2, NCPoly.word(sl2, (0,)))
 
 
 def test_star_goldens(su2, xyz):

@@ -11,6 +11,7 @@ from orbitstar.scalars import (
     HPoly,
     H_ONE,
     H_ZERO,
+    coeff_pieces,
     format_hpoly,
     format_scalar,
 )
@@ -255,3 +256,110 @@ def test_hpoly_division_by_zero(divisor):
         HPoly([1, gr(0, 1)]) / divisor
     with pytest.raises(ZeroDivisionError):
         H_ZERO / divisor
+
+
+# ---------------------------------------------------------------------------
+# The printers against a GaussianRational oracle: each coefficient is read
+# out as a pair of Fractions and rendered with str(Fraction), sharing no code
+# with the integer-field printers.
+
+def _oracle_scalar(s):
+    if not s:
+        return "0"
+    if not s.im:
+        return str(s.re)
+    im = "i" if s.im == 1 else "-i" if s.im == -1 else f"{s.im}*i"
+    if not s.re:
+        return im
+    mag = abs(s.im)
+    im = "i" if mag == 1 else f"{mag}*i"
+    return f"{s.re} {'+' if s.im > 0 else '-'} {im}"
+
+
+def _oracle_term(s, k, tail):
+    """(sign, text) of s*h^k as a product prefix; "" when s*h^k is exactly
+    1 and a monomial follows."""
+    neg = False
+    if not s.im:
+        neg, mag = s.re < 0, abs(s.re)
+        head = "" if mag == 1 and (tail or k > 0) else str(mag)
+    elif not s.re:
+        neg, mag = s.im < 0, abs(s.im)
+        head = "i" if mag == 1 else f"{mag}*i"
+    else:
+        head = f"({_oracle_scalar(s)})"
+    parts = [head] if head else []
+    if k:
+        parts.append("h" if k == 1 else f"h^{k}")
+    if not parts and not tail:
+        parts.append("1")
+    return ("-" if neg else "+", "*".join(parts))
+
+
+def _oracle_join(pieces):
+    sign, text = pieces[0]
+    out = text if sign == "+" else f"-{text}"
+    return out + "".join(f" {sign} {text}" for sign, text in pieces[1:])
+
+
+def _oracle_hpoly(p):
+    pieces = [_oracle_term(s, k, False) for k, s in enumerate(p.coeffs) if s]
+    return _oracle_join(pieces) if pieces else "0"
+
+
+def _oracle_coeff_pieces(c, monomial_text):
+    nonzero = [(k, s) for k, s in enumerate(c.coeffs) if s]
+    if not monomial_text or not nonzero:
+        return [_oracle_term(s, k, False) for k, s in nonzero]
+    if len(nonzero) > 1:
+        return [("+", f"({_oracle_hpoly(c)})*{monomial_text}")]
+    sign, head = _oracle_term(nonzero[0][1], nonzero[0][0], True)
+    return [(sign, f"{head}*{monomial_text}" if head else monomial_text)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_printers_against_gaussian_oracle(seed):
+    rng = random.Random(900 + seed)
+    units = [gr(1), gr(-1), gr(0, 1), gr(0, -1)]
+
+    def rand_gauss():
+        shape = rng.randrange(5)
+        if shape == 0:
+            return rng.choice(units)
+        q = lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 12]))
+        return gr(q(), 0) if shape == 1 else gr(0, q()) if shape == 2 else gr(q(), q())
+
+    seen = set()
+    for _ in range(150):
+        # a run of low zeros gives val > 0; several powers share one den
+        coeffs = [gr(0)] * rng.choice([0, 0, 1, 3])
+        coeffs += [rand_gauss() if rng.random() < 0.8 else gr(0)
+                   for _ in range(rng.randint(1, 4))]
+        p = HPoly(coeffs)
+        seen.add((p.den > 1, p.val > 0, len([s for s in p.coeffs if s]) > 1))
+        assert format_hpoly(p) == _oracle_hpoly(p)
+        for s in p.coeffs:
+            assert format_scalar(s) == _oracle_scalar(s)
+        for mono in ("", "x", "X^2*Y"):
+            assert coeff_pieces(p, mono) == _oracle_coeff_pieces(p, mono)
+    assert len(seen) == 8
+
+
+def test_printer_units_and_signs():
+    cases = {
+        (1,): ("1", [("+", "x")]),
+        (-1,): ("-1", [("-", "x")]),
+        (gr(0, 1),): ("i", [("+", "i*x")]),
+        (gr(0, -1),): ("-i", [("-", "i*x")]),
+        (0, -1): ("-h", [("-", "h*x")]),
+        (0, 0, gr(0, Fraction(-2, 3))): ("-2/3*i*h^2", [("-", "2/3*i*h^2*x")]),
+        (gr(Fraction(-1, 2), 1),): ("(-1/2 + i)", [("+", "(-1/2 + i)*x")]),
+        (gr(0, Fraction(3, 4)), 0, Fraction(5, 6)):
+            ("3/4*i + 5/6*h^2", [("+", "(3/4*i + 5/6*h^2)*x")]),
+    }
+    for coeffs, (text, pieces) in cases.items():
+        p = HPoly(coeffs)
+        assert format_hpoly(p) == text
+        assert coeff_pieces(p, "x") == pieces
+    assert coeff_pieces(H_ZERO, "x") == [] and coeff_pieces(H_ZERO, "") == []
+    assert coeff_pieces(HPoly([-1, 0, 2]), "") == [("-", "1"), ("+", "2*h^2")]
