@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: algebra, nf, star, reduce, verify, rep, cohomology.  Exit
-codes: 0 on success, 1 when a verification suite fails, 2 on configuration
-or parse errors, 3 on an internal fault (an exception escaping a
-verification suite, or any other unexpected exception).
+codes: 0 on success, 1 when a verification suite fails, 2 on configuration,
+parse or option errors (a negative bound, or a zero one in verify), 3 on an
+internal fault (an exception escaping a verification suite, or any other
+unexpected exception).  `verify all` runs its suites through
+`verify.run_suites`, in forked worker processes when more than one CPU is
+available; its output and exit code do not depend on that.
 """
 
 from __future__ import annotations
@@ -44,15 +47,17 @@ from .reps import (
     su2_defining_rep,
 )
 from .scalars import H_ONE
-from .verify import SUITES, SUITES_VERSION, run_suite
+from .verify import SUITES, SUITES_VERSION, InternalError, describe, run_suites
 
 
 class CLIError(Exception):
     """A configuration problem; reported on stderr with exit code 2."""
 
 
-class InternalError(Exception):
-    """A fault of the engine itself; reported on stderr with exit code 3."""
+def _check_bound(flag, value, least):
+    """Reject a bound below `least` as bad input."""
+    if value is not None and value < least:
+        raise CLIError(f"{flag} must be at least {least}, not {value}")
 
 
 def _load_config(path):
@@ -208,6 +213,9 @@ def cmd_verify(args):
         raise CLIError("verify does not take --config; its suites fix their own inputs")
     if args.name not in (None, "su2"):
         raise CLIError(f"verify runs on su2 only, not --name {args.name}")
+    # a suite reads 0 as its default bound, so only positive bounds are honoured
+    _check_bound("--max-degree", args.max_degree, 1)
+    _check_bound("--lambda-bound", args.lambda_bound, 1)
     if args.list:
         lines = sorted(SUITES)
         _emit(args, lines, {"suites": lines, "version": SUITES_VERSION})
@@ -231,12 +239,7 @@ def cmd_verify(args):
         names = [args.suite]
     else:
         raise CLIError(f"unknown suite {args.suite!r}; use verify --list")
-    reports = []
-    for name in names:
-        try:
-            reports.extend(run_suite(name, **options))
-        except Exception as exc:
-            raise InternalError(f"suite {name}: {_describe(exc)}") from exc
+    reports = run_suites(names, **options)
     lines = []
     for rep in reports:
         mark = "PASS" if rep["status"] == "pass" else "FAIL"
@@ -250,6 +253,7 @@ def cmd_verify(args):
 
 
 def cmd_rep(args):
+    _check_bound("--lambda-bound", args.lambda_bound, 0)
     su2 = predefined("su2")
     sl2 = predefined("sl2")
     P = NCPoly(su2, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE})
@@ -281,6 +285,7 @@ def cmd_rep(args):
 
 
 def cmd_cohomology(args):
+    _check_bound("--max-degree", args.max_degree, 0)
     L = _resolve_algebra(args)
     bound = args.max_degree if args.max_degree is not None else 4
     dims = {d: h2_dimension(L, d) for d in range(bound + 1)}
@@ -367,11 +372,6 @@ def build_parser():
     return parser
 
 
-def _describe(exc):
-    """One line naming an unexpected exception."""
-    return " ".join(f"{type(exc).__name__}: {exc}".split())
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
-        print(f"internal error: {_describe(exc)}", file=sys.stderr)
+        print(f"internal error: {describe(exc)}", file=sys.stderr)
         return 3
 
 

@@ -4,10 +4,15 @@ Each suite exercises one cluster of the engine's claims with exact
 expectations and returns a list of case reports shaped as
 {"suite": ..., "case": ..., "status": "pass"|"fail", "witness": ...?}.
 The CLI's verify subcommand and the acceptance tests both run these.
+
+The suites are independent and deterministic, so `run_suites` runs several
+in up to min(#suites, #CPUs) forked worker processes and returns the same
+reports, in the same order, as the in-process loop.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -270,7 +275,8 @@ def suite_tangential(max_degree=None, **_):
     res = orb.tangentiality_check(orb.split_embed, 1, bound)
     out.append(_case("tangential", "split embed preserves its own ideal",
                      res["passed"]))
-    res = orb.tangentiality_check(orb.split_embed, Fraction(5, 4), bound + 1)
+    # the frozen witness needs degree 5, whatever the bound
+    res = orb.tangentiality_check(orb.split_embed, Fraction(5, 4), max(bound + 1, 5))
     ok = not res["passed"]
     witness_ok = False
     if ok:
@@ -506,15 +512,90 @@ SUITES = {
 }
 
 
+def _check_known(names):
+    for name in names:
+        if name not in SUITES:
+            raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+
+
 def run_suite(name, **options):
-    fn = SUITES.get(name)
-    if fn is None:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return fn(**options)
+    _check_known([name])
+    return SUITES[name](**options)
 
 
-def run_suites(names=None, **options):
+class InternalError(Exception):
+    """A fault of the engine itself; the CLI reports it with exit code 3."""
+
+
+def describe(exc):
+    """One line naming an unexpected exception."""
+    return " ".join(f"{type(exc).__name__}: {exc}".split())
+
+
+def available_cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _guarded(name, options):
+    """(reports, None), or (None, the one-line description of the fault).
+
+    A pool worker returns the description, not the exception, so an
+    exception that cannot be pickled reaches the parent unchanged."""
+    try:
+        return run_suite(name, **options), None
+    except Exception as exc:
+        return None, describe(exc)
+
+
+def _collect(names, outcomes):
+    """Concatenate the reports in order; the first fault, in the order of
+    `names`, raises InternalError."""
     reports = []
-    for name in names or SUITES:
-        reports.extend(run_suite(name, **options))
+    for name, (cases, fault) in zip(names, outcomes):
+        if fault is not None:
+            raise InternalError(f"suite {name}: {fault}")
+        reports.extend(cases)
     return reports
+
+
+def _fork_context():
+    """The fork start method, or None where the platform lacks it or
+    another thread runs (forking then may deadlock the child)."""
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    if threading.active_count() > 1:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def run_suites(names=None, jobs=None, **options):
+    """The reports of the named suites (all of them by default), in order.
+
+    With more than one suite and `jobs` > 1 (by default, the number of
+    available CPUs) the suites run in a pool of forked processes, which
+    inherit this process's memo tables; the reports are the same as those
+    of the in-process loop.  An exception escaping a suite raises
+    InternalError for the first such suite in the order of `names`.
+    """
+    names = list(SUITES if names is None else names)
+    _check_known(names)
+    jobs = min(len(names), available_cpus() if jobs is None else jobs)
+    context = _fork_context() if jobs > 1 else None
+    if context is None:
+        return _collect(names, (_guarded(name, options) for name in names))
+
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(jobs, mp_context=context) as pool:
+        # submitted in order, so the longest suite, pbw, starts first
+        futures = [pool.submit(_guarded, name, options) for name in names]
+        try:
+            return _collect(names, (f.result() for f in futures))
+        finally:
+            pool.shutdown(cancel_futures=True)

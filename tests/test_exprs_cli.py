@@ -195,6 +195,8 @@ def test_cli_suite_fault_exits_3(monkeypatch, capsys, exc):
         raise exc
 
     monkeypatch.setitem(verify.SUITES, "lemma", broken)
+    # with two CPUs `verify all` runs its suites in a pool of forked processes
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
     assert cli.main(["verify", "lemma"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -203,7 +205,8 @@ def test_cli_suite_fault_exits_3(monkeypatch, capsys, exc):
     assert type(exc).__name__ in lines[0] and "Traceback" not in captured.err
     # the suites before a faulty one are not reported either
     assert cli.main(["verify", "all"]) == 3
-    assert capsys.readouterr().out == ""
+    captured_all = capsys.readouterr()
+    assert captured_all.out == "" and captured_all.err == captured.err
 
 
 def test_cli_unexpected_exception_exits_3(monkeypatch, capsys):
@@ -225,6 +228,35 @@ def test_cli_bad_verify_input_exits_2(capsys):
 def test_cli_verify_pbw_low_bound(capsys):
     assert cli.main(["verify", "pbw", "--max-degree", "3"]) == 0
     assert "confluence on all words of length <= 5" in capsys.readouterr().out
+
+
+def test_cli_verify_tangential_low_bound(capsys):
+    assert cli.main(["verify", "tangential", "--max-degree", "3"]) == 0
+    assert "9/9 cases passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--max-degree", "-1"],
+    ["verify", "reps", "--lambda-bound", "-3"],
+    ["verify", "--max-degree", "0"],
+    ["verify", "reps", "--lambda-bound", "0"],
+    ["rep", "--lambda-bound", "-3"],
+    ["cohomology", "--max-degree", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_bad_bound_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {argv[-2]} must be at least ")
+
+
+def test_cli_zero_bound_where_honoured(capsys):
+    assert cli.main(["rep", "--lambda-bound", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"]["lambda_bound"] == 0
+    assert cli.main(["cohomology", "--max-degree", "0"]) == 0
+    assert capsys.readouterr().out == ("h2 dimension at degree 0: 0\n"
+                                       "coboundary solver round-trip at degree 0: ok\n")
 
 
 def test_cli_verify_list(capsys):
