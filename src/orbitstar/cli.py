@@ -5,8 +5,8 @@ codes: 0 on success, 1 when a verification suite fails, 2 on configuration,
 parse or option errors (a negative bound, or a zero one in verify), 3 on an
 internal fault (an exception escaping a verification suite, or any other
 unexpected exception).  `verify all` runs its suites through
-`verify.run_suites`, in forked worker processes when more than one CPU is
-available; its output and exit code do not depend on that.
+`verify.run_suites`, in up to two forked worker processes when more than
+one CPU is available; its output and exit code do not depend on that.
 """
 
 from __future__ import annotations

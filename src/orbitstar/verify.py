@@ -6,8 +6,8 @@ expectations and returns a list of case reports shaped as
 The CLI's verify subcommand and the acceptance tests both run these.
 
 The suites are independent and deterministic, so `run_suites` runs several
-in up to min(#suites, #CPUs) forked worker processes and returns the same
-reports, in the same order, as the in-process loop.
+in up to min(#suites, #CPUs, 2) forked worker processes and returns the
+same reports, in the same order, as the in-process loop.
 """
 
 from __future__ import annotations
@@ -539,26 +539,21 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-def _guarded(name, options):
-    """(reports, None), or (None, the one-line description of the fault).
+# pbw is about half of `verify all` (0.35-0.43 s against 0.44 s for the
+# other ten suites together, on 2 CPUs), so with two workers it already
+# sets the wall time and a third worker would only add a copy of the memos.
+_MAX_WORKERS = 2
 
-    A pool worker returns the description, not the exception, so an
-    exception that cannot be pickled reaches the parent unchanged."""
+
+def _guarded(name, options):
+    """A pool worker's outcome: (reports, None), or (None, the one-line
+    description of the fault).  The description travels instead of the
+    exception, so an exception that cannot be pickled reaches the parent
+    unchanged."""
     try:
         return run_suite(name, **options), None
     except Exception as exc:
         return None, describe(exc)
-
-
-def _collect(names, outcomes):
-    """Concatenate the reports in order; the first fault, in the order of
-    `names`, raises InternalError."""
-    reports = []
-    for name, (cases, fault) in zip(names, outcomes):
-        if fault is not None:
-            raise InternalError(f"suite {name}: {fault}")
-        reports.extend(cases)
-    return reports
 
 
 def _fork_context():
@@ -574,28 +569,47 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def run_suites(names=None, jobs=None, **options):
-    """The reports of the named suites (all of them by default), in order.
-
-    With more than one suite and `jobs` > 1 (by default, the number of
-    available CPUs) the suites run in a pool of forked processes, which
-    inherit this process's memo tables; the reports are the same as those
-    of the in-process loop.  An exception escaping a suite raises
-    InternalError for the first such suite in the order of `names`.
-    """
-    names = list(SUITES if names is None else names)
-    _check_known(names)
-    jobs = min(len(names), available_cpus() if jobs is None else jobs)
-    context = _fork_context() if jobs > 1 else None
-    if context is None:
-        return _collect(names, (_guarded(name, options) for name in names))
-
+def _run_in_pool(names, workers, context, options):
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(jobs, mp_context=context) as pool:
+    reports = []
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
         # submitted in order, so the longest suite, pbw, starts first
         futures = [pool.submit(_guarded, name, options) for name in names]
         try:
-            return _collect(names, (f.result() for f in futures))
+            for name, future in zip(names, futures):
+                try:
+                    cases, fault = future.result()
+                except Exception as exc:  # a worker died (BrokenProcessPool)
+                    raise InternalError(f"suite {name}: {describe(exc)}") from exc
+                if fault is not None:
+                    raise InternalError(f"suite {name}: {fault}")
+                reports.extend(cases)
         finally:
             pool.shutdown(cancel_futures=True)
+    return reports
+
+
+def run_suites(names=None, **options):
+    """The reports of the named suites (all of them by default), in order.
+
+    With more than one suite and more than one available CPU the suites run
+    in a pool of up to two forked processes, which inherit this
+    process's memo tables; the reports are the same as those of the
+    in-process loop.  An exception escaping a suite raises InternalError
+    for the first such suite in the order of `names`; in-process, the
+    exception is its cause.
+    """
+    names = list(SUITES if names is None else names)
+    _check_known(names)
+    workers = min(len(names), available_cpus(), _MAX_WORKERS)
+    context = _fork_context() if workers > 1 else None
+    if context is not None:
+        return _run_in_pool(names, workers, context, options)
+    reports = []
+    for name in names:
+        try:
+            reports.extend(run_suite(name, **options))
+        except Exception as exc:
+            raise InternalError(f"suite {name}: {describe(exc)}") from exc
+    return reports
