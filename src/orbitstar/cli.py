@@ -35,6 +35,7 @@ from .lie import (
     is_semisimple,
     killing_det,
     killing_form,
+    orbit_algebra,
     predefined,
 )
 from .orbit import Orbit, orbit_from_json, sphere_orbit
@@ -60,7 +61,11 @@ def _check_bound(flag, value, least):
         raise CLIError(f"{flag} must be at least {least}, not {value}")
 
 
-def _load_config(path):
+def _load_config(args):
+    """The --config file's top-level JSON object, or None without --config."""
+    path = args.config
+    if not path:
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -81,36 +86,27 @@ def _from_config(path, load, *args, **kwargs):
         raise CLIError(f"config {path}: {exc}") from exc
 
 
-def _resolve_algebra(args) -> LieAlgebra:
-    config = getattr(args, "config", None)
-    if config:
-        data = _load_config(config)
-        # An orbit config names its algebra like orbit_from_json: su2 unless
-        # "algebra" says otherwise.
-        if "dim" not in data and data.keys() & {"algebra", "invariants", "orbit"}:
-            entry = data.get("algebra", "su2")
-            load = predefined if isinstance(entry, str) else algebra_from_json
-            return _from_config(config, load, entry)
-        return _from_config(config, algebra_from_json, data)
-    return predefined(getattr(args, "name", None) or "su2")
+def _resolve_algebra(args, data) -> LieAlgebra:
+    """The algebra of the loaded config `data`, else --name, else su2."""
+    if data is None:
+        return predefined(args.name or "su2")
+    if "dim" not in data and data.keys() & {"algebra", "invariants", "orbit"}:
+        return _from_config(args.config, orbit_algebra, data)
+    return _from_config(args.config, algebra_from_json, data)
 
 
-def _resolve_orbit(args, algebra=None) -> Orbit:
-    config = getattr(args, "config", None)
-    if config:
-        data = _load_config(config)
+def _resolve_orbit(args, data, algebra) -> Orbit:
+    """The orbit of the loaded config `data`, else the sphere of --c/--lift."""
+    if data is not None:
         if "invariants" in data:
-            return _from_config(config, orbit_from_json, data, algebra=algebra)
+            return _from_config(args.config, orbit_from_json, data, algebra=algebra)
         if "orbit" in data:
             if not isinstance(data["orbit"], dict):
-                raise CLIError(f"config {config}: \"orbit\" must be a JSON object")
-            return _from_config(config, orbit_from_json, data["orbit"], algebra=algebra)
-    c0 = Fraction(1)
-    if getattr(args, "c", None):
-        c0 = parse_rational(args.c)
-    lift = None
-    if getattr(args, "lift", None):
-        lift = parse_hpoly(args.lift)
+                raise CLIError(f"config {args.config}: \"orbit\" must be a JSON object")
+            return _from_config(args.config, orbit_from_json, data["orbit"],
+                                algebra=algebra)
+    c0 = parse_rational(args.c) if args.c else Fraction(1)
+    lift = parse_hpoly(args.lift) if args.lift else None
     return sphere_orbit(c0, lift=lift, algebra=algebra)
 
 
@@ -126,7 +122,7 @@ def _emit(args, text_lines, payload):
 # Subcommands.
 
 def cmd_algebra(args):
-    L = _resolve_algebra(args)
+    L = _resolve_algebra(args, _load_config(args))
     K = killing_form(L)
     payload = {
         "dim": L.dim,
@@ -148,7 +144,7 @@ def cmd_algebra(args):
 
 
 def cmd_nf(args):
-    L = _resolve_algebra(args)
+    L = _resolve_algebra(args, _load_config(args))
     value = parse_expression(args.expr, mode="noncommutative", algebra=L)
     nf = value.normal_form()
     text = format_ncpoly(nf)
@@ -156,25 +152,26 @@ def cmd_nf(args):
     return 0
 
 
-def _select_product(args, L):
+def _select_product(args, data, L):
     name = args.product
     if name == "sym":
-        return symmetrizer_product(L), None
+        return symmetrizer_product(L)
     if name == "pbw":
-        return pbw_basis_product(L), None
-    orbit = _resolve_orbit(args, algebra=L)
+        return pbw_basis_product(L)
+    orbit = _resolve_orbit(args, data, L)
     if name == "orbit":
-        return orbit.star_product(), orbit
+        return orbit.star_product()
     if name == "tangential":
-        return orbit.tangential_product(), orbit
+        return orbit.tangential_product()
     if name == "split":
-        return orbit.split_product(), orbit
+        return orbit.split_product()
     raise CLIError(f"unknown product {name!r}")
 
 
 def cmd_star(args):
-    L = _resolve_algebra(args)
-    star, _ = _select_product(args, L)
+    data = _load_config(args)
+    L = _resolve_algebra(args, data)
+    star = _select_product(args, data, L)
     f = parse_expression(args.left, mode="commutative", algebra=L)
     g = parse_expression(args.right, mode="commutative", algebra=L)
     result = star.star(f, g)
@@ -193,8 +190,9 @@ def cmd_star(args):
 
 
 def cmd_reduce(args):
-    L = _resolve_algebra(args)
-    orbit = _resolve_orbit(args, algebra=L)
+    data = _load_config(args)
+    L = _resolve_algebra(args, data)
+    orbit = _resolve_orbit(args, data, L)
     if args.mode == "orbit":
         f = parse_expression(args.expr, mode="commutative", algebra=L)
         out = orbit.orbit_reduce(f)
@@ -220,26 +218,20 @@ def cmd_verify(args):
         lines = sorted(SUITES)
         _emit(args, lines, {"suites": lines, "version": SUITES_VERSION})
         return 0
-    options = {}
-    if args.max_degree is not None:
-        options["max_degree"] = args.max_degree
-    if args.lambda_bound is not None:
-        options["lambda_bound"] = args.lambda_bound
-    options["seed"] = args.seed
-    if args.c:
-        options["c0"] = parse_rational(args.c)
-    if args.lift:
-        options["lift"] = parse_hpoly(args.lift)
+    c0 = parse_rational(args.c) if args.c else None
+    lift = parse_hpoly(args.lift) if args.lift else None
     if args.c or args.lift:
         # a bad level or lift is an input error, not a fault of a suite
-        sphere_orbit(options.get("c0", 1), lift=options.get("lift"))
+        sphere_orbit(1 if c0 is None else c0, lift=lift)
     if args.suite in (None, "all"):
         names = list(SUITES)
     elif args.suite in SUITES:
         names = [args.suite]
     else:
         raise CLIError(f"unknown suite {args.suite!r}; use verify --list")
-    reports = run_suites(names, **options)
+    reports = run_suites(names, max_degree=args.max_degree,
+                         lambda_bound=args.lambda_bound, seed=args.seed,
+                         c0=c0, lift=lift)
     lines = []
     for rep in reports:
         mark = "PASS" if rep["status"] == "pass" else "FAIL"
@@ -286,7 +278,7 @@ def cmd_rep(args):
 
 def cmd_cohomology(args):
     _check_bound("--max-degree", args.max_degree, 0)
-    L = _resolve_algebra(args)
+    L = _resolve_algebra(args, _load_config(args))
     bound = args.max_degree if args.max_degree is not None else 4
     dims = {d: h2_dimension(L, d) for d in range(bound + 1)}
     rng = random.Random(args.seed)

@@ -277,12 +277,6 @@ class NCPoly(Sparse):
             {w: HPoly((c.evaluate(h0),)) for w, c in self.terms.items()},
         )
 
-    def h_coefficient(self, k):
-        return NCPoly(
-            self.algebra,
-            {w: HPoly((c.coeff(k),)) for w, c in self.terms.items()},
-        )
-
     def project_h0(self) -> CPoly:
         """Drop positive h-degrees and read words as commutative monomials."""
         n = self.algebra.dim

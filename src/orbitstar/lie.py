@@ -112,12 +112,6 @@ class LieAlgebra:
         """Nonzero components of [X_i, X_j] as (k, coefficient) pairs."""
         return self._bracket_nz[i][j]
 
-    def index(self, name) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown generator {name!r}") from None
-
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, names={self.names})"
 
@@ -272,3 +266,10 @@ def algebra_from_json(data) -> LieAlgebra:
             c[i][j][k] = v
             c[j][i][k] = -v
     return LieAlgebra(names, c, varnames=data.get("varnames"))
+
+
+def orbit_algebra(data) -> LieAlgebra:
+    """The algebra of an orbit description: its "algebra" entry, a
+    predefined name or an algebra description, else su2."""
+    entry = data.get("algebra", "su2")
+    return predefined(entry) if isinstance(entry, str) else algebra_from_json(entry)

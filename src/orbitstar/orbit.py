@@ -19,7 +19,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .envelope import NCPoly, _nf_word
-from .lie import LieAlgebra, predefined
+from .lie import LieAlgebra, orbit_algebra, predefined
 from .linalg import LinearSystem
 from .poly import (
     CPoly,
@@ -183,9 +183,7 @@ class Orbit:
     def split_embed(self, f: CPoly) -> NCPoly:
         """Embed along the split f = a*(p - c0) + rem: the cofactor rides on
         the central generator, the remainder maps to ordered words."""
-        a, r, s = self.decompose(f)
-        n = self.algebra.dim
-        rem = r + s * CPoly.variable(n, n - 1)
+        (a,), rem = poly_reduce_by(f, self.basis_rule)
         out = self.word_lift(rem)
         if not a.is_zero():
             c0 = self.constants[0]
@@ -231,18 +229,18 @@ class Orbit:
         return out
 
     # -- star products -------------------------------------------------------
-    def _product(self, name, forward, backward, **reductions) -> StarProduct:
+    def _product(self, name, forward, backward, poly_reduce=None) -> StarProduct:
         if name not in self._products:
             self._products[name] = StarProduct(
-                self.algebra, forward, backward, priority=self.priority,
-                name=name, **reductions,
+                self.algebra, forward, backward, poly_reduce=poly_reduce,
+                priority=self.priority, name=name,
             )
         return self._products[name]
 
     def star_product(self) -> StarProduct:
         """The product on the orbit induced by the ordered-word basis map."""
-        return self._product("orbit", self.word_lift, self.word_lower,
-                             nc_reduce=self.ideal_reduce,
+        return self._product("orbit", self.word_lift,
+                             lambda u: self.word_lower(self.ideal_reduce(u)),
                              poly_reduce=self.orbit_reduce)
 
     def tangential_product(self) -> StarProduct:
@@ -422,17 +420,10 @@ def orbit_from_json(data, algebra=None) -> Orbit:
     """Load an orbit description like {"algebra": "su2", "invariants":
     ["x^2+y^2+z^2"], "constants": ["1"], "lifts": ["1"]}."""
     from .exprs import parse_expression, parse_hpoly
-    from .lie import algebra_from_json
 
     if isinstance(data, str):
         data = json.loads(data)
-    entry = data.get("algebra", "su2")
-    if algebra is not None:
-        L = algebra
-    elif isinstance(entry, str):
-        L = predefined(entry)
-    else:
-        L = algebra_from_json(entry)
+    L = algebra if algebra is not None else orbit_algebra(data)
     invariants = [
         parse_expression(text, mode="commutative", algebra=L)
         for text in data["invariants"]

@@ -53,6 +53,15 @@ class Sparse:
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
 
+    def h_coefficient(self, k):
+        """The coefficient of h^k, as an h-free element."""
+        out = {}
+        for key, c in self.terms.items():
+            v = c.coeff(k)
+            if v:
+                out[key] = HPoly((v,))
+        return self._new(out)
+
     def _scaled(self, c):
         """self times a scalar, or NotImplemented for a non-scalar."""
         c = as_hpoly(c)
@@ -179,15 +188,6 @@ class CPoly(Sparse):
                 continue
             lowered = tuple(e - 1 if j == i else e for j, e in enumerate(exps))
             acc_term(out, lowered, c * exps[i])
-        return CPoly(self.nvars, out)
-
-    def h_coefficient(self, k):
-        """The coefficient of h^k, as an h-free polynomial."""
-        out = {}
-        for exps, c in self.terms.items():
-            v = c.coeff(k)
-            if v:
-                out[exps] = HPoly((v,))
         return CPoly(self.nvars, out)
 
     def truncate_h(self, k):

@@ -84,20 +84,18 @@ def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
 class StarProduct:
     """An associative deformation of polynomial multiplication.
 
-    forward/backward realize the basis correspondence; nc_reduce, when
-    present, is applied to every product before inversion (used by orbit
-    products to pass to the quotient algebra), and poly_reduce normalizes
-    the commutative side.  The product is expected to deform the Kirillov
-    bracket at first order.
+    forward/backward realize the basis correspondence (an orbit product's
+    backward map reduces modulo the orbit ideal first), and poly_reduce
+    normalizes the commutative side.  The product is expected to deform the
+    Kirillov bracket at first order.
     """
 
-    def __init__(self, algebra: LieAlgebra, forward, backward, *, nc_reduce=None,
+    def __init__(self, algebra: LieAlgebra, forward, backward, *,
                  poly_reduce=None, priority=None, name="star"):
         self.algebra = algebra
         self.nvars = algebra.dim
         self.forward = forward
         self.backward = backward
-        self.nc_reduce = nc_reduce
         self.poly_reduce = poly_reduce
         self.priority = tuple(priority) if priority is not None else None
         self.name = name
@@ -117,10 +115,7 @@ class StarProduct:
         key = (e1, e2)
         hit = self._pair_cache.get(key)
         if hit is None:
-            u = self._image(e1) * self._image(e2)
-            if self.nc_reduce is not None:
-                u = self.nc_reduce(u)
-            hit = self.backward(u)
+            hit = self.backward(self._image(e1) * self._image(e2))
             self._pair_cache[key] = hit
         return hit
 
@@ -342,33 +337,25 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
     def T(i, f):
         return f if i == 0 else _apply_images(t_ops[i - 1], f)
 
-    def residual(fa, fb):
-        # everything at order h^n except the three terms involving T_n
+    def defect(m, fa, fb):
+        # sum_{i+j+k=m} B_b,k(T_i a, T_j b) - sum_{i+k=m} T_i(B_a,k(a, b)),
+        # leaving out the terms with T_n
+        top = min(m, n - 1)
         acc = CPoly.zero(nv)
-        for i in range(n):
+        for i in range(top + 1):
             Ta = T(i, fa)
-            for j in range(min(n - i, n - 1) + 1):
-                acc = acc + star_b.bn(Ta, T(j, fb), n - i - j)
-        for j in range(1, n + 1):
-            acc = acc - T(n - j, star_a.bn(fa, fb, j))
+            for j in range(min(m - i, n - 1) + 1):
+                acc = acc + star_b.bn(Ta, T(j, fb), m - i - j)
+        for k in range(m - top, m + 1):
+            acc = acc - T(m - k, star_a.bn(fa, fb, k))
         return acc
 
     # precondition: the partial gauge already matches through order n-1
     for m in range(1, n):
         for e1 in basis:
             for e2 in basis:
-                if sum(e1) + sum(e2) > degree_bound:
-                    continue
-                lhs = CPoly.zero(nv)
-                for i in range(m + 1):
-                    lhs = lhs + T(i, star_a.bn(mono(e1), mono(e2), m - i))
-                rhs = CPoly.zero(nv)
-                for i in range(m + 1):
-                    for j in range(m - i + 1):
-                        rhs = rhs + star_b.bn(
-                            T(i, mono(e1)), T(j, mono(e2)), m - i - j
-                        )
-                if lhs != rhs:
+                if (sum(e1) + sum(e2) <= degree_bound
+                        and not defect(m, mono(e1), mono(e2)).is_zero()):
                     raise ValueError(
                         "inconsistent t_partial: products disagree at order "
                         f"h^{m} on {e1}, {e2}"
@@ -383,7 +370,7 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
     b0 = star_a.b0
     unit = tuple([0] * nv)
     images = {}
-    images[unit] = _Affine(-residual(mono(unit), mono(unit)))
+    images[unit] = _Affine(-defect(n, mono(unit), mono(unit)))
     for g in gens:
         images[g] = _Affine(
             CPoly.zero(nv),
@@ -406,7 +393,7 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
         rest = tuple(a - b for a, b in zip(e, v))
         aff = images[rest].mul_poly(mono(v), b0)
         aff = aff.add(images[v].mul_poly(mono(rest), b0))
-        aff = aff.add(_Affine(residual(mono(v), mono(rest))))
+        aff = aff.add(_Affine(defect(n, mono(v), mono(rest))))
         images[e] = aff
         defining[e] = (v, rest)
 
@@ -432,7 +419,7 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
             expr = T_n_of(prod)
             expr = expr.add(images[e1].mul_poly(mono(e2), b0).neg())
             expr = expr.add(images[e2].mul_poly(mono(e1), b0).neg())
-            expr = expr.add(_Affine(residual(mono(e1), mono(e2))).neg())
+            expr = expr.add(_Affine(defect(n, mono(e1), mono(e2))).neg())
             if not system.add_polys(expr.lin, -expr.const, tag=(e1, e2)):
                 return {
                     "feasible": False,

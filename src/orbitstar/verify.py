@@ -1,9 +1,12 @@
 """Named verification suites.
 
 Each suite exercises one cluster of the engine's claims with exact
-expectations and returns a list of case reports shaped as
+expectations.  A suite is registered once, by name, with @_suite; its body
+yields (case, ok[, witness]) and SUITES[name] runs it to completion,
+returning case reports shaped as
 {"suite": ..., "case": ..., "status": "pass"|"fail", "witness": ...?}.
-The CLI's verify subcommand and the acceptance tests both run these.
+Every option defaults to None (seed to 0), which a suite reads as its own
+default.  The CLI's verify subcommand and the acceptance tests both run these.
 
 The suites are independent and deterministic, so `run_suites` runs several
 in up to min(#suites, #CPUs, 2) forked worker processes and returns the
@@ -39,6 +42,12 @@ from .reps import (
 from .scalars import H, H_ONE, GaussianRational, HPoly
 
 
+SUITES_VERSION = "1"
+
+# suite name -> options -> case reports, in the order of definition below
+SUITES = {}
+
+
 def _case(suite, name, ok, witness=None):
     report = {"suite": suite, "case": name, "status": "pass" if ok else "fail"}
     if witness is not None:
@@ -46,8 +55,16 @@ def _case(suite, name, ok, witness=None):
     return report
 
 
-def _su2():
-    return predefined("su2")
+def _suite(name):
+    """Register a suite under `name`.  Its body yields (case, ok) or (case,
+    ok, witness); the registered function runs the body to completion and
+    returns the case reports."""
+    def register(body):
+        def run(**options):
+            return [_case(name, *case) for case in body(**options)]
+        SUITES[name] = run
+        return run
+    return register
 
 
 def _vars(L):
@@ -60,12 +77,12 @@ def _fmt(p, L):
 
 # ---------------------------------------------------------------------------
 
+@_suite("pbw")
 def suite_pbw(max_degree=None, **_):
     """Rewriting kernel: golden normal forms, associativity, confluence of
     the reference rewriter, and the engine's table path against it."""
-    L = _su2()
+    L = predefined("su2")
     bound = max_degree or 6
-    out = []
     golden = [
         ("Y*X", (1, 0), {(0, 1): H_ONE, (2,): -H}),
         ("Z*X", (2, 0), {(0, 2): H_ONE, (1,): H}),
@@ -74,8 +91,8 @@ def suite_pbw(max_degree=None, **_):
     for label, word, want in golden:
         got = NCPoly.word(L, word).normal_form()
         ok = got == NCPoly(L, want)
-        out.append(_case("pbw", f"normal_form({label})", ok,
-                         None if ok else format_ncpoly(got)))
+        yield (f"normal_form({label})", ok,
+               None if ok else format_ncpoly(got))
 
     words_by_len = {0: [()]}
     for n in range(1, max(bound, 5) + 1):
@@ -106,12 +123,12 @@ def suite_pbw(max_degree=None, **_):
 
     checked = 0
     bad = first_bad()
-    out.append(_case("pbw", f"associativity on {checked} word triples (len<={bound})",
-                     bad is None, bad))
+    yield (f"associativity on {checked} word triples (len<={bound})",
+           bad is None, bad)
 
     yxz = NCPoly.word(L, (1, 0, 2))
     ok = yxz.normal_form("leftmost") == yxz.normal_form("rightmost")
-    out.append(_case("pbw", "confluence witness YXZ (leftmost vs rightmost)", ok))
+    yield "confluence witness YXZ (leftmost vs rightmost)", ok
     mismatch = None
     for n in range(1, 6):
         for w in words_by_len[n]:
@@ -120,58 +137,55 @@ def suite_pbw(max_degree=None, **_):
                     == e.normal_form("rightmost")):
                 mismatch = w
                 break
-    out.append(_case("pbw", "confluence on all words of length <= 5",
-                     mismatch is None, mismatch))
-    return out
+    yield ("confluence on all words of length <= 5",
+           mismatch is None, mismatch)
 
 
+@_suite("centrality")
 def suite_centrality(**_):
     """The symmetrized invariant commutes with every generator."""
-    L = _su2()
+    L = predefined("su2")
     x, y, z = _vars(L)
     P = symmetrize(L, x * x + y * y + z * z)
-    out = []
-    out.append(_case("centrality", "P = X^2 + Y^2 + Z^2 form",
-                     P == NCPoly(L, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE})))
+    yield ("P = X^2 + Y^2 + Z^2 form",
+           P == NCPoly(L, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE}))
     for i in range(3):
         g = NCPoly.generator(L, i)
         comm = P * g - g * P
-        out.append(_case("centrality", f"[P, {L.names[i]}] == 0", comm.is_zero(),
-                         None if comm.is_zero() else format_ncpoly(comm)))
-    out.append(_case("centrality", "is_central(P)", P.is_central()))
-    out.append(_case("centrality", "is_central(1)", NCPoly.one(L).is_central()))
-    out.append(_case("centrality", "X is not central",
-                     not NCPoly.generator(L, 0).is_central()))
-    return out
+        yield (f"[P, {L.names[i]}] == 0", comm.is_zero(),
+               None if comm.is_zero() else format_ncpoly(comm))
+    yield "is_central(P)", P.is_central()
+    yield "is_central(1)", NCPoly.one(L).is_central()
+    yield ("X is not central",
+           not NCPoly.generator(L, 0).is_central())
 
 
+@_suite("sym-star")
 def suite_sym_star(max_degree=None, **_):
     """Deformation axioms of the symmetrizer product."""
-    L = _su2()
+    L = predefined("su2")
     bound = max_degree or 4
     star = symmetrizer_product(L)
     x, y, z = _vars(L)
-    out = []
     want = x * y + z * (H * Fraction(1, 2))
     got = star.star(x, y)
-    out.append(_case("sym-star", "x * y == x*y + (h/2) z", got == want,
-                     None if got == want else _fmt(got, L)))
+    yield ("x * y == x*y + (h/2) z", got == want,
+           None if got == want else _fmt(got, L))
     comm = star.star(x, y) - star.star(y, x)
-    out.append(_case("sym-star", "x*y - y*x == h z", comm == z * H))
-    out.append(_case("sym-star", "B0(x, y) == xy", star.bn(x, y, 0) == x * y))
-    out.append(_case("sym-star", "B1(x,y) - B1(y,x) == {x,y}",
-                     star.bn(x, y, 1) - star.bn(y, x, 1) == z))
+    yield "x*y - y*x == h z", comm == z * H
+    yield "B0(x, y) == xy", star.bn(x, y, 0) == x * y
+    yield ("B1(x,y) - B1(y,x) == {x,y}",
+           star.bn(x, y, 1) - star.bn(y, x, 1) == z)
     report = check_deformation_axioms(star, bound, assoc_degree=bound + 1)
-    out.append(_case(
-        "sym-star",
+    yield (
         f"axioms on {report['pairs']} pairs (deg<={bound}) and "
         f"{report['triples']} triples (deg<={bound + 1})",
         report["passed"],
         report["failures"][:1] or None,
-    ))
-    return out
+    )
 
 
+@_suite("orbit-star")
 def suite_orbit_star(max_degree=None, c0=None, lift=None, **_):
     """The orbit product at level 1: golden values and axioms."""
     orb = sphere_orbit(c0 if c0 is not None else 1, lift=lift)
@@ -179,36 +193,33 @@ def suite_orbit_star(max_degree=None, c0=None, lift=None, **_):
     bound = max_degree or 4
     x, y, z = _vars(L)
     star = orb.star_product()
-    out = []
     if orb.constants[0] == GaussianRational(1) and orb.lifts[0] == H_ONE:
         want = CPoly.one(3) - x * x - y * y
         got = star.star(z, z)
-        out.append(_case("orbit-star", "z * z == 1 - x^2 - y^2", got == want,
-                         None if got == want else _fmt(got, L)))
+        yield ("z * z == 1 - x^2 - y^2", got == want,
+               None if got == want else _fmt(got, L))
     got = star.star(y, x)
     want = x * y - z * H
-    out.append(_case("orbit-star", "y * x == xy - hz", got == want,
-                     None if got == want else _fmt(got, L)))
-    out.append(_case("orbit-star", "f * 1 == f",
-                     star.star(x * y, CPoly.one(3)) == x * y))
+    yield ("y * x == xy - hz", got == want,
+           None if got == want else _fmt(got, L))
+    yield ("f * 1 == f",
+           star.star(x * y, CPoly.one(3)) == x * y)
     report = check_deformation_axioms(star, bound, assoc_degree=bound)
-    out.append(_case(
-        "orbit-star",
+    yield (
         f"axioms with the reduced bracket on {report['pairs']} pairs and "
         f"{report['triples']} triples (deg<={bound})",
         report["passed"],
         report["failures"][:1] or None,
-    ))
-    return out
+    )
 
 
+@_suite("lemma")
 def suite_lemma(max_degree=None, **_):
     """First-order rule p1 * p2 = p1 p2 - h z (dp1/dy)(dp2/dx) mod h^2 on
     the unit level, for all pairs of x,y-monomials within the bound."""
     orb = sphere_orbit(1)
     L = orb.algebra
     bound = max_degree or 6
-    out = []
     monos = [
         e for e in monomials_up_to(3, bound) if e[2] == 0
     ]
@@ -231,50 +242,47 @@ def suite_lemma(max_degree=None, **_):
                 break
         if bad:
             break
-    out.append(_case("lemma", f"first-order rule on {checked} x,y-monomial "
-                     f"pairs (deg<={bound})", bad is None, bad))
-    return out
+    yield (f"first-order rule on {checked} x,y-monomial "
+           f"pairs (deg<={bound})", bad is None, bad)
 
 
+@_suite("bidiff")
 def suite_bidiff(max_degree=None, **_):
     """Non-differentiability certificate for the orbit product."""
     orb = sphere_orbit(1)
     L = orb.algebra
     bound = max_degree or 3
     x, y, z = _vars(L)
-    out = []
     res = orb.bidifferential_obstruction(bound)
-    out.append(_case("bidiff", f"first-order ansatz infeasible (coeff deg<={bound})",
-                     not res["feasible"]))
+    yield (f"first-order ansatz infeasible (coeff deg<={bound})",
+           not res["feasible"])
     want_cert = -(x * y * z)
     got = res["certificate"]
-    out.append(_case("bidiff", "certificate equation 0 == -x*y*z",
-                     got == want_cert,
-                     None if got == want_cert else _fmt(got, L) if got else "none"))
-    out.append(_case("bidiff", "engine B1(z,z) == 0",
-                     orb.star_product().bn(z, z, 1).is_zero()))
+    yield ("certificate equation 0 == -x*y*z",
+           got == want_cert,
+           None if got == want_cert else _fmt(got, L) if got else "none")
+    yield ("engine B1(z,z) == 0",
+           orb.star_product().bn(z, z, 1).is_zero())
     ctrl = orb.bidifferential_obstruction(bound, zz_data=-(x * y * z))
     ok = ctrl["feasible"] and ctrl["coefficients"][(1, 0)] == -z
-    out.append(_case("bidiff", "fault-injected control is feasible with "
-                     "b_yx == -z", ok))
-    return out
+    yield ("fault-injected control is feasible with "
+           "b_yx == -z", ok)
 
 
+@_suite("tangential")
 def suite_tangential(max_degree=None, **_):
     """Ideal preservation of the two embeddings across nearby levels."""
     orb = sphere_orbit(1)
     L = orb.algebra
     bound = max_degree or 4
-    out = []
     shifts = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2)]
     for s in shifts:
         res = orb.tangentiality_check(orb.tangential_embed, 1 + s, bound)
-        out.append(_case("tangential",
-                         f"tangential embed preserves the level {1 + s} ideal "
-                         f"(deg<={bound})", res["passed"]))
+        yield (f"tangential embed preserves the level {1 + s} ideal "
+               f"(deg<={bound})", res["passed"])
     res = orb.tangentiality_check(orb.split_embed, 1, bound)
-    out.append(_case("tangential", "split embed preserves its own ideal",
-                     res["passed"]))
+    yield ("split embed preserves its own ideal",
+           res["passed"])
     # the frozen witness needs degree 5, whatever the bound
     res = orb.tangentiality_check(orb.split_embed, Fraction(5, 4), max(bound + 1, 5))
     ok = not res["passed"]
@@ -285,24 +293,21 @@ def suite_tangential(max_degree=None, **_):
         want_rem = NCPoly(L, {(0, 2): H * Fraction(1, 2),
                               (1,): H * H * Fraction(1, 4)})
         witness_ok = w["cofactor"] == want_cof and w["remainder"] == want_rem
-    out.append(_case("tangential",
-                     "split embed fails on the shifted level 5/4", ok))
-    out.append(_case("tangential",
-                     "failure witness is y z^2 with remainder "
-                     "(h/2) X*Z + (h^2/4) Y", witness_ok,
-                     None if witness_ok else {
-                         "cofactor": _fmt(res["witness"]["cofactor"], L),
-                         "remainder": format_ncpoly(res["witness"]["remainder"]),
-                     } if not res["passed"] else "check passed unexpectedly"))
+    yield "split embed fails on the shifted level 5/4", ok
+    yield ("failure witness is y z^2 with remainder "
+           "(h/2) X*Z + (h^2/4) Y", witness_ok,
+           None if witness_ok else {
+               "cofactor": _fmt(res["witness"]["cofactor"], L),
+               "remainder": format_ncpoly(res["witness"]["remainder"]),
+           } if not res["passed"] else "check passed unexpectedly")
     for embed, label in ((orb.split_embed, "split"),
                          (orb.tangential_embed, "tangential")):
         res = orb.reduction_compatibility_check(embed, bound)
-        out.append(_case("tangential",
-                         f"{label} embed commutes with reduction (deg<={bound})",
-                         res["passed"]))
-    return out
+        yield (f"{label} embed commutes with reduction (deg<={bound})",
+               res["passed"])
 
 
+@_suite("invariant-mult")
 def suite_invariant_mult(max_degree=None, **_):
     """Invariants multiply undeformed under the tangential product; the
     symmetrizer product violates this."""
@@ -311,17 +316,14 @@ def suite_invariant_mult(max_degree=None, **_):
     bound = max_degree or 3
     x, y, z = _vars(L)
     p = x * x + y * y + z * z
-    out = []
     res = orb.invariant_product_check(orb.tangential_product(), bound)
-    out.append(_case("invariant-mult",
-                     f"tangential product: g * p == g p (deg g <= {bound})",
-                     res["passed"], res["witness"]))
+    yield (f"tangential product: g * p == g p (deg g <= {bound})",
+           res["passed"], res["witness"])
     star = symmetrizer_product(L)
     diff = star.star(x, p) - x * p
     want = x * (H * H * Fraction(-1, 3))
-    out.append(_case("invariant-mult",
-                     "symmetrizer product: x * p - x p == -(h^2/3) x",
-                     diff == want, None if diff == want else _fmt(diff, L)))
+    yield ("symmetrizer product: x * p - x p == -(h^2/3) x",
+           diff == want, None if diff == want else _fmt(diff, L))
     res = orb.invariant_product_check(star, bound)
     witness = None
     if not res["passed"]:
@@ -331,101 +333,97 @@ def suite_invariant_mult(max_degree=None, **_):
             "invariant": _fmt(w["invariant"], L),
             "discrepancy": _fmt(w["got"] - w["expected"], L),
         }
-    out.append(_case("invariant-mult",
-                     "symmetrizer product violates invariant multiplication",
-                     not res["passed"], witness))
-    return out
+    yield ("symmetrizer product violates invariant multiplication",
+           not res["passed"], witness)
 
 
+@_suite("reps")
 def suite_reps(lambda_bound=None, **_):
     """Casimir scalars, highest-weight values, and the spectrum witness."""
-    su2 = _su2()
+    su2 = predefined("su2")
     sl2 = predefined("sl2")
     bound = lambda_bound or 20
-    out = []
     defining = su2_defining_rep()
     adj = adjoint_rep(su2)
-    out.append(_case("reps", "defining rep satisfies the brackets",
-                     validate_rep(su2, defining)))
-    out.append(_case("reps", "adjoint rep satisfies the brackets",
-                     validate_rep(su2, adj)))
+    yield ("defining rep satisfies the brackets",
+           validate_rep(su2, defining))
+    yield ("adjoint rep satisfies the brackets",
+           validate_rep(su2, adj))
     P = NCPoly(su2, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE})
     ok = casimir_scalar(P, defining, 1) == GaussianRational(Fraction(-3, 4))
-    out.append(_case("reps", "casimir scalar -3/4 on the defining rep", ok))
+    yield "casimir scalar -3/4 on the defining rep", ok
     ok = casimir_scalar(P, adj, 1) == GaussianRational(-2)
-    out.append(_case("reps", "casimir scalar -2 on the adjoint rep", ok))
+    yield "casimir scalar -2 on the adjoint rep", ok
 
     omega = sl2_casimir(sl2)
     hw = highest_weight_casimir(sl2, omega)
     want = CPoly(1, {(2,): HPoly.const(Fraction(1, 2)), (1,): H})
-    out.append(_case("reps", "highest-weight casimir == lambda^2/2 + h lambda",
-                     hw == want, None if hw == want else format_cpoly(hw, ("lambda",))))
+    yield ("highest-weight casimir == lambda^2/2 + h lambda",
+           hw == want, None if hw == want else format_cpoly(hw, ("lambda",)))
     # cross identity: omega maps to -2 P under F -> iX + Y, H -> 2iZ, E -> iX - Y
     i = GaussianRational(0, 1)
     X, Y, Z = (NCPoly.generator(su2, k) for k in range(3))
     images = [X * i + Y, Z * (2 * i), X * i - Y]
-    out.append(_case("reps", "casimir cross identity omega == -2 P",
-                     substitute_generators(omega, images) == P * (-2)))
+    yield ("casimir cross identity omega == -2 P",
+           substitute_generators(omega, images) == P * (-2))
     # spin values lambda = d - 1 tie the two computations together
     for d, rep in ((2, defining), (3, adj)):
         lam = GaussianRational(d - 1)
         hw_val = hw.evaluate((lam,)).evaluate(1)
         omega_val = casimir_scalar(P, rep, 1) * (-2)
-        out.append(_case("reps", f"hw value at lambda={d - 1} matches the "
-                         f"{d}-dim rep", hw_val == omega_val))
+        yield (f"hw value at lambda={d - 1} matches the "
+               f"{d}-dim rep", hw_val == omega_val)
     report = nonisomorphism_witness(HPoly.const(4),
                                     HPoly.const(4) + H * Fraction(1, 3), bound)
     ok = (report["spectrum_a"] == [2] and report["spectrum_b"] == []
           and report["witness_found"])
-    out.append(_case("reps", "lifts 4 and 4 + h/3 give disjoint spectra "
-                     f"{{2}} vs {{}} (bound {bound})", ok, report))
+    yield ("lifts 4 and 4 + h/3 give disjoint spectra "
+           f"{{2}} vs {{}} (bound {bound})", ok, report)
     same = nonisomorphism_witness(HPoly.const(4), HPoly.const(4), bound)
-    out.append(_case("reps", "equal lifts give no witness",
-                     not same["witness_found"]))
+    yield ("equal lifts give no witness",
+           not same["witness_found"])
     zero = nonisomorphism_witness(HPoly.const(0), HPoly.const(0), bound)
-    out.append(_case("reps", "zero lift admits the trivial weight",
-                     zero["spectrum_a"] == [0]))
-    return out
+    yield ("zero lift admits the trivial weight",
+           zero["spectrum_a"] == [0])
 
 
+@_suite("cohomology")
 def suite_cohomology(max_degree=None, seed=0, **_):
     """Differential identities, vanishing H^2, and the solver round trip."""
-    su2 = _su2()
+    su2 = predefined("su2")
     bound = max_degree if max_degree is not None else 4
     rng = random.Random(seed)
-    out = []
     ok = True
     for d in range(bound + 1):
         image = d2(su2, d1(su2, random_cochain1(su2, d, rng)))
         if not all(v.is_zero() for v in image.values()):
             ok = False
             break
-    out.append(_case("cohomology", f"d2(d1(C)) == 0 on random cochains "
-                     f"(deg<={bound})", ok))
+    yield (f"d2(d1(C)) == 0 on random cochains "
+           f"(deg<={bound})", ok)
 
     dims = [h2_dimension(su2, d) for d in range(bound + 1)]
-    out.append(_case("cohomology", f"h2 dimensions 0..{bound} all vanish",
-                     all(v == 0 for v in dims), dims))
+    yield (f"h2 dimensions 0..{bound} all vanish",
+           all(v == 0 for v in dims), dims)
 
     ok = all(coboundary_roundtrip(su2, d, rng) for d in range(min(bound, 3) + 1))
-    out.append(_case("cohomology", "coboundary solver round-trips d1 images", ok))
+    yield "coboundary solver round-trips d1 images", ok
 
     ab = LieAlgebra(("A", "B"), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
     nonzero = h2_dimension(ab, 0)
-    out.append(_case("cohomology", "abelian control has nonzero H^2",
-                     nonzero > 0, nonzero))
+    yield ("abelian control has nonzero H^2",
+           nonzero > 0, nonzero)
     stuck = solve_coboundary(ab, Cochain2(ab, {(0, 1): CPoly.one(2)}), 0)
-    out.append(_case("cohomology", "constant cocycle on the abelian algebra "
-                     "is not a coboundary", stuck is None))
-    return out
+    yield ("constant cocycle on the abelian algebra "
+           "is not a coboundary", stuck is None)
 
 
+@_suite("grading")
 def suite_grading(seed=0, **_):
     """Grading of the defining relations, multiplicativity of the h -> 0
     projection, and specialization compatibility."""
-    L = _su2()
+    L = predefined("su2")
     rng = random.Random(seed)
-    out = []
     ok = True
     for i in range(3):
         for j in range(3):
@@ -436,8 +434,8 @@ def suite_grading(seed=0, **_):
                 rel = rel - NCPoly(L, {(k,): H * v})
             if not rel.is_graded_homogeneous():
                 ok = False
-    out.append(_case("grading", "defining relations are graded-homogeneous "
-                     "(deg X_i = deg h = 1)", ok))
+    yield ("defining relations are graded-homogeneous "
+           "(deg X_i = deg h = 1)", ok)
 
     def rand_element(max_len=4, nterms=4):
         terms = {}
@@ -452,8 +450,8 @@ def suite_grading(seed=0, **_):
         if (a * b).project_h0() != a.project_h0() * b.project_h0():
             ok = False
             break
-    out.append(_case("grading", "h -> 0 projection is multiplicative on "
-                     "random pairs", ok))
+    yield ("h -> 0 projection is multiplicative on "
+           "random pairs", ok)
 
     ok = True
     for _ in range(20):
@@ -465,8 +463,8 @@ def suite_grading(seed=0, **_):
         if e.graded_degree() != len(w):
             ok = False
             break
-    out.append(_case("grading", "normal form preserves the graded degree of "
-                     "words", ok))
+    yield ("normal form preserves the graded degree of "
+           "words", ok)
 
     ok = True
     for _ in range(20):
@@ -477,8 +475,8 @@ def suite_grading(seed=0, **_):
         if lhs != rhs:
             ok = False
             break
-    out.append(_case("grading", "specialization commutes with multiplication",
-                     ok))
+    yield ("specialization commutes with multiplication",
+           ok)
 
     ok = True
     for _ in range(30):
@@ -490,26 +488,8 @@ def suite_grading(seed=0, **_):
         k = rng.randint(0, 4)
         if (pa * pb).truncate(k) != (pa.truncate(k) * pb.truncate(k)).truncate(k):
             ok = False
-    out.append(_case("grading", "h-evaluation is a ring map and truncation "
-                     "is compatible with products", ok))
-    return out
-
-
-SUITES_VERSION = "1"
-
-SUITES = {
-    "pbw": suite_pbw,
-    "centrality": suite_centrality,
-    "sym-star": suite_sym_star,
-    "orbit-star": suite_orbit_star,
-    "lemma": suite_lemma,
-    "bidiff": suite_bidiff,
-    "tangential": suite_tangential,
-    "invariant-mult": suite_invariant_mult,
-    "reps": suite_reps,
-    "cohomology": suite_cohomology,
-    "grading": suite_grading,
-}
+    yield ("h-evaluation is a ring map and truncation "
+           "is compatible with products", ok)
 
 
 def _check_known(names):

@@ -351,6 +351,36 @@ def test_cli_orbit_config_without_algebra(tmp_path, capsys, config):
     assert capsys.readouterr().out == want == "1 - x^2 - y^2\n"
 
 
+def test_cli_top_level_invariants_win_over_orbit_entry(tmp_path, capsys):
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({
+        "invariants": ["x^2+y^2+z^2"], "constants": ["2"],
+        "orbit": {"invariants": ["x^2+y^2+z^2"], "constants": ["3"]},
+    }))
+    assert cli.main(["reduce", "--config", str(path), "z^2"]) == 0
+    assert capsys.readouterr().out == "2 - x^2 - y^2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--product", "orbit", "z", "z"],
+    ["reduce", "z^2"],
+], ids=["star", "reduce"])
+def test_cli_reads_config_once(monkeypatch, tmp_path, capsys, argv):
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"invariants": ["x^2+y^2+z^2"], "constants": ["1"]}))
+    calls = []
+    load = cli._load_config
+
+    def counting(args):
+        calls.append(args.config)
+        return load(args)
+
+    monkeypatch.setattr(cli, "_load_config", counting)
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1 - x^2 - y^2"
+    assert calls == [str(path)]
+
+
 def test_python_m_orbitstar():
     proc = _run_cli("nf", "Y*X", module="orbitstar")
     assert proc.returncode == 0

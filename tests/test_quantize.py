@@ -291,6 +291,37 @@ def test_gauge_step_orbit_lifts(su2):
             assert lhs == rhs
 
 
+def test_gauge_step_sym_vs_pbw_order_2(su2):
+    star_s = symmetrizer_product(su2)
+    pbw = pbw_basis_product(su2)
+    T1 = gauge_step(star_s, pbw, 1, 3)["operator"]
+    res = gauge_step(star_s, pbw, 2, 3, t_partial=[T1])
+    assert res["feasible"]
+    assert (res["rank"], res["unknowns"]) == (0, 60)
+    ops = [None, T1, res["operator"]]
+    T = lambda i, f: f if i == 0 else _apply(ops[i], f)
+    # sum_{i+j+k=2} B_pbw,k(T_i a, T_j b) == sum_{i+k=2} T_i(B_sym,k(a, b))
+    for e1 in star_s.monomial_basis(3):
+        for e2 in star_s.monomial_basis(3):
+            if sum(e1) + sum(e2) > 3:
+                continue
+            a, b = CPoly.monomial(3, e1), CPoly.monomial(3, e2)
+            lhs = sum((T(i, star_s.bn(a, b, 2 - i)) for i in range(3)), CPoly.zero(3))
+            rhs = sum((pbw.bn(T(i, a), T(j, b), 2 - i - j)
+                       for i in range(3) for j in range(3 - i)), CPoly.zero(3))
+            assert lhs == rhs
+
+
+def test_gauge_step_orbit_lifts_order_2(su2):
+    star_a = sphere_orbit(1).star_product()
+    star_b = sphere_orbit(1, lift=H_ONE + H).star_product()
+    T1 = gauge_step(star_a, star_b, 1, 2)["operator"]
+    res = gauge_step(star_a, star_b, 2, 2, t_partial=[T1])
+    assert not res["feasible"]
+    assert res["unknowns"] == 27
+    assert res["witness_pair"] == (((0, 1, 0), (1, 0, 0)), (0, 0, 1))
+
+
 def test_gauge_step_rejects_bad_partial(su2):
     star_s = symmetrizer_product(su2)
     pbw = pbw_basis_product(su2)
@@ -352,8 +383,9 @@ def test_forward_image_built_once_per_monomial(kind):
         extra = {}
     else:
         orb = sphere_orbit(2, lift=HPoly((2, Fraction(1, 3))), algebra=L)
-        forward, backward = orb.word_lift, orb.word_lower
-        extra = {"nc_reduce": orb.ideal_reduce, "poly_reduce": orb.orbit_reduce}
+        forward = orb.word_lift
+        backward = lambda u: orb.word_lower(orb.ideal_reduce(u))
+        extra = {"poly_reduce": orb.orbit_reduce}
     calls = {}
 
     def counting(f):

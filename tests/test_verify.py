@@ -1,12 +1,16 @@
 """run_suites: the forked pool and the in-process loop give the same reports
 and the same faults.  Patching `verify.available_cpus` picks the path: one
-CPU runs the suites in-process, two or more fork a pool."""
+CPU runs the suites in-process, two or more fork a pool.  Also: the suite
+registry keeps its order and names, and `verify` hands its options to
+run_suites unchanged."""
 
+import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +38,42 @@ def test_pool_matches_in_process_loop(monkeypatch, names, options):
     assert verify.run_suites(names, **options) == serial
     # the pool's threads are gone, so the next call may fork again
     assert threading.active_count() == 1
+
+
+def test_suites_keep_their_order():
+    assert list(verify.SUITES) == [
+        "pbw", "centrality", "sym-star", "orbit-star", "lemma", "bidiff",
+        "tangential", "invariant-mult", "reps", "cohomology", "grading"]
+
+
+def test_reports_carry_their_suite_name():
+    # run_suites concatenates the suites' reports in order, so the runs of
+    # equal "suite" fields must name the suites in SUITES order
+    runs = []
+    for rep in verify.run_suites(max_degree=3):
+        if not runs or runs[-1] != rep["suite"]:
+            runs.append(rep["suite"])
+    assert runs == list(verify.SUITES)
+
+
+@pytest.mark.parametrize("argv, options", [
+    ([], {}),
+    (["--max-degree", "3", "--seed", "5", "--c", "2", "--lift", "2+h"],
+     {"max_degree": 3, "seed": 5, "c0": Fraction(2), "lift": parse_hpoly("2+h")}),
+], ids=["defaults", "all-options"])
+def test_cli_verify_passes_its_options(monkeypatch, capsys, argv, options):
+    want = json.loads(json.dumps(verify.run_suites(**options), default=str))
+    seen = []
+
+    def recording(names, **kwargs):
+        seen.append({k: v for k, v in kwargs.items() if v is not None})
+        return verify.run_suites(names, **kwargs)
+
+    monkeypatch.setattr(cli, "run_suites", recording)
+    failed = any(rep["status"] != "pass" for rep in want)
+    assert cli.main(["verify", "all", "--format", "json"] + argv) == int(failed)
+    assert json.loads(capsys.readouterr().out) == want
+    assert seen == [{"seed": 0, **options}]
 
 
 def _pid_suite(**_):
