@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from conftest import rand_coeff
 from orbitstar import quantize
 from orbitstar.envelope import NCPoly, word_exps
+from orbitstar.exprs import format_cpoly
 from orbitstar.lie import LieAlgebra, predefined
 from orbitstar.orbit import sphere_orbit
 from orbitstar.poly import CPoly, acc_term, monomials_up_to
@@ -320,6 +322,52 @@ def test_gauge_step_orbit_lifts_order_2(su2):
     assert not res["feasible"]
     assert res["unknowns"] == 27
     assert res["witness_pair"] == (((0, 1, 0), (1, 0, 0)), (0, 0, 1))
+
+
+def _gauge_report_text(res):
+    """Every field of a gauge_step report, operator images printed."""
+    lines = [f"{k}={res[k]!r}" for k in ("feasible", "order", "degree_bound", "unknowns")]
+    if res["feasible"]:
+        lines.append(f"rank={res['rank']}")
+        for e in sorted(res["operator"]):
+            lines.append(f"{e}: {format_cpoly(res['operator'][e], 'xyz')}")
+    else:
+        lines.append(f"witness={res['witness_pair']!r}")
+    return "\n".join(lines)
+
+
+def _gauge_pair(su2, name):
+    if name == "sym-pbw":
+        return symmetrizer_product(su2), pbw_basis_product(su2)
+    orb = sphere_orbit(1).star_product()
+    if name == "orbit-lifts":
+        return orb, sphere_orbit(1, lift=H_ONE + H).star_product()
+    if name == "sym-sym":
+        return symmetrizer_product(su2), symmetrizer_product(su2)
+    return orb, orb
+
+
+@pytest.mark.parametrize("name, bound, order, digest", [
+    ("sym-pbw", 2, 1, "ec33c6424a7b61cec6f7afc79b6b56de81d028e50ecd93314c2069cf1941da9a"),
+    ("sym-pbw", 2, 2, "687d7c8315c49c4ce18fbcda1ea2a7efcf9f522a624b7f570557e86c16bb1bc5"),
+    ("sym-pbw", 3, 1, "819d884e62117b28690ad92a3a43932e4623f0fe18dae5a6f6e691b5e12e5905"),
+    ("sym-pbw", 3, 2, "6aa68b11bae7c7c0c8b07d70a64174d6f32a39ffd8b458824ad2d4c8b9f65db3"),
+    ("orbit-lifts", 2, 1, "b30f9c5e00134411fd6a3d7054b6f6b44d83797ac63c79213e637a97a3c3d5db"),
+    ("orbit-lifts", 2, 2, "f8a75fceb48c6f31a39a1372a4f72527471392849cbaded1cb01d2e2dd011a9c"),
+    ("orbit-lifts", 3, 1, "702bea0ff8360ed281fe0965b95f1ddeb270851cfd027c29d6f9da1dee380980"),
+    ("orbit-lifts", 3, 2, "a504693aa28ff1c0cfdade81c8d948e13d1ce453c7f1148d301efb04f3ba60d9"),
+    ("sym-sym", 3, 1, "9f6d578a2058843ae1988098a8d5082353ed0630f01f41e6c7bd56daa79aa1be"),
+    ("orbit-orbit", 2, 1, "38217b53f35ecb6d8a4d2dc974f34a2370221a12bca449fd7ce18058af63d3de"),
+])
+def test_gauge_step_report_digests(su2, name, bound, order, digest):
+    # the whole report (images, rank, unknowns, witness) is pinned byte for
+    # byte, so a rewrite of the solver must reproduce it exactly
+    star_a, star_b = _gauge_pair(su2, name)
+    res = gauge_step(star_a, star_b, 1, bound)
+    if order == 2:
+        res = gauge_step(star_a, star_b, 2, bound, t_partial=[res["operator"]])
+    text = _gauge_report_text(res)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 def test_gauge_step_rejects_bad_partial(su2):
