@@ -4,9 +4,10 @@ Subcommands: algebra, nf, star, reduce, verify, rep, cohomology.  Exit
 codes: 0 on success, 1 when a verification suite fails, 2 on configuration,
 parse or option errors (a negative bound, or a zero one in verify), 3 on an
 internal fault (an exception escaping a verification suite, or any other
-unexpected exception).  `verify all` runs its suites through
-`verify.run_suites`, in up to two forked worker processes when more than
-one CPU is available; its output and exit code do not depend on that.
+unexpected exception).  A closed stdout ends the command silently.
+`verify all` runs its suites through `verify.run_suites`, in up to two
+forked worker processes when more than one CPU is available; its output
+and exit code do not depend on that.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import signal
 import sys
 from fractions import Fraction
 
@@ -206,11 +208,6 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
-    # The suites are written against su2 and its predefined orbits.
-    if args.config:
-        raise CLIError("verify does not take --config; its suites fix their own inputs")
-    if args.name not in (None, "su2"):
-        raise CLIError(f"verify runs on su2 only, not --name {args.name}")
     # a suite reads 0 as its default bound, so only positive bounds are honoured
     _check_bound("--max-degree", args.max_degree, 1)
     _check_bound("--lambda-bound", args.lambda_bound, 1)
@@ -306,10 +303,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, orbit_flags=True):
-        p.add_argument("--config", help="JSON config file (algebra/orbit)")
-        p.add_argument("--name", choices=("su2", "sl2"),
-                       help="predefined algebra (default su2)")
+    def common(p, orbit_flags=True, algebra_flags=True):
+        if algebra_flags:
+            p.add_argument("--config", help="JSON config file (algebra/orbit)")
+            p.add_argument("--name", choices=("su2", "sl2"),
+                           help="predefined algebra (default su2)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if orbit_flags:
             p.add_argument("--c", help="orbit level constant (rational)")
@@ -340,7 +338,7 @@ def build_parser():
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
+    common(p, algebra_flags=False)  # the suites fix their own algebra, su2
     p.add_argument("suite", nargs="?", help="suite name, or 'all'")
     p.add_argument("--list", action="store_true", help="list suites")
     p.add_argument("--max-degree", type=int, default=None)
@@ -349,7 +347,7 @@ def build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("rep", help="casimir scalars and the spectrum witness")
-    common(p, orbit_flags=False)
+    common(p, orbit_flags=False, algebra_flags=False)
     p.add_argument("--lift", help="first ideal lift (default 4)")
     p.add_argument("--lift-b", help="second ideal lift (default 4 + h/3)")
     p.add_argument("--lambda-bound", type=int, default=20)
@@ -381,6 +379,9 @@ def main(argv=None) -> int:
 
 
 def run():
+    # a closed stdout ends the process silently, as it does other tools
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -61,10 +61,6 @@ def mat_transpose(a):
     return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def mat_is_scalar(a):
     """Return the scalar c when a == c*Id, else None."""
     n = len(a)
@@ -198,15 +194,6 @@ class LinearSystem:
                     val = val - v * x[c]
             x[col] = val
         return x
-
-
-def solve_dense(rows, rhs):
-    """Solve a dense system given as lists; None when inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    sys_ = LinearSystem(ncols)
-    for row, b in zip(rows, rhs):
-        sys_.add({j: v for j, v in enumerate(row) if v}, b)
-    return sys_.solve()
 
 
 def rank_dense(rows):

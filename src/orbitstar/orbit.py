@@ -85,18 +85,6 @@ class Orbit:
         _, rem = poly_reduce_by(f, self.basis_rule)
         return rem
 
-    def decompose(self, f: CPoly):
-        """Split f = a*(p - c0) + r(x, y) + s(x, y)*z exactly."""
-        n = self.algebra.dim
-        quots, rem = poly_reduce_by(f, self.basis_rule)
-        r_terms, s_terms = {}, {}
-        for exps, c in rem.terms.items():
-            if exps[-1] == 0:
-                r_terms[exps] = c
-            else:
-                s_terms[exps[:-1] + (exps[-1] - 1,)] = c
-        return quots[0], CPoly(n, r_terms), CPoly(n, s_terms)
-
     def basis_monomials(self, max_degree):
         """Orbit-basis exponent vectors (leading-variable exponent <= 1)."""
         return [
@@ -172,11 +160,11 @@ class Orbit:
         """Monomials to ordered words, x^a y^b z^t -> X^a Y^b Z^t."""
         return NCPoly.ordered_words(self.algebra, f)
 
-    def word_lower(self, u: NCPoly, check_basis=True) -> CPoly:
+    def word_lower(self, u: NCPoly) -> CPoly:
         """Ordered words back to monomials; the inverse of word_lift on the
         reduced span."""
         exps = u.word_exps()
-        if check_basis and any(e[-1] > 1 for e in exps):
+        if any(e[-1] > 1 for e in exps):
             raise ValueError("inputs not in the orbit basis span")
         return CPoly(self.algebra.dim, exps)
 
@@ -196,7 +184,7 @@ class Orbit:
         q, r = self.ideal_reduce(u, lift=HPoly.const(c0), track_quotient=True)
         n = self.algebra.dim
         gen = self.invariants[0] - CPoly.constant(n, c0)
-        return self.word_lower(q, check_basis=False) * gen + self.word_lower(r)
+        return CPoly(n, q.word_exps()) * gen + self.word_lower(r)
 
     def tangential_embed(self, f: CPoly) -> NCPoly:
         """Embed along powers of the generator: (p - c0)^k * b maps to
@@ -251,9 +239,6 @@ class Orbit:
     def split_product(self) -> StarProduct:
         """The ambient product of the quotient-split embedding."""
         return self._product("split", self.split_embed, self.split_embed_inverse)
-
-    def orbit_star(self, f: CPoly, g: CPoly) -> CPoly:
-        return self.star_product().star(f, g)
 
     # -- verification probes ---------------------------------------------------
     def tangentiality_check(self, embed, c0_prime, degree_bound):
@@ -321,7 +306,7 @@ class Orbit:
         for p in (p1, p2):
             if any(e[-1] != 0 for e in p.terms):
                 raise ValueError("inputs must not involve the leading variable")
-        lhs = self.orbit_star(p1, p2).truncate_h(2)
+        lhs = self.star_product().star(p1, p2).truncate_h(2)
         z = CPoly.variable(n, n - 1)
         rhs = self.orbit_reduce(
             p1 * p2 - z * p1.partial(1) * p2.partial(0) * H

@@ -340,12 +340,6 @@ class ReductionSystem:
             rules.append((exps, repl))
         return cls(nvars, rules, priority)
 
-    def rule_polynomials(self):
-        """The rules as polynomials lead - replacement."""
-        return [
-            CPoly.monomial(self.nvars, lead) - repl for lead, repl in self.rules
-        ]
-
 
 def reduce(f: CPoly, system: ReductionSystem):
     """Multivariate division of f by the system's rules.

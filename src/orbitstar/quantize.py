@@ -279,34 +279,18 @@ def _apply_images(images, f: CPoly) -> CPoly:
     return out
 
 
-class _Affine:
-    """A polynomial-valued affine function of the solver's unknowns."""
+def _affine(const, parts):
+    """const + sum of mul(image) over the (mul, image) in parts.
 
-    __slots__ = ("const", "lin")
-
-    def __init__(self, const, lin=None):
-        self.const = const
-        self.lin = lin or {}
-
-    def add(self, other):
-        lin = dict(self.lin)
-        for u, p in other.lin.items():
-            q = lin.get(u)
-            q = p if q is None else q + p
-            if q.is_zero():
-                lin.pop(u, None)
-            else:
-                lin[u] = q
-        return _Affine(self.const + other.const, lin)
-
-    def neg(self):
-        return _Affine(-self.const, {u: -p for u, p in self.lin.items()})
-
-    def mul_poly(self, p, product):
-        return _Affine(
-            product(self.const, p),
-            {u: product(q, p) for u, q in self.lin.items()},
-        )
+    An image is an affine function (const, {unknown: poly}) of the gauge
+    solver's unknowns and mul a linear map of polynomials; so is the result.
+    """
+    lin = {}
+    for mul, (c, img) in parts:
+        const = const + mul(c)
+        for u, p in img.items():
+            lin[u] = lin[u] + mul(p) if u in lin else mul(p)
+    return const, lin
 
 
 def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
@@ -321,7 +305,9 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
     identity T_n(ab) = a T_n(b) + T_n(a) b + R(a, b), which leaves only the
     generator images free; the remaining pairs become an exact linear system.
     Returns a feasibility report; feasibility is a statement about the
-    bounded subspace only.
+    bounded subspace only.  Infeasibility is relative to the supplied
+    T_1..T_{n-1}: it says they do not extend, not that the products are
+    inequivalent to order n, and another T_1 can move the witness pair.
     """
     if star_a.nvars != star_b.nvars:
         raise ValueError("products over different variable counts")
@@ -369,13 +355,9 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
 
     b0 = star_a.b0
     unit = tuple([0] * nv)
-    images = {}
-    images[unit] = _Affine(-defect(n, mono(unit), mono(unit)))
+    images = {unit: (-defect(n, mono(unit), mono(unit)), {})}
     for g in gens:
-        images[g] = _Affine(
-            CPoly.zero(nv),
-            {unknown_index[(g, b)]: mono(b) for b in basis},
-        )
+        images[g] = (CPoly.zero(nv), {unknown_index[(g, b)]: mono(b) for b in basis})
     defining = {unit: (unit, unit)}
     basis_set = set(basis)
     for e in sorted(basis, key=lambda e: (sum(e), e)):
@@ -391,21 +373,12 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
         if v is None:
             raise ValueError(f"monomial {e} does not factor inside the basis")
         rest = tuple(a - b for a, b in zip(e, v))
-        aff = images[rest].mul_poly(mono(v), b0)
-        aff = aff.add(images[v].mul_poly(mono(rest), b0))
-        aff = aff.add(_Affine(defect(n, mono(v), mono(rest))))
-        images[e] = aff
+        # T_n(v rest) = T_n(rest) v + T_n(v) rest + R(v, rest)
+        images[e] = _affine(defect(n, mono(v), mono(rest)), [
+            (lambda p, f=mono(v): b0(p, f), images[rest]),
+            (lambda p, f=mono(rest): b0(p, f), images[v]),
+        ])
         defining[e] = (v, rest)
-
-    def T_n_of(poly):
-        acc = _Affine(CPoly.zero(nv))
-        for exps, c in poly.terms.items():
-            s = c.as_scalar()
-            img = images[exps]
-            acc = acc.add(
-                _Affine(img.const * s, {u: p * s for u, p in img.lin.items()})
-            )
-        return acc
 
     system = LinearSystem(len(unknown_index))
     for e1 in basis:
@@ -416,11 +389,14 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
             key = next(iter(prod.terms)) if len(prod.terms) == 1 else None
             if key is not None and defining.get(key) == (e1, e2):
                 continue
-            expr = T_n_of(prod)
-            expr = expr.add(images[e1].mul_poly(mono(e2), b0).neg())
-            expr = expr.add(images[e2].mul_poly(mono(e1), b0).neg())
-            expr = expr.add(_Affine(defect(n, mono(e1), mono(e2))).neg())
-            if not system.add_polys(expr.lin, -expr.const, tag=(e1, e2)):
+            # T_n(e1 e2) - T_n(e1) e2 - T_n(e2) e1 - R(e1, e2) = 0
+            const, lin = _affine(-defect(n, mono(e1), mono(e2)), [
+                *((lambda p, s=c.as_scalar(): p * s, images[exps])
+                  for exps, c in prod.terms.items()),
+                (lambda p, f=mono(e2): -b0(p, f), images[e1]),
+                (lambda p, f=mono(e1): -b0(p, f), images[e2]),
+            ])
+            if not system.add_polys(lin, -const, tag=(e1, e2)):
                 return {
                     "feasible": False,
                     "order": n,
@@ -429,13 +405,8 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
                     "unknowns": len(unknown_index),
                 }
     solution = system.solve()
-    t_n = {}
-    for e in basis:
-        aff = images[e]
-        val = aff.const
-        for u, p in aff.lin.items():
-            val = val + p * solution[u]
-        t_n[e] = val
+    t_n = {e: sum((p * solution[u] for u, p in images[e][1].items()), images[e][0])
+           for e in basis}
     return {
         "feasible": True,
         "order": n,

@@ -47,7 +47,7 @@ def validate_rep(L: LieAlgebra, R: MatrixRep) -> bool:
                 for a in range(R.dim):
                     for b in range(R.dim):
                         want[a][b] = want[a][b] + v * R.matrices[k][a][b]
-            if not linalg.mat_eq(comm, linalg.mat(want)):
+            if comm != linalg.mat(want):
                 return False
     return True
 
@@ -143,23 +143,21 @@ def sl2_casimir(L: LieAlgebra) -> NCPoly:
     return e * f + f * e + hh * hh * Fraction(1, 2)
 
 
-def casimir_spectrum(L: LieAlgebra, u: NCPoly, lift, lambda_bound: int, h0=1):
-    """Weights lambda in 0..bound whose highest-weight value at h=h0 matches
-    the lift's value at h=h0."""
+def casimir_spectrum(L: LieAlgebra, u: NCPoly, lift, lambda_bound: int):
+    """Weights lambda in 0..bound whose highest-weight value at h=1 matches
+    the lift's value at h=1."""
     hw = highest_weight_casimir(L, u)
     lift = as_hpoly(lift)
-    target = lift.evaluate(h0)
+    target = lift.evaluate(1)
     out = []
     for lam in range(lambda_bound + 1):
-        value = hw.evaluate((as_gauss(lam),)).evaluate(h0)
+        value = hw.evaluate((as_gauss(lam),)).evaluate(1)
         if value == target:
             out.append(lam)
     return out
 
 
-def nonisomorphism_witness(lift_a, lift_b, lambda_bound: int,
-                           algebra: LieAlgebra | None = None,
-                           casimir: NCPoly | None = None):
+def nonisomorphism_witness(lift_a, lift_b, lambda_bound: int):
     """Compare the bounded highest-weight spectra of two ideal lifts.
 
     Each lift c(h) cuts the quotient by (casimir - c(h)); after specializing
@@ -168,8 +166,8 @@ def nonisomorphism_witness(lift_a, lift_b, lambda_bound: int,
     c(1).  Disjoint spectra with one side nonempty witness that the two
     specialized quotients are not isomorphic, up to the stated weight bound.
     """
-    L = algebra if algebra is not None else predefined("sl2")
-    u = casimir if casimir is not None else sl2_casimir(L)
+    L = predefined("sl2")
+    u = sl2_casimir(L)
     lift_a, lift_b = as_hpoly(lift_a), as_hpoly(lift_b)
     spec_a = casimir_spectrum(L, u, lift_a, lambda_bound)
     spec_b = casimir_spectrum(L, u, lift_b, lambda_bound)

@@ -422,14 +422,40 @@ def test_cli_malformed_config_exit_code(tmp_path, command, config, message):
     assert message in lines[0]
 
 
+def _usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return exc.value.code
+
+
 def test_cli_verify_rejects_other_algebra(capsys):
-    assert cli.main(["verify", "centrality", "--name", "sl2"]) == 2
-    assert "su2" in capsys.readouterr().err
-    assert cli.main(["verify", "centrality", "--name", "su2"]) == 0
+    # verify's suites fix their own algebra, so it registers no --name
+    assert _usage_error(["verify", "centrality", "--name", "su2"]) == 2
+    assert "--name" in capsys.readouterr().err
 
 
-def test_cli_verify_rejects_config(tmp_path, capsys):
-    config = tmp_path / "algebra.json"
-    config.write_text(json.dumps({"algebra": "sl2"}))
-    assert cli.main(["verify", "centrality", "--config", str(config)]) == 2
+def test_cli_verify_rejects_config(capsys):
+    assert _usage_error(["verify", "all", "--config", "x"]) == 2
     assert "--config" in capsys.readouterr().err
+
+
+def test_cli_rep_rejects_config_and_name():
+    assert _usage_error(["rep", "--config", "x"]) == 2
+    assert _usage_error(["rep", "--name", "sl2"]) == 2
+    proc = _run_cli("rep", "--name", "sl2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_closed_stdout_is_not_a_fault():
+    src = str(Path(orbitstar.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitstar", "verify", "centrality"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 3
+    assert err == b""

@@ -62,14 +62,14 @@ def test_antisymmetry_enforced():
 
 def test_killing_su2(su2):
     K = killing_form(su2)
-    assert linalg.mat_eq(K, linalg.mat_scale(-2, linalg.mat_identity(3)))
+    assert K == linalg.mat_scale(-2, linalg.mat_identity(3))
     assert killing_det(su2) == GaussianRational(-8)
     assert is_semisimple(su2)
 
 
 def test_killing_abelian():
     ab = LieAlgebra(("A", "B"), zero_cube(2))
-    assert linalg.mat_eq(killing_form(ab), linalg.mat([[0, 0], [0, 0]]))
+    assert killing_form(ab) == linalg.mat([[0, 0], [0, 0]])
     assert not is_semisimple(ab)
 
 
@@ -145,7 +145,7 @@ def test_killing_transforms_covariantly(su2):
         linalg.mat_transpose(M.matrix),
         linalg.mat_mul(killing_form(su2), M.matrix),
     )
-    assert linalg.mat_eq(killing_form(moved), want)
+    assert killing_form(moved) == want
 
 
 def test_predefined_unknown():

@@ -12,7 +12,7 @@ def test_det_and_invert():
     m = linalg.mat([[1, 2], [3, 4]])
     assert linalg.det(m) == GaussianRational(-2)
     inv = linalg.invert(m)
-    assert linalg.mat_eq(linalg.mat_mul(m, inv), linalg.mat_identity(2))
+    assert linalg.mat_mul(m, inv) == linalg.mat_identity(2)
     singular = linalg.mat([[1, 2], [2, 4]])
     assert linalg.det(singular) == GR_ZERO
     assert linalg.invert(singular) is None
@@ -22,14 +22,6 @@ def test_det_with_imaginary_entries():
     i = GaussianRational(0, 1)
     m = linalg.mat([[i, 0], [0, i]])
     assert linalg.det(m) == GaussianRational(-1)
-
-
-def test_solve_dense():
-    sol = linalg.solve_dense(
-        [[1, 1], [1, -1]],
-        [GaussianRational(3), GaussianRational(1)],
-    )
-    assert sol == [GaussianRational(2), GaussianRational(1)]
 
 
 def test_infeasible_system():

@@ -43,38 +43,6 @@ def test_orbit_reduce_goldens(sphere, xyz):
     assert sphere.orbit_reduce(z ** 3) == z - x * x * z - y * y * z
 
 
-def test_decompose_goldens(xyz):
-    x, y, z = xyz
-    orb = sphere_orbit(Fraction(1))
-    p = x * x + y * y + z * z
-    a, r, s = orb.decompose(z * z)
-    assert a == CPoly.one(3)
-    assert r == CPoly.one(3) - x * x - y * y
-    assert s.is_zero()
-    a, r, s = orb.decompose(p - CPoly.one(3))
-    assert a == CPoly.one(3) and r.is_zero() and s.is_zero()
-    a, r, s = orb.decompose(y * z ** 3)
-    assert a == y * z
-    assert r.is_zero()
-    assert s == y - x * x * y - y ** 3
-
-
-def test_decompose_reconstructs(sphere, xyz):
-    x, y, z = xyz
-    rng = random.Random(31)
-    p = x * x + y * y + z * z
-    gen = p - CPoly.one(3)
-    for _ in range(25):
-        f = CPoly.zero(3)
-        for _ in range(4):
-            exps = tuple(rng.randint(0, 3) for _ in range(3))
-            f = f + CPoly.monomial(3, exps, rng.randint(-3, 3))
-        a, r, s = sphere.decompose(f)
-        assert a * gen + r + s * z == f
-        assert all(e[2] == 0 for e in r.terms)
-        assert all(e[2] == 0 for e in s.terms)
-
-
 def test_ideal_reduce_goldens(sphere, su2):
     X2 = NCPoly.word(su2, (0, 0))
     Y2 = NCPoly.word(su2, (1, 1))

@@ -128,7 +128,7 @@ def test_reduce_leaves_small_monomials(xyz):
 def test_reduce_idempotent_and_reconstructs(xyz):
     rng = random.Random(13)
     system = _unit_sphere_rule()
-    rules = system.rule_polynomials()
+    rules = [CPoly.monomial(3, lead) - repl for lead, repl in system.rules]
     for _ in range(20):
         f = CPoly.zero(3)
         for _ in range(4):
@@ -190,7 +190,7 @@ def _two_rule_system():
 @pytest.mark.parametrize("rules", ["sphere", "two-rule"])
 def test_reduce_division_identity(rules):
     system = _unit_sphere_rule() if rules == "sphere" else _two_rule_system()
-    rule_polys = system.rule_polynomials()
+    rule_polys = [CPoly.monomial(3, lead) - repl for lead, repl in system.rules]
     leads = [lead for lead, _ in system.rules]
     rng = random.Random(44)
     for _ in range(25):

@@ -47,7 +47,7 @@ def test_defining_relation_evaluates_to_zero(su2):
     Z = NCPoly.generator(su2, 2)
     rel = X * Y - Y * X - Z
     m = evaluate(rel, su2_defining_rep(), 1)
-    assert linalg.mat_eq(m, linalg.mat([[0, 0], [0, 0]]))
+    assert m == linalg.mat([[0, 0], [0, 0]])
 
 
 def test_casimir_scalars(su2, casimir_word):
@@ -78,7 +78,7 @@ def test_evaluate_is_multiplicative(su2):
         h0 = Fraction(rng.randint(1, 3), rng.randint(1, 2))
         lhs = evaluate(a * b, rep, h0)
         rhs = linalg.mat_mul(evaluate(a, rep, h0), evaluate(b, rep, h0))
-        assert linalg.mat_eq(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_highest_weight_casimir(sl2):
