@@ -4,13 +4,13 @@ CPoly models elements of C[x_1..x_n][h] as a map from exponent vectors to
 HPoly coefficients.  The module also provides the Kirillov Poisson bracket,
 the infinitesimal invariance test, and multivariate division by a supplied
 confluent reduction system.  Results accumulate into one dict in place
-(acc_scaled), skipping every product by the interned H_ONE.
+through scalars.acc_scaled, which this module re-exports.
 """
 
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .scalars import H_ONE, H_ZERO, HPoly, as_hpoly
+from .scalars import H_ONE, H_ZERO, HPoly, acc_scaled, acc_term, as_hpoly
 
 
 class Sparse:
@@ -218,35 +218,6 @@ class CPoly(Sparse):
 
         names = tuple(f"x{i}" for i in range(self.nvars))
         return format_cpoly(self, names)
-
-
-def acc_term(d, key, c):
-    """Add c to d[key] (a monomial or a word), dropping the key on cancellation."""
-    cur = d.get(key)
-    new = c if cur is None else cur + c
-    if new:
-        d[key] = new
-    else:
-        d.pop(key, None)
-
-
-def acc_scaled(d, terms, c):
-    """Add c times each of terms (key -> coefficient) to d in place, dropping
-    keys that cancel.  c must be nonzero; no product is formed when either
-    factor is H_ONE (by identity)."""
-    one = H_ONE
-    for key, v in terms.items():
-        if c is not one:
-            v = c if v is one else c * v
-        cur = d.get(key)
-        if cur is None:
-            d[key] = v
-        else:
-            v = cur + v
-            if v:
-                d[key] = v
-            else:
-                del d[key]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ single powers c*h^k; with the valuation held apart these are one numerator
 pair, and they multiply and add in constant time.  GaussianRational is the
 Fraction-based scalar of the linear algebra, the structure constants and the
 representations, and the form in which HPoly coefficients are read out.
+acc_scaled, the step that adds c*v into a term dict for every sum and
+product of CPoly and NCPoly, lives here because it reads HPoly's fields: a
+product of two single powers c*h^k, and its sum with a stored single power
+of the same h-degree, are a few int operations and one new HPoly per key.
 The printers read HPoly's integer fields directly, reducing each numerator
 against the denominator with one gcd; only a coefficient with both a real
 and an imaginary part is printed through GaussianRational.  Values are
@@ -117,7 +121,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value equals its Fraction (and int), so it hashes like it.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __str__(self):
         return format_scalar(self)
@@ -308,12 +313,16 @@ class HPoly:
         return out
 
     def __eq__(self, other):
-        other = as_hpoly(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not HPoly:
+            other = as_hpoly(other)
+            if other is None:
+                return NotImplemented
         return (self.num, self.den, self.val) == (other.num, other.den, other.val)
 
     def __hash__(self):
+        # An h-free value equals its scalar, so it hashes like it.
+        if not self.val and len(self.num) <= 1:
+            return hash(self.coeff(0))
         return hash((self.num, self.den, self.val))
 
     def evaluate(self, h0):
@@ -404,6 +413,77 @@ def as_hpoly(x):
 H_ZERO = HPoly()
 H_ONE = HPoly((1,))
 H = HPoly((0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Accumulation into term dicts (key -> nonzero HPoly), the inner step of
+# every sum and product of CPoly and NCPoly.
+
+def acc_term(d, key, c):
+    """Add c to d[key] (a monomial or a word), dropping the key on cancellation."""
+    cur = d.get(key)
+    new = c if cur is None else cur + c
+    if new:
+        d[key] = new
+    else:
+        d.pop(key, None)
+
+
+def acc_scaled(d, terms, c):
+    """Add c times each of terms (key -> coefficient) to d in place, dropping
+    keys that cancel.  c must be nonzero.  With c the interned H_ONE the
+    terms are summed in; a product of two single powers c*h^k, and its sum
+    with a stored single power of the same h-degree, are formed on the
+    integer fields, building one HPoly per updated key; other coefficients
+    go through HPoly arithmetic."""
+    one = H_ONE
+    if c is one:
+        for key, v in terms.items():
+            cur = d.get(key)
+            if cur is None:
+                d[key] = v
+            else:
+                v = cur + v
+                if v:
+                    d[key] = v
+                else:
+                    del d[key]
+        return
+    if len(c.num) != 1:
+        for key, v in terms.items():
+            acc_term(d, key, c if v is one else c * v)
+        return
+    (cr, ci), = c.num
+    cden, cval = c.den, c.val
+    for key, v in terms.items():
+        vnum = v.num
+        if len(vnum) != 1:
+            acc_term(d, key, c * v)
+            continue
+        (vr, vi), = vnum
+        re, im = cr * vr - ci * vi, cr * vi + ci * vr
+        den, val = cden * v.den, cval + v.val
+        cur = d.get(key)
+        if cur is not None and len(cur.num) == 1 and cur.val == val:
+            (ur, ui), = cur.num
+            uden = cur.den
+            if uden == den:
+                re, im = re + ur, im + ui
+            else:
+                re, im, den = re * uden + ur * den, im * uden + ui * den, den * uden
+            if not (re or im):
+                del d[key]
+                continue
+            cur = None
+        if den != 1:
+            g = gcd(den, re, im)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        p = _hpoly(((re, im),), den, val)
+        if cur is None:
+            d[key] = p
+        else:
+            acc_term(d, key, p)
 
 
 # ---------------------------------------------------------------------------

@@ -519,9 +519,10 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-# pbw is about half of `verify all` (0.35-0.43 s against 0.44 s for the
-# other ten suites together, on 2 CPUs), so with two workers it already
-# sets the wall time and a third worker would only add a copy of the memos.
+# pbw is about 40% of `verify all` (0.26-0.40 s against 0.43-0.57 s for
+# the other ten suites together, in-process on 2 CPUs), so two workers fed
+# in suite order finish close together; a third could save at most half
+# the total less pbw (about 0.06 s), for one more copy of the memos.
 _MAX_WORKERS = 2
 
 

@@ -14,7 +14,7 @@ from orbitstar.poly import (
     monomials_up_to,
     reduce,
 )
-from orbitstar.scalars import H, GaussianRational
+from orbitstar.scalars import H, H_ONE, GaussianRational, HPoly, acc_scaled, acc_term
 
 
 def test_product_of_conjugate_binomials(xyz):
@@ -207,3 +207,46 @@ def test_reduce_division_identity(rules):
             assert not any(all(a <= b for a, b in zip(lead, e)) for lead in leads)
         assert all(rem.terms.values())
         assert all(all(q.terms.values()) for q in quots)
+
+
+def _acc_coeff(rng):
+    """A nonzero coefficient for the accumulation oracle: the interned H_ONE,
+    a single power c*h^k (denominator 1 or not, valuation 0 or not, with or
+    without an imaginary part) or one with several powers of h."""
+    if rng.random() < 0.15:
+        return H_ONE
+    den = rng.choice((1, 1, 2, 3, 6))
+    low = [0] * rng.choice((0, 0, 1, 2))
+    while True:
+        p = HPoly(low + [
+            GaussianRational(Fraction(rng.randint(-4, 4), den),
+                             Fraction(rng.choice((0, rng.randint(-3, 3))), den))
+            for _ in range(1 if rng.random() < 0.7 else rng.randint(2, 3))
+        ])
+        if p:
+            return p
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_acc_scaled_against_acc_term(seed):
+    rng = random.Random(700 + seed)
+    keys = [(a, b) for a in range(3) for b in range(3)]
+    updates = cancelled = 0
+    while updates < 2000:
+        d = {k: _acc_coeff(rng) for k in rng.sample(keys, rng.randint(0, 9))}
+        c = _acc_coeff(rng)
+        terms = {k: _acc_coeff(rng) for k in rng.sample(keys, rng.randint(1, 9))}
+        for k, v in terms.items():
+            if rng.random() < 0.25:
+                d[k] = -(c * v)  # the update cancels, so the key must go
+                cancelled += 1
+        want = dict(d)
+        for k, v in terms.items():
+            acc_term(want, k, c if v is H_ONE else c * v)
+        got = dict(d)
+        acc_scaled(got, terms, c)
+        assert got == want and list(got) == list(want)
+        for k, v in got.items():
+            assert (v.num, v.den, v.val) == (want[k].num, want[k].den, want[k].val)
+        updates += len(terms)
+    assert cancelled

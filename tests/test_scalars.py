@@ -11,6 +11,7 @@ from orbitstar.scalars import (
     HPoly,
     H_ONE,
     H_ZERO,
+    as_hpoly,
     coeff_pieces,
     format_hpoly,
     format_scalar,
@@ -248,6 +249,16 @@ def test_hpoly_canonical_form():
     assert HPoly([5, 1]).evaluate(0) == gr(5)
     assert p.evaluate(Fraction(-2, 3)) == gr(Fraction(5, 9), Fraction(-2, 3))
     assert p.evaluate(gr(0, 2)) == gr(-2, 25)
+
+
+def test_equal_scalars_hash_alike():
+    for x in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        for form in (Fraction(x), GaussianRational(x), HPoly((x,)), as_hpoly(x)):
+            assert form == x and hash(form) == hash(x)
+    z = gr(Fraction(1, 2), -1)
+    assert HPoly((z,)) == z and hash(HPoly((z,))) == hash(z)
+    assert {1: "a"}.get(H_ONE) == "a"
+    assert {Fraction(1, 2): "b"}.get(gr(Fraction(1, 2))) == "b"
 
 
 @pytest.mark.parametrize("divisor", [0, Fraction(0), gr(0)])
