@@ -7,24 +7,33 @@ Grammar (shared by the CLI and config loaders):
     factor := atom ('^' natural)?
     atom   := rational | 'i' | 'h' | name | '(' expr ')'
 
-In commutative mode names are coordinate variables and the result is a
-CPoly; in noncommutative mode names are generator labels, the product is
-order-preserving, and the result is an unnormalized NCPoly.  Printing any
-engine value yields text that parses back to the same value.
+Numbers are ASCII digits (a rational is natural or natural/natural), and an
+exponent is at most MAX_EXPONENT.  The parser works straight on term dicts
+(key -> nonzero HPoly) and wraps the result once: in commutative mode names
+are coordinate variables, keys are exponent vectors and the result is a
+CPoly; in noncommutative mode names are generator labels, keys are words,
+the product concatenates them in order, and the result is an unnormalized
+NCPoly.  Printing any engine value yields text that parses back to the same
+value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 from .envelope import NCPoly
 from .lie import LieAlgebra
 from .poly import CPoly
 from .scalars import (
     GR_I,
-    GaussianRational,
     H,
+    H_ONE,
+    GaussianRational,
     HPoly,
+    _hpoly,
+    acc_scaled,
     coeff_pieces,
     join_signed,
 )
@@ -39,6 +48,10 @@ class ExprSyntaxError(ValueError):
 
 
 _OPS = set("+-*^()")
+_DIGITS = set("0123456789")
+MAX_EXPONENT = 64
+_H_I = HPoly((GR_I,))
+_H_MINUS_ONE = -H_ONE
 
 
 def _tokenize(text):
@@ -54,13 +67,13 @@ def _tokenize(text):
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < size and text[pos].isdigit():
+            while pos < size and text[pos] in _DIGITS:
                 pos += 1
-            if pos < size and text[pos] == "/" and pos + 1 < size and text[pos + 1].isdigit():
+            if pos < size and text[pos] == "/" and pos + 1 < size and text[pos + 1] in _DIGITS:
                 pos += 1
-                while pos < size and text[pos].isdigit():
+                while pos < size and text[pos] in _DIGITS:
                     pos += 1
             tokens.append(("number", text[start:pos], start))
             continue
@@ -76,16 +89,17 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Parses straight into ring values, so the AST is implicit."""
+    """Parses straight into term dicts (key -> nonzero HPoly), so the AST is
+    implicit.  The mode supplies the unit key, the key product and the key
+    of each name; sums accumulate in place and every product, of factors or
+    by a power, is one dict product."""
 
-    def __init__(self, text, one, i_value, h_value, lookup, multiply):
+    def __init__(self, text, unit, key_mul, keys):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.one = one
-        self.i_value = i_value
-        self.h_value = h_value
-        self.lookup = lookup
-        self.multiply = multiply
+        self.unit = unit
+        self.key_mul = key_mul
+        self.keys = keys
 
     def peek(self):
         return self.tokens[self.pos]
@@ -108,56 +122,70 @@ class _Parser:
             raise ExprSyntaxError("unexpected trailing input", tok[2])
         return value
 
+    def product(self, a, b):
+        key_mul = self.key_mul
+        out = {}
+        for k1, c1 in a.items():
+            acc_scaled(out, {key_mul(k1, k2): c2 for k2, c2 in b.items()}, c1)
+        return out
+
     def expr(self):
-        negate = False
-        if self.peek()[0] == "-":
+        negate = self.peek()[0] == "-"
+        if negate:
             self.advance()
-            negate = True
         value = self.term()
         if negate:
-            value = -value
+            value = {k: -c for k, c in value.items()}
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            sign = H_ONE if self.advance()[0] == "+" else _H_MINUS_ONE
+            acc_scaled(value, self.term(), sign)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            value = self.multiply(value, self.factor())
+            value = self.product(value, self.factor())
         return value
 
     def factor(self):
         value = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            tok = self.expect("number")
-            if "/" in tok[1]:
-                raise ExprSyntaxError("exponent must be a natural number", tok[2])
-            value = value ** int(tok[1])
+            _, text, pos = self.expect("number")
+            if "/" in text:
+                raise ExprSyntaxError("exponent must be a natural number", pos)
+            n = int(text)
+            if n > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
+            power = value if n else {self.unit: H_ONE}
+            for _ in range(n - 1):
+                power = self.product(power, value)
+            value = power
         return value
 
     def atom(self):
-        tok = self.peek()
-        kind, text, pos = tok
+        kind, text, pos = self.peek()
         if kind == "number":
             self.advance()
-            den = text.partition("/")[2]
-            if den and not int(den):
+            num, _, den = text.partition("/")
+            num, den = int(num), int(den or 1)
+            if not den:
                 raise ExprSyntaxError("zero denominator", pos)
-            return self.one * Fraction(text)
+            if not num:
+                return {}
+            g = gcd(num, den)
+            return {self.unit: _hpoly(((num // g, 0),), den // g, 0)}
         if kind == "name":
             self.advance()
             if text == "i":
-                return self.i_value
+                return {self.unit: _H_I}
             if text == "h":
-                return self.h_value
-            value = self.lookup(text)
-            if value is None:
+                return {self.unit: H}
+            key = self.keys.get(text)
+            if key is None:
                 raise ExprSyntaxError(f"unknown name {text!r}", pos)
-            return value
+            return {key: H_ONE}
         if kind == "(":
             self.advance()
             value = self.expr()
@@ -171,7 +199,9 @@ def parse_expression(text, mode="commutative", algebra: LieAlgebra | None = None
     """Parse text into a CPoly (commutative) or raw NCPoly (noncommutative).
 
     Names resolve against the algebra's varnames or generator names; an
-    explicit names sequence overrides the commutative variables.
+    explicit names sequence overrides the commutative variables.  An
+    exponent above MAX_EXPONENT is a syntax error; this caps the parser
+    only, so a small input such as (X+Y+Z)^16 still expands to 3^16 words.
     """
     if mode == "commutative":
         if names is None:
@@ -180,33 +210,17 @@ def parse_expression(text, mode="commutative", algebra: LieAlgebra | None = None
             names = algebra.varnames
         names = tuple(names)
         nvars = len(names)
-        index = {nm: k for k, nm in enumerate(names)}
-        parser = _Parser(
-            text,
-            one=CPoly.one(nvars),
-            i_value=CPoly.constant(nvars, GR_I),
-            h_value=CPoly.constant(nvars, H),
-            lookup=lambda nm: (
-                CPoly.variable(nvars, index[nm]) if nm in index else None
-            ),
-            multiply=lambda a, b: a * b,
-        )
-        return parser.parse()
+        keys = {nm: tuple([int(j == k) for j in range(nvars)])
+                for k, nm in enumerate(names)}
+        key_mul = lambda a, b: tuple(map(add, a, b))
+        terms = _Parser(text, (0,) * nvars, key_mul, keys).parse()
+        return CPoly.zero(nvars)._new(terms)
     if mode == "noncommutative":
         if algebra is None:
             raise ValueError("noncommutative parsing needs an algebra")
-        index = {nm: k for k, nm in enumerate(algebra.names)}
-        parser = _Parser(
-            text,
-            one=NCPoly.one(algebra),
-            i_value=NCPoly.scalar(algebra, GR_I),
-            h_value=NCPoly.scalar(algebra, H),
-            lookup=lambda nm: (
-                NCPoly.generator(algebra, index[nm]) if nm in index else None
-            ),
-            multiply=lambda a, b: a.concat(b),
-        )
-        return parser.parse()
+        keys = {nm: (k,) for k, nm in enumerate(algebra.names)}
+        terms = _Parser(text, (), add, keys).parse()
+        return NCPoly.zero(algebra)._new(terms)
     raise ValueError(f"unknown parse mode {mode!r}")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -49,6 +50,24 @@ def test_parse_power_and_groups(su2):
     value = parse_expression("(x + y)^2", algebra=su2)
     x, y = CPoly.variable(3, 0), CPoly.variable(3, 1)
     assert value == x * x + x * y * 2 + y * y
+
+
+def test_parse_noncommutative_power_concatenates(su2):
+    parse = lambda text: parse_expression(text, mode="noncommutative", algebra=su2)
+    assert parse("(Y*X)^2") == NCPoly.word(su2, (1, 0, 1, 0))
+    assert parse("(X + Y)^3") == parse("(X + Y)*(X + Y)*(X + Y)")
+    assert parse("(Y*X)^2").normal_form() == parse("Y*X") * parse("Y*X")
+
+
+def test_exponent_cap(su2):
+    value = parse_expression("(x + y)^64", algebra=su2)
+    assert len(value.terms) == 65
+    assert value.coeff((32, 32, 0)) == math.comb(64, 32)
+    assert parse_expression("x^0064", algebra=su2) == CPoly.monomial(3, (64, 0, 0))
+    for text in ("x^65", "x^99999999999", "(x + 1)^100"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, algebra=su2)
+        assert str(err.value) == f"exponent above 64 at offset {text.index('^') + 1}"
 
 
 def test_syntax_error_position(su2):
@@ -179,6 +198,25 @@ def test_cli_zero_denominator_exit_code():
     proc = _run_cli("star", "1/0", "x")
     assert proc.returncode == 2
     assert proc.stderr == "error: zero denominator at offset 0\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "left, char, offset",
+    [("x^\u0663", "\u0663", 2), ("\u0663*x", "\u0663", 0), ("2\u00b2", "\u00b2", 1)],
+    ids=["arabic-indic-exponent", "arabic-indic-factor", "superscript-two"],
+)
+def test_cli_digits_are_ascii(capsys, left, char, offset):
+    assert cli.main(["star", left, "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unexpected character {char!r} at offset {offset}\n"
+
+
+def test_cli_huge_exponent_exits_2():
+    proc = _run_cli("star", "x^99999999999", "x", module="orbitstar")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: exponent above 64 at offset 2\n"
     assert proc.stdout == ""
 
 
