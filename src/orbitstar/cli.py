@@ -19,6 +19,7 @@ import signal
 import sys
 from fractions import Fraction
 
+from . import linalg
 from .cohomology import coboundary_roundtrip, h2_dimension
 from .envelope import NCPoly
 from .exprs import (
@@ -34,8 +35,6 @@ from .lie import (
     adjoint_rep,
     algebra_from_json,
     check_jacobi,
-    is_semisimple,
-    killing_det,
     killing_form,
     orbit_algebra,
     predefined,
@@ -126,14 +125,15 @@ def _emit(args, text_lines, payload):
 def cmd_algebra(args):
     L = _resolve_algebra(args, _load_config(args))
     K = killing_form(L)
+    det = linalg.det(K)
     payload = {
         "dim": L.dim,
         "names": list(L.names),
         "varnames": list(L.varnames),
         "jacobi": check_jacobi(L),
         "killing": [[str(x) for x in row] for row in K],
-        "killing_det": str(killing_det(L)),
-        "semisimple": is_semisimple(L),
+        "killing_det": str(det),
+        "semisimple": bool(det),
     }
     lines = [
         f"algebra: dim {L.dim}, generators {', '.join(L.names)}",

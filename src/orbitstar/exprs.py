@@ -7,8 +7,9 @@ Grammar (shared by the CLI and config loaders):
     factor := atom ('^' natural)?
     atom   := rational | 'i' | 'h' | name | '(' expr ')'
 
-Numbers are ASCII digits (a rational is natural or natural/natural), and an
-exponent is at most MAX_EXPONENT.  The parser works straight on term dicts
+Numbers are ASCII digits (a rational is natural or natural/natural), each
+digit run within Python's integer-string limit, and an exponent is at most
+MAX_EXPONENT.  The parser works straight on term dicts
 (key -> nonzero HPoly) and wraps the result once: in commutative mode names
 are coordinate variables, keys are exponent vectors and the result is a
 CPoly; in noncommutative mode names are generator labels, keys are words,
@@ -88,6 +89,16 @@ def _tokenize(text):
     return tokens
 
 
+def _natural(text, pos):
+    """The value of a run of ASCII digits.  int refuses a run longer than
+    Python's integer-string limit (sys.get_int_max_str_digits), leading
+    zeros included; that is bad input, reported at the token's offset."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExprSyntaxError("number too long", pos) from None
+
+
 class _Parser:
     """Parses straight into term dicts (key -> nonzero HPoly), so the AST is
     implicit.  The mode supplies the unit key, the key product and the key
@@ -155,7 +166,7 @@ class _Parser:
             _, text, pos = self.expect("number")
             if "/" in text:
                 raise ExprSyntaxError("exponent must be a natural number", pos)
-            n = int(text)
+            n = _natural(text, pos)
             if n > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
             power = value if n else {self.unit: H_ONE}
@@ -169,7 +180,7 @@ class _Parser:
         if kind == "number":
             self.advance()
             num, _, den = text.partition("/")
-            num, den = int(num), int(den or 1)
+            num, den = _natural(num, pos), _natural(den or "1", pos)
             if not den:
                 raise ExprSyntaxError("zero denominator", pos)
             if not num:

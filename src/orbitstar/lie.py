@@ -3,6 +3,14 @@
 A LieAlgebra stores the bracket table [X_i, X_j] = sum_k c[i][j][k] X_k.
 Antisymmetry and the Jacobi identity are enforced at construction, so every
 instance in circulation is a genuine Lie algebra.
+
+The Jacobi check and the Killing form sum over nonzero structure constants
+only, and Jacobi is checked on the triples i < j < k alone: once c is
+antisymmetric, the Jacobiator J(i, j, k) = [[X_i, X_j], X_k]
++ [[X_j, X_k], X_i] + [[X_k, X_i], X_j] is alternating (cyclic by
+construction, odd under a swap, zero on a repeated index), so it vanishes
+everywhere iff it vanishes there.  Without antisymmetry that argument
+fails, so check_jacobi rejects such a cube outright.
 """
 
 from __future__ import annotations
@@ -43,22 +51,41 @@ def is_antisymmetric(c) -> bool:
     )
 
 
-def check_jacobi(c) -> bool:
-    """True iff the Jacobi identity holds; expects antisymmetry already."""
-    if isinstance(c, LieAlgebra):
-        c = c.c
+def _nonzero(c):
+    """nz[i][j] lists the nonzero components of [X_i, X_j] as (k, c_ij^k)."""
     n = len(c)
+    return tuple(
+        tuple(tuple((k, v) for k, v in enumerate(c[i][j]) if v) for j in range(n))
+        for i in range(n)
+    )
+
+
+def check_jacobi(c) -> bool:
+    """True iff c (a LieAlgebra or a cube) is antisymmetric and satisfies
+    the Jacobi identity.
+
+    Jacobi is checked on the triples i < j < k only, which suffices because
+    the Jacobiator is alternating once c is antisymmetric; a cube that is
+    not antisymmetric is therefore False, never a wrong True.
+    """
+    if isinstance(c, LieAlgebra):
+        nz = c._bracket_nz
+    else:
+        c = _constants_from(c)
+        if not is_antisymmetric(c):
+            return False
+        nz = _nonzero(c)
+    n = len(nz)
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    s = GR_ZERO
-                    for m in range(n):
-                        s = s + c[i][j][m] * c[m][k][l]
-                        s = s + c[j][k][m] * c[m][i][l]
-                        s = s + c[k][i][m] * c[m][j][l]
-                    if s:
-                        return False
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, u in nz[a][b]:
+                        for l, v in nz[m][d]:
+                            acc[l] = acc.get(l, GR_ZERO) + u * v
+                if any(acc.values()):
+                    return False
     return True
 
 
@@ -85,19 +112,13 @@ class LieAlgebra:
             raise ValueError("structure constant table does not match dim")
         if not is_antisymmetric(self.c):
             raise ValueError("structure constants are not antisymmetric")
-        if not check_jacobi(self.c):
+        # nonzero bracket components, for check_jacobi and the rewriting kernel
+        self._bracket_nz = _nonzero(self.c)
+        if not check_jacobi(self):
             raise ValueError("Jacobi identity fails")
         self.varnames = tuple(varnames) if varnames else _default_varnames(self.names)
         if len(self.varnames) != self.dim:
             raise ValueError("varnames length does not match dim")
-        # nonzero bracket components, precomputed for the rewriting kernel
-        self._bracket_nz = tuple(
-            tuple(
-                tuple((k, self.c[i][j][k]) for k in range(self.dim) if self.c[i][j][k])
-                for j in range(self.dim)
-            )
-            for i in range(self.dim)
-        )
         # normal-form memos keyed by word: the engine's memo and its
         # multiplication table, and one memo per reference rewriting strategy
         self._nf_cache = {"engine": {}, "table": {}, "leftmost": {}, "rightmost": {}}
@@ -164,20 +185,18 @@ def change_basis(L: LieAlgebra, B: BasisChange, names=None, varnames=None) -> Li
     return LieAlgebra(new_names, c, varnames=varnames)
 
 
-def killing_form(L: LieAlgebra):
-    """The matrix K[i][j] = sum_{k,l} c[i][k][l] * c[j][l][k]."""
-    n = L.dim
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = GR_ZERO
-            for k in range(n):
-                for l in range(n):
-                    s = s + L.c[i][k][l] * L.c[j][l][k]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+def killing_form(L):
+    """The matrix K[i][j] = sum_{k,l} c[i][k][l] * c[j][l][k] of a LieAlgebra
+    or a structure-constant cube, summed over the nonzero c[i][k][l] only."""
+    c = L.c if isinstance(L, LieAlgebra) else _constants_from(L)
+    n, nz = len(c), _nonzero(c)
+    return tuple(
+        tuple(
+            sum((u * c[j][l][k] for k in range(n) for l, u in nz[i][k]), GR_ZERO)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def killing_det(L: LieAlgebra) -> GaussianRational:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -220,6 +221,26 @@ def test_cli_huge_exponent_exits_2():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "left, offset",
+    [("1" * 5000, 0), ("x + 1/" + "1" * 5000, 4), ("x^" + "0" * 5000 + "5", 2)],
+    ids=["long-literal", "long-denominator", "zero-padded-exponent"],
+)
+def test_cli_long_number_is_a_syntax_error(capsys, left, offset):
+    # Python's int refuses more than 4300 digits (leading zeros count), and
+    # the parser reports that at the number's offset
+    assert cli.main(["star", left, "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: number too long at offset {offset}\n"
+
+
+def test_long_number_below_the_limit_parses(su2):
+    digits = "7" * 4000
+    value = parse_expression(f"{digits}/{digits}1 * x^{'0' * 4000}2", algebra=su2)
+    assert value == CPoly.monomial(3, (2, 0, 0), Fraction(int(digits), int(digits + "1")))
+
+
 def test_cli_unknown_suite(capsys):
     assert cli.main(["verify", "nope"]) == 2
 
@@ -352,6 +373,43 @@ def test_cli_algebra_config(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["semisimple"] is True
     assert payload["killing_det"] == "-8"
+
+
+SO4_CONFIG = {
+    "dim": 6,
+    "names": ["X1", "Y1", "Z1", "X2", "Y2", "Z2"],
+    "brackets": [
+        [0, 1, [[2, "1"]]], [1, 2, [[0, "1"]]], [0, 2, [[1, "-1"]]],
+        [3, 4, [[5, "1"]]], [4, 5, [[3, "1"]]], [3, 5, [[4, "-1"]]],
+    ],
+}
+
+# SHA-256 of `orbitstar algebra` stdout, recorded while the Killing form was
+# still a dense n^4 sum and computed three times per command
+ALGEBRA_DIGESTS = {
+    ("--name", "su2"): "21fffaf342ff16880adee48bb6e11d1a20654e497d754fb2353fbde511302a66",
+    ("--name", "su2", "--format", "json"):
+        "fc259132faa7c5193b964cdd8b1e344d79bfd623793c6bc49161d99a5a00aade",
+    ("--name", "sl2"): "93454618851116a24b15c9cf523dba5853477258593c173112fa885d4028b609",
+    ("--name", "sl2", "--format", "json"):
+        "860ffacde1f9c7834acab7788262e89fb9266c035717ba5a7f9239390a443841",
+    ("--config", "so4.json"):
+        "6cc5665fe1b1d05530bb6f10b34517d06d5b08d425af5132b80e20d9e855edd2",
+    ("--config", "so4.json", "--format", "json"):
+        "bab80ae73f5cd4102355549d3a67ac0b4ad373df562fc613cf9c80d2b3caae5b",
+}
+
+
+@pytest.mark.parametrize("args", list(ALGEBRA_DIGESTS), ids=" ".join)
+def test_cli_algebra_printed_forms(tmp_path, capsys, args):
+    (tmp_path / "so4.json").write_text(json.dumps(SO4_CONFIG))
+    argv = [str(tmp_path / a) if a == "so4.json" else a for a in args]
+    assert cli.main(["algebra", *argv]) == 0
+    out = capsys.readouterr().out
+    if args == ("--config", "so4.json"):
+        assert out.splitlines()[1:] == [
+            "jacobi identity: ok", "killing determinant: 64 (semisimple)"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ALGEBRA_DIGESTS[args]
 
 
 def test_cli_orbit_config(tmp_path, capsys):

@@ -6,11 +6,13 @@ import pytest
 from orbitstar import linalg
 from orbitstar.lie import (
     BasisChange,
+    _constants_from,
     LieAlgebra,
     adjoint_rep,
     algebra_from_json,
     change_basis,
     check_jacobi,
+    is_antisymmetric,
     is_semisimple,
     killing_det,
     killing_form,
@@ -178,3 +180,209 @@ def test_json_loader(su2):
     bad["brackets"] = [[1, 0, [[2, "1"]]]]
     with pytest.raises(ValueError):
         algebra_from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# Sparse checks against the dense loops they replaced.
+
+def dense_jacobiator(c):
+    """Every nonzero J(i, j, k)_l, over all ordered (i, j, k): the dense
+    n^4 * 3n loop that check_jacobi ran before it went sparse (products
+    with a zero first factor are skipped, to keep it fast)."""
+    n = len(c)
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    s = GR_ZERO
+                    for m in range(n):
+                        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                            if c[a][b][m]:
+                                s = s + c[a][b][m] * c[m][d][l]
+                    if s:
+                        out[i, j, k, l] = s
+    return out
+
+
+def dense_killing(c):
+    """The dense n^4 Killing form that killing_form computed before."""
+    n = len(c)
+    return tuple(
+        tuple(
+            sum((c[i][k][l] * c[j][l][k] for k in range(n) for l in range(n)), GR_ZERO)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+I = GaussianRational(0, 1)
+# small Q(i) entries, zero most often
+ENTRIES = (0, 0, 0, 0, 0, 1, -1, 2, I, -I, 1 + I)
+
+# bracket tables {(i, j): {k: c_ij^k}} of Lie algebras of dimension <= 4
+SMALL_ALGEBRAS = (
+    {},                                                   # abelian
+    {(0, 1): {1: 1}},                                     # ax + b
+    {(0, 1): {2: 1}},                                     # Heisenberg
+    {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},     # su2
+    {(0, 1): {0: 2}, (1, 2): {2: 2}, (2, 0): {1: 1}},     # sl2
+    {(0, 1): {2: 1}, (0, 2): {3: 1}},                     # filiform
+    {(0, 1): {1: 1}, (2, 3): {3: 1}},                     # ax + b, twice
+    {(0, 1): {1: 1, 2: I}, (0, 2): {2: -1}},              # a solvable one
+)
+
+
+def cube_of(n, table):
+    c = zero_cube(n)
+    for (i, j), row in table.items():
+        for k, v in row.items():
+            c[i][j][k], c[j][i][k] = v, -v
+    return c
+
+
+def perturb(rng, c):
+    """Add one small constant to a random c[i][j][k], partner kept."""
+    n = len(c)
+    i, j = rng.sample(range(n), 2)
+    k = rng.randrange(n)
+    d = rng.choice(ENTRIES[5:])
+    c[i][j][k] += d
+    c[j][i][k] -= d
+
+
+def oracle_cube(rng, n):
+    """A sparse antisymmetric cube over Q(i): a random one, or a small Lie
+    algebra in a permuted and rescaled basis; from dim 2 on, half of them
+    perturbed."""
+    if rng.random() < 0.4:
+        c = zero_cube(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    v = rng.choice(ENTRIES + (0,) * 8)
+                    c[i][j][k], c[j][i][k] = v, -v
+    else:
+        table = rng.choice([t for t in SMALL_ALGEBRAS
+                            if all(max(p + tuple(r)) < n for p, r in t.items())])
+        perm = rng.sample(range(n), n)
+        scale = [rng.choice((1, -1, 2, I, -I)) for _ in range(n)]
+        M = [[scale[j] if perm[j] == a else 0 for j in range(n)] for a in range(n)]
+        c = [[list(row) for row in plane] for plane in
+             change_basis(LieAlgebra(range(n), cube_of(n, table)), BasisChange(M)).c]
+    if n > 1 and rng.random() < 0.5:
+        perturb(rng, c)
+    return c
+
+
+def test_sparse_checks_match_dense_references():
+    rng = random.Random(14)
+    holds = fails = single = 0
+    for n, count in ((1, 20), (2, 40), (3, 60), (4, 40)):
+        for _ in range(count):
+            c = oracle_cube(rng, n)
+            failing = {key for key in dense_jacobiator(c) if key[0] < key[1] < key[2]}
+            assert check_jacobi(c) == (not failing)
+            assert killing_form(c) == dense_killing(c)
+            holds += not failing
+            fails += bool(failing)
+            single += len(failing) == 1
+    # the seeded draw has both outcomes, and failures in a single
+    # component that a skipped triple or term would miss
+    assert holds >= 90 and fails >= 30 and single >= 15
+
+
+def test_non_antisymmetric_cube_is_never_jacobi():
+    # [X0, X0] = X1 has a zero Jacobiator by the dense loop, yet no
+    # alternating argument applies to it
+    c = zero_cube(2)
+    c[0][0][1] = 1
+    assert not dense_jacobiator(c)
+    assert not check_jacobi(c)
+    rng = random.Random(15)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            c = zero_cube(n)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        c[i][j][k] = rng.choice(ENTRIES)
+            if not is_antisymmetric(_constants_from(c)):
+                assert not check_jacobi(c)
+
+
+def direct_sum(a, b):
+    n, m = len(a), len(b)
+    c = zero_cube(n + m)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = a[i][j][k]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                c[n + i][n + j][n + k] = b[i][j][k]
+    return c
+
+
+def su3_compact():
+    """su3 in the rational compact basis i(E_jk + E_kj), E_jk - E_kj
+    (j < k) and i*diag(1,-1,0), i*diag(0,1,-1), with the defining
+    matrices; brackets are read off the matrix commutators."""
+    def unit(j, k):
+        m = [[GR_ZERO] * 3 for _ in range(3)]
+        m[j][k] = GaussianRational(1)
+        return m
+
+    pairs = ((0, 1), (0, 2), (1, 2))
+    basis = [linalg.mat_scale(I, linalg.mat_add(unit(j, k), unit(k, j))) for j, k in pairs]
+    basis += [linalg.mat_sub(unit(j, k), unit(k, j)) for j, k in pairs]
+    basis += [linalg.mat_scale(I, linalg.mat_sub(unit(d, d), unit(d + 1, d + 1)))
+              for d in (0, 1)]
+
+    def coords(m):
+        # the coefficients of a traceless anti-Hermitian matrix
+        return ([m[j][k].im for j, k in pairs] + [m[j][k].re for j, k in pairs]
+                + [m[0][0].im, -m[2][2].im])
+
+    c = zero_cube(8)
+    for a in range(8):
+        for b in range(8):
+            br = linalg.mat_sub(linalg.mat_mul(basis[a], basis[b]),
+                                linalg.mat_mul(basis[b], basis[a]))
+            c[a][b] = coords(br)
+            back = linalg.mat([[GR_ZERO] * 3] * 3)
+            for k, v in enumerate(c[a][b]):
+                back = linalg.mat_add(back, linalg.mat_scale(v, basis[k]))
+            assert back == br
+    return c, basis
+
+
+def test_rank_two_algebras_through_the_sparse_path(su2, sl2):
+    su3, basis = su3_compact()
+    cubes = {
+        "su2": su2.c,
+        "sl2": sl2.c,
+        "so4": direct_sum(su2.c, su2.c),
+        "su3": su3,
+    }
+    for name, cube in cubes.items():
+        L = LieAlgebra([f"T{k}" for k in range(len(cube))], cube)
+        assert check_jacobi(L) and check_jacobi(cube), name
+        assert killing_det(L), name
+        # one structure constant moved, its antisymmetric partner kept
+        c = [[list(row) for row in plane] for plane in cube]
+        c[0][1][0] += 1
+        c[1][0][0] -= 1
+        assert not check_jacobi(c), name
+        with pytest.raises(ValueError, match="Jacobi"):
+            LieAlgebra([f"T{k}" for k in range(len(c))], c)
+    # the Killing form of su3 is 6 tr(XY) in its defining representation
+    K = killing_form(LieAlgebra([f"T{k}" for k in range(8)], su3))
+    assert K == tuple(
+        tuple(6 * sum((linalg.mat_mul(a, b)[d][d] for d in range(3)), GR_ZERO)
+              for b in basis)
+        for a in basis
+    )
+    assert killing_det(LieAlgebra([f"T{k}" for k in range(6)], cubes["so4"])) == 64
