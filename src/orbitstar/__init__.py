@@ -41,27 +41,6 @@ from .quantize import (
     symmetrizer_product,
 )
 from .orbit import Orbit, orbit_from_json, sphere_orbit
-from .reps import (
-    MatrixRep,
-    casimir_scalar,
-    casimir_spectrum,
-    evaluate,
-    highest_weight_casimir,
-    nonisomorphism_witness,
-    sl2_casimir,
-    su2_defining_rep,
-    validate_rep,
-)
-from .cohomology import (
-    Cochain1,
-    Cochain2,
-    d1,
-    d2,
-    extend_c1,
-    h2_dimension,
-    is_cocycle,
-    solve_coboundary,
-)
 from .exprs import (
     ExprSyntaxError,
     format_cpoly,
@@ -71,6 +50,32 @@ from .exprs import (
     parse_rational,
     parse_scalar,
 )
-from .verify import SUITES, run_suite, run_suites
 
 __version__ = "0.1.0"
+
+# Re-exports of the modules that only `verify`, `rep` and `cohomology` run:
+# each name is imported on first access (PEP 562), so that `import orbitstar`
+# does not compile those modules.
+_LAZY = (
+    dict.fromkeys(("MatrixRep", "casimir_scalar", "casimir_spectrum", "evaluate",
+                   "highest_weight_casimir", "nonisomorphism_witness",
+                   "sl2_casimir", "su2_defining_rep", "validate_rep"), "reps")
+    | dict.fromkeys(("Cochain1", "Cochain2", "d1", "d2", "extend_c1",
+                     "h2_dimension", "is_cocycle", "solve_coboundary"), "cohomology")
+    | dict.fromkeys(("SUITES", "run_suite", "run_suites"), "verify")
+)
+
+
+def __getattr__(name):
+    import importlib
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

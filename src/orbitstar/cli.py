@@ -6,8 +6,10 @@ parse or option errors (a negative bound, or a zero one in verify), 3 on an
 internal fault (an exception escaping a verification suite, or any other
 unexpected exception).  A closed stdout ends the command silently.
 `verify all` runs its suites through `verify.run_suites`, in up to two
-forked worker processes when more than one CPU is available; its output
-and exit code do not depend on that.
+forked child processes when more than one CPU is available; its output
+and exit code do not depend on that.  The modules only `verify`, `rep` and
+`cohomology` run are imported by those subcommands (and by the exit-3
+handler, for `verify.describe`), so the other commands never compile them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import coboundary_roundtrip, h2_dimension
 from .envelope import NCPoly
 from .exprs import (
     ExprSyntaxError,
@@ -34,22 +35,13 @@ from .lie import (
     LieAlgebra,
     adjoint_rep,
     algebra_from_json,
-    check_jacobi,
     killing_form,
     orbit_algebra,
     predefined,
 )
 from .orbit import Orbit, orbit_from_json, sphere_orbit
 from .quantize import symmetrizer_product, pbw_basis_product
-from .reps import (
-    casimir_scalar,
-    highest_weight_casimir,
-    nonisomorphism_witness,
-    sl2_casimir,
-    su2_defining_rep,
-)
 from .scalars import H_ONE
-from .verify import SUITES, SUITES_VERSION, InternalError, describe, run_suites
 
 
 class CLIError(Exception):
@@ -96,8 +88,17 @@ def _resolve_algebra(args, data) -> LieAlgebra:
     return _from_config(args.config, algebra_from_json, data)
 
 
+def _level_and_lift(args):
+    """--c and --lift parsed, each None when not given.  Bad text is bad
+    input whether or not the command goes on to read the orbit."""
+    c0 = None if args.c is None else parse_rational(args.c)
+    lift = None if args.lift is None else parse_hpoly(args.lift)
+    return c0, lift
+
+
 def _resolve_orbit(args, data, algebra) -> Orbit:
     """The orbit of the loaded config `data`, else the sphere of --c/--lift."""
+    c0, lift = _level_and_lift(args)
     if data is not None:
         if "invariants" in data:
             return _from_config(args.config, orbit_from_json, data, algebra=algebra)
@@ -106,9 +107,7 @@ def _resolve_orbit(args, data, algebra) -> Orbit:
                 raise CLIError(f"config {args.config}: \"orbit\" must be a JSON object")
             return _from_config(args.config, orbit_from_json, data["orbit"],
                                 algebra=algebra)
-    c0 = parse_rational(args.c) if args.c else Fraction(1)
-    lift = parse_hpoly(args.lift) if args.lift else None
-    return sphere_orbit(c0, lift=lift, algebra=algebra)
+    return sphere_orbit(Fraction(1) if c0 is None else c0, lift=lift, algebra=algebra)
 
 
 def _emit(args, text_lines, payload):
@@ -130,14 +129,14 @@ def cmd_algebra(args):
         "dim": L.dim,
         "names": list(L.names),
         "varnames": list(L.varnames),
-        "jacobi": check_jacobi(L),
+        "jacobi": True,  # the LieAlgebra constructor rejects a failing table
         "killing": [[str(x) for x in row] for row in K],
         "killing_det": str(det),
         "semisimple": bool(det),
     }
     lines = [
         f"algebra: dim {L.dim}, generators {', '.join(L.names)}",
-        f"jacobi identity: {'ok' if payload['jacobi'] else 'FAILS'}",
+        "jacobi identity: ok",
         f"killing determinant: {payload['killing_det']}"
         f" ({'semisimple' if payload['semisimple'] else 'degenerate'})",
     ]
@@ -156,10 +155,9 @@ def cmd_nf(args):
 
 def _select_product(args, data, L):
     name = args.product
-    if name == "sym":
-        return symmetrizer_product(L)
-    if name == "pbw":
-        return pbw_basis_product(L)
+    if name in ("sym", "pbw"):
+        _level_and_lift(args)  # unread here, but bad text is still bad input
+        return symmetrizer_product(L) if name == "sym" else pbw_basis_product(L)
     orbit = _resolve_orbit(args, data, L)
     if name == "orbit":
         return orbit.star_product()
@@ -208,27 +206,28 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     # a suite reads 0 as its default bound, so only positive bounds are honoured
     _check_bound("--max-degree", args.max_degree, 1)
     _check_bound("--lambda-bound", args.lambda_bound, 1)
     if args.list:
-        lines = sorted(SUITES)
-        _emit(args, lines, {"suites": lines, "version": SUITES_VERSION})
+        lines = sorted(verify.SUITES)
+        _emit(args, lines, {"suites": lines, "version": verify.SUITES_VERSION})
         return 0
-    c0 = parse_rational(args.c) if args.c else None
-    lift = parse_hpoly(args.lift) if args.lift else None
-    if args.c or args.lift:
+    c0, lift = _level_and_lift(args)
+    if c0 is not None or lift is not None:
         # a bad level or lift is an input error, not a fault of a suite
         sphere_orbit(1 if c0 is None else c0, lift=lift)
     if args.suite in (None, "all"):
-        names = list(SUITES)
-    elif args.suite in SUITES:
+        names = list(verify.SUITES)
+    elif args.suite in verify.SUITES:
         names = [args.suite]
     else:
         raise CLIError(f"unknown suite {args.suite!r}; use verify --list")
-    reports = run_suites(names, max_degree=args.max_degree,
-                         lambda_bound=args.lambda_bound, seed=args.seed,
-                         c0=c0, lift=lift)
+    reports = verify.run_suites(names, max_degree=args.max_degree,
+                                lambda_bound=args.lambda_bound, seed=args.seed,
+                                c0=c0, lift=lift)
     lines = []
     for rep in reports:
         mark = "PASS" if rep["status"] == "pass" else "FAIL"
@@ -242,6 +241,9 @@ def cmd_verify(args):
 
 
 def cmd_rep(args):
+    from .reps import (casimir_scalar, highest_weight_casimir, nonisomorphism_witness,
+                       sl2_casimir, su2_defining_rep)
+
     _check_bound("--lambda-bound", args.lambda_bound, 0)
     su2 = predefined("su2")
     sl2 = predefined("sl2")
@@ -274,6 +276,8 @@ def cmd_rep(args):
 
 
 def cmd_cohomology(args):
+    from .cohomology import coboundary_roundtrip, h2_dimension
+
     _check_bound("--max-degree", args.max_degree, 0)
     L = _resolve_algebra(args, _load_config(args))
     bound = args.max_degree if args.max_degree is not None else 4
@@ -370,11 +374,11 @@ def main(argv=None) -> int:
     except (CLIError, ExprSyntaxError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:
-        print(f"internal error: {describe(exc)}", file=sys.stderr)
+        from .verify import InternalError, describe
+
+        text = str(exc) if isinstance(exc, InternalError) else describe(exc)
+        print(f"internal error: {text}", file=sys.stderr)
         return 3
 
 

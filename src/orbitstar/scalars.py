@@ -24,6 +24,7 @@ immutable after construction; equality is exact structural equality.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -494,19 +495,27 @@ def format_scalar(s: GaussianRational) -> str:
     if not s:
         return "0"
     re, im = s.re, s.im
+    re_text = _ratio_text(re.numerator, re.denominator)
     if not im:
-        return str(re)
+        return re_text
     mag = abs(im)
-    text = "i" if mag == 1 else f"{mag}*i"
+    text = "i" if mag == 1 else f"{_ratio_text(mag.numerator, mag.denominator)}*i"
     if not re:
         return text if im > 0 else f"-{text}"
-    return f"{re} {'+' if im > 0 else '-'} {text}"
+    return f"{re_text} {'+' if im > 0 else '-'} {text}"
 
 
 def _ratio_text(n: int, den: int) -> str:
-    """str(Fraction(n, den)) for den > 0, without building the Fraction."""
+    """str(Fraction(n, den)) for den > 0, without building the Fraction.
+    Python refuses to print an integer longer than its integer-string limit,
+    which the parser keeps to as well, so a longer coefficient has no
+    printed form that re-parses: that is bad input, said plainly."""
     g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
+    try:
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+    except ValueError:
+        raise ValueError("coefficient too long to print: more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _hterm_pieces(p: HPoly):

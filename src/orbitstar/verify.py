@@ -9,14 +9,19 @@ Every option defaults to None (seed to 0), which a suite reads as its own
 default.  The CLI's verify subcommand and the acceptance tests both run these.
 
 The suites are independent and deterministic, so `run_suites` runs several
-in up to min(#suites, #CPUs, 2) forked worker processes and returns the
-same reports, in the same order, as the in-process loop.
+in up to min(#suites, #CPUs, 2) forked child processes and returns the
+same reports, in the same order, as the in-process loop.  The children take
+suite indices from one shared pipe and pickle each outcome back over a pipe
+of their own; no executor, thread or multiprocessing machinery is involved.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import random
+import signal
+import threading
 from fractions import Fraction
 
 from .cohomology import Cochain2, d1, d2, h2_dimension, solve_coboundary
@@ -520,73 +525,124 @@ def available_cpus():
 
 
 # pbw is about 40% of `verify all` (0.26-0.40 s against 0.43-0.57 s for
-# the other ten suites together, in-process on 2 CPUs), so two workers fed
-# in suite order finish close together; a third could save at most half
-# the total less pbw (about 0.06 s), for one more copy of the memos.
+# the other ten suites together, in-process on 2 CPUs), so two children
+# taking suites in order finish close together; a third could save at most
+# half the total less pbw (about 0.06 s), for one more copy of the memos.
 _MAX_WORKERS = 2
+
+# a suite index travels as one byte of the task pipe
+_MAX_FORKED_SUITES = 256
 
 
 def _guarded(name, options):
-    """A pool worker's outcome: (reports, None), or (None, the one-line
-    description of the fault).  The description travels instead of the
-    exception, so an exception that cannot be pickled reaches the parent
-    unchanged."""
+    """A child's outcome of one suite: (reports, None), or (None, the
+    one-line description of the fault).  The description travels instead
+    of the exception, so an exception that cannot be pickled reaches the
+    parent unchanged."""
     try:
         return run_suite(name, **options), None
     except Exception as exc:
         return None, describe(exc)
 
 
-def _fork_context():
-    """The fork start method, or None where the platform lacks it or
-    another thread runs (forking then may deadlock the child)."""
-    import multiprocessing
-    import threading
+def _serve(tasks, results, names, options):
+    """A forked child's whole life: take suite indices from the `tasks` pipe
+    one byte at a time until it is empty, and pickle onto the `results` pipe
+    each index as it starts, then its outcome.  Ends the process on every
+    path, so it never returns into the caller."""
+    status = 1
+    try:
+        with open(results, "wb") as out:
+            while taken := os.read(tasks, 1):
+                index = taken[0]
+                pickle.dump(index, out)
+                out.flush()  # the parent learns who ran a suite that kills its child
+                pickle.dump(_guarded(names[index], options), out)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    if threading.active_count() > 1:
-        return None
-    return multiprocessing.get_context("fork")
 
-
-def _run_in_pool(names, workers, context, options):
-    from concurrent.futures import ProcessPoolExecutor
-
-    reports = []
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        # submitted in order, so the longest suite, pbw, starts first
-        futures = [pool.submit(_guarded, name, options) for name in names]
-        try:
-            for name, future in zip(names, futures):
+def _run_forked(names, workers, options):
+    """run_suites' reports from `workers` forked children.  Every child is
+    reaped before this returns or raises; on an exception here, the
+    children still running are killed first."""
+    tasks, feed = os.pipe()
+    # fewer than 512 bytes (POSIX's least PIPE_BUF) always fit, so every
+    # index is queued before any child starts and the write end is closed:
+    # a child reads EOF once the queue is empty
+    os.write(feed, bytes(range(len(names))))
+    os.close(feed)
+    streams = {}  # child pid -> the parent's end of its result pipe
+    ended = {}  # child pid -> wait status
+    taken, outcomes = {}, {}  # suite index -> child pid, (reports, fault)
+    try:
+        for _ in range(workers):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out)
+                os.close(into)
+                raise
+            if pid == 0:
+                _serve(tasks, into, names, options)
+            os.close(into)
+            streams[pid] = open(out, "rb")
+        # a stream ends when its child exits; a child blocked on a full pipe
+        # takes no more suites, so the others drain the task queue meanwhile
+        for pid, stream in streams.items():
+            while True:
                 try:
-                    cases, fault = future.result()
-                except Exception as exc:  # a worker died (BrokenProcessPool)
-                    raise InternalError(f"suite {name}: {describe(exc)}") from exc
-                if fault is not None:
-                    raise InternalError(f"suite {name}: {fault}")
-                reports.extend(cases)
-        finally:
-            pool.shutdown(cancel_futures=True)
+                    index = pickle.load(stream)
+                    taken[index] = pid
+                    outcomes[index] = pickle.load(stream)
+                except (EOFError, pickle.UnpicklingError):  # cut off where the child ended
+                    break
+        for pid in streams:
+            ended[pid] = os.waitpid(pid, 0)[1]
+    finally:
+        running = [pid for pid in streams if pid not in ended]
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            os.waitpid(pid, 0)
+        for stream in streams.values():
+            stream.close()
+        os.close(tasks)
+    reports = []
+    for index, name in enumerate(names):
+        if index not in outcomes:
+            # a child dies with the suite it took; one that died before
+            # announcing its suite is the one that did not exit cleanly
+            pid = taken.get(index) or next(p for p, status in ended.items() if status)
+            code = os.waitstatus_to_exitcode(ended[pid])
+            how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise InternalError(f"suite {name}: child process {how}")
+        cases, fault = outcomes[index]
+        if fault is not None:
+            raise InternalError(f"suite {name}: {fault}")
+        reports.extend(cases)
     return reports
 
 
 def run_suites(names=None, **options):
     """The reports of the named suites (all of them by default), in order.
 
-    With more than one suite and more than one available CPU the suites run
-    in a pool of up to two forked processes, which inherit this
-    process's memo tables; the reports are the same as those of the
-    in-process loop.  An exception escaping a suite raises InternalError
-    for the first such suite in the order of `names`; in-process, the
-    exception is its cause.
+    With more than one suite and more than one available CPU, where the
+    platform can fork and no other thread runs, the suites run in up to two
+    forked children, which inherit this process's memo tables; the reports
+    are the same as those of the in-process loop.  An exception escaping a
+    suite, or a child that dies, raises InternalError for the first such
+    suite in the order of `names`; in-process, the exception is its cause.
     """
     names = list(SUITES if names is None else names)
     _check_known(names)
     workers = min(len(names), available_cpus(), _MAX_WORKERS)
-    context = _fork_context() if workers > 1 else None
-    if context is not None:
-        return _run_in_pool(names, workers, context, options)
+    if (workers > 1 and len(names) <= _MAX_FORKED_SUITES and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        return _run_forked(names, workers, options)
     reports = []
     for name in names:
         try:

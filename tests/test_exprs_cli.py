@@ -241,6 +241,44 @@ def test_long_number_below_the_limit_parses(su2):
     assert value == CPoly.monomial(3, (2, 0, 0), Fraction(int(digits), int(digits + "1")))
 
 
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("left", [NINES, f"{NINES}/7*i", f"({NINES} + {NINES}*i)*h"],
+                         ids=["integer", "imaginary-fraction", "complex"])
+def test_cli_long_coefficient_is_bad_input(capsys, left, fmt):
+    # the product has a 6000-digit coefficient, past Python's integer-string
+    # limit, so it has no printed form that re-parses
+    assert cli.main(["star", left, NINES, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: coefficient too long to print: more than {limit} digits\n"
+
+
+def test_cli_coefficient_at_the_limit_prints_and_reparses(capsys, su2):
+    # (10^2150 - 1)^2 has 4300 digits, exactly the limit
+    nines = "9" * 2150
+    assert cli.main(["star", nines, f"{nines}*x"]) == 0
+    text = capsys.readouterr().out.splitlines()[0]
+    assert parse_expression(text, algebra=su2) == CPoly.variable(3, 0) * int(nines) ** 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["star", "x", "y", "--c", "abc"], "unknown name 'abc' at offset 0"),
+    (["star", "x", "y", "--lift", "1/0"], "zero denominator at offset 0"),
+    (["star", "--product", "pbw", "x", "y", "--lift", "1/0"], "zero denominator at offset 0"),
+    (["star", "--product", "pbw", "x", "y", "--c", "1+"], "syntax error at offset 2"),
+], ids=["sym-c", "sym-lift", "pbw-lift", "pbw-c"])
+def test_cli_bad_level_or_lift_exits_2_with_any_product(capsys, argv, message):
+    # sym and pbw do not read the orbit, yet a bad --c or --lift is still bad input
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_unknown_suite(capsys):
     assert cli.main(["verify", "nope"]) == 2
 

@@ -1,15 +1,18 @@
-"""run_suites: the forked pool and the in-process loop give the same reports
-and the same faults.  Patching `verify.available_cpus` picks the path: one
-CPU runs the suites in-process, two or more fork a pool.  Also: the suite
-registry keeps its order and names, and `verify` hands its options to
-run_suites unchanged."""
+"""run_suites: the forked children (the "pool" of the older test names) and
+the in-process loop give the same reports and the same faults, and every
+child is reaped on every path.  Patching `verify.available_cpus` picks the
+path: one CPU runs the suites in-process, two or more fork up to two
+children.  Also: the suite registry keeps its order and names, and `verify`
+hands its options to run_suites unchanged."""
 
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,12 +67,13 @@ def test_reports_carry_their_suite_name():
 def test_cli_verify_passes_its_options(monkeypatch, capsys, argv, options):
     want = json.loads(json.dumps(verify.run_suites(**options), default=str))
     seen = []
+    run_suites = verify.run_suites
 
     def recording(names, **kwargs):
         seen.append({k: v for k, v in kwargs.items() if v is not None})
-        return verify.run_suites(names, **kwargs)
+        return run_suites(names, **kwargs)
 
-    monkeypatch.setattr(cli, "run_suites", recording)
+    monkeypatch.setattr(verify, "run_suites", recording)
     failed = any(rep["status"] != "pass" for rep in want)
     assert cli.main(["verify", "all", "--format", "json"] + argv) == int(failed)
     assert json.loads(capsys.readouterr().out) == want
@@ -107,6 +111,17 @@ def test_single_suite_never_forks(monkeypatch):
     assert verify.run_suites(["centrality"]) == verify.run_suite("centrality")
 
 
+def test_more_suites_than_task_bytes_run_in_process(monkeypatch):
+    # a suite index travels as one byte, so 257 suites never fork
+    def no_fork():
+        raise AssertionError("forked for 257 suites")
+
+    monkeypatch.setitem(verify.SUITES, "centrality", _pid_suite)
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 2)
+    assert len(verify.run_suites(["centrality"] * 257)) == 257
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_fault_in_suite_order(monkeypatch, cpus):
     def broken(**_):
@@ -141,15 +156,15 @@ def test_dead_worker_names_its_suite(monkeypatch, capsys):
     monkeypatch.setitem(verify.SUITES, "lemma", killed)
     _cpus(monkeypatch, 2)
     with pytest.raises(verify.InternalError,
-                       match=r"^suite lemma: BrokenProcessPool: ") as info:
+                       match=r"^suite lemma: child process exited with status 9$") as info:
         verify.run_suites(["lemma", "grading"])
-    assert type(info.value.__cause__).__name__ == "BrokenProcessPool"
+    assert info.value.__cause__ is None
     monkeypatch.setitem(verify.SUITES, "pbw", killed)
     assert cli.main(["verify", "all"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("internal error: suite pbw: BrokenProcessPool: ")
+    assert lines == ["internal error: suite pbw: child process exited with status 9"]
 
 
 def test_unknown_suite_is_bad_input(monkeypatch):
@@ -178,11 +193,84 @@ def test_unpicklable_exception_in_child_exits_3(monkeypatch, capsys):
 
 
 def test_import_leaves_pool_modules_unloaded():
+    # star and reduce never run the suites, the representations or the
+    # cohomology solver, so importing the package and its CLI compiles none
+    # of them; verify all forks its children without multiprocessing
     src = str(Path(orbitstar.__file__).resolve().parents[1])
-    code = ("import sys, orbitstar, orbitstar.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-            "if m in sys.modules))")
+    code = (
+        "import contextlib, io, sys, orbitstar, orbitstar.cli\n"
+        "def loaded(names): return sorted(m for m in names if m in sys.modules)\n"
+        "print(loaded(('orbitstar.verify', 'orbitstar.cohomology', 'orbitstar.reps',"
+        " 'multiprocessing', 'concurrent.futures')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = orbitstar.cli.main(['verify', 'all'])\n"
+        "print(code, loaded(('multiprocessing', 'concurrent.futures')))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n0 []\n"
+
+
+def _sleeping_suite(**_):
+    time.sleep(60)
+    return []
+
+
+def _exiting_suite(**_):
+    raise SystemExit(0)
+
+
+def _signalled_suite(**_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("suite, error", [
+    (_pid_suite, None),
+    (_exiting_suite, r"^suite lemma: child process exited with status 1$"),
+    (_signalled_suite, rf"^suite lemma: child process killed by signal {signal.SIGKILL:d}$"),
+], ids=["pass", "system-exit", "signal"])
+def test_runner_reaps_every_child(monkeypatch, suite, error):
+    # a child that is killed, or that meets an exception no suite fault
+    # covers, still ends in os._exit and never returns into the caller
+    monkeypatch.setitem(verify.SUITES, "lemma", suite)
+    _cpus(monkeypatch, 2)
+    if error is None:
+        assert len(verify.run_suites(["lemma", "centrality", "grading"])) > 1
+    else:
+        with pytest.raises(verify.InternalError, match=error):
+            verify.run_suites(["lemma", "centrality", "grading"])
+    _assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fault_in_parent_kills_and_reaps_children(monkeypatch):
+    def refused(stream):
+        raise RuntimeError("refused")
+
+    monkeypatch.setitem(verify.SUITES, "centrality", _sleeping_suite)
+    monkeypatch.setitem(verify.SUITES, "lemma", _sleeping_suite)
+    monkeypatch.setattr(verify.pickle, "load", refused)
+    _cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="^refused$"):
+        verify.run_suites(["centrality", "lemma"])
+    assert time.monotonic() - start < 30
+    _assert_no_children()
+
+
+def test_suite_fault_reaps_every_child(monkeypatch):
+    def broken(**_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.SUITES, "centrality", broken)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(verify.InternalError, match=r"^suite centrality: RuntimeError: boom$"):
+        verify.run_suites(["lemma", "centrality", "grading"])
+    _assert_no_children()
