@@ -39,6 +39,35 @@ DIGESTS = {
         "a378f088968418a399e7c5bba39e5e43d35645f9eb54a1eab052d85e46b6f9dc",
 }
 
+# Every product on inputs that mix degrees and carry h (both lie in the orbit
+# products' basis), recorded before star summed its pairs by h-weight.
+_STAR_LEFT, _STAR_RIGHT = "x + 1/2*y^2 + h*z", "3/4*x*z - 2/3*y + (1+h)*x"
+for _product, _text, _json in [
+    ("sym", "f37c48327e8c83c4fc65e7e49fe9f7b3a5e840a5f997dc8ae54900213280a52d",
+     "24b2e051e6d6507eaf28e529e27c7896abcdcfe22f35df342a56e752e5c96c0f"),
+    ("pbw", "9f0223c8555debcc7b6757cd0d36e9f5aa0f610fbfc2f270e6f1c518db903e8b",
+     "d2a2cc367e304a0e49d19d443222f0448cf0eadebe69fc6d25eeddc149232359"),
+    ("orbit", "9a2bf93e2ac4e2136311b286ba23dfd1179394f11123b0383f5379893b80875e",
+     "0fdf7c777cf8203f6bf85fa704b87091b9cdd5df37d6180dba08ed25c8535902"),
+    ("tangential",
+     "42a8465fe068658b346eae8008ca5d861337e3f2630e2d59c4605b4a60a5e28b",
+     "849e8667c09f7b47a539ce1bbfb6a7003d1dfec36158a0fc50b8459d282b26b6"),
+    ("split", "42a8465fe068658b346eae8008ca5d861337e3f2630e2d59c4605b4a60a5e28b",
+     "ee7914590642b8c688da33f01c97b9eb9fcc4017d621fa7b7983abfbf9592070"),
+]:
+    _args = ("-m", "orbitstar", "star", "--product", _product)
+    DIGESTS[(*_args, _STAR_LEFT, _STAR_RIGHT)] = _text
+    DIGESTS[(*_args, "--format", "json", _STAR_LEFT, _STAR_RIGHT)] = _json
+# the orbit products again, with a lift that carries h
+for _product, _text in [
+    ("orbit", "54db0f6ff92a60bb644480dc7173c2826819277ba44d16a51c7e52093673e5cb"),
+    ("tangential",
+     "a1dd23471db19f668a2f9bcd2fea4f4d25c054cf63ba2facde41401efd6c99b3"),
+    ("split", "b931fe0926a5648b61ba9d6a832c669f037bf7450d1c187da76b9de227299b57"),
+]:
+    DIGESTS[("-m", "orbitstar", "star", "--product", _product, "--c", "2",
+             "--lift", "2 + 1/3*h", _STAR_RIGHT, _STAR_LEFT)] = _text
+
 
 def test_every_demo_is_pinned():
     pinned = {args[0] for args in DIGESTS if args[0].startswith("demos/")}
