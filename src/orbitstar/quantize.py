@@ -8,8 +8,9 @@ shorter words of sym(x^a).
 A StarProduct packages an invertible basis correspondence between
 polynomials and the deformed enveloping algebra; the induced product is
 f * g = backward(forward(f) . forward(g)), memoized per monomial pair and
-summed bilinearly into one dict in place.  The forward image of each
-monomial is computed once per product and shared by every pair it enters.
+summed bilinearly, one dict per h-weight (deg x_i = deg h = 1), the dicts
+merged once per key.  The forward image of each monomial is computed once
+per product and shared by every pair it enters.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .envelope import NCPoly, word_exps
 from .lie import LieAlgebra
 from .linalg import LinearSystem
 from .poly import CPoly, acc_scaled, kirillov_bracket, monomials_up_to
-from .scalars import H_ONE
+from .scalars import H_ONE, merge_sums
 
 
 def _sym_monomial(L: LieAlgebra, exps) -> NCPoly:
@@ -120,15 +121,23 @@ class StarProduct:
         return hit
 
     def star(self, f: CPoly, g: CPoly) -> CPoly:
-        """f * g, extended bilinearly over the monomial basis."""
+        """f * g, extended bilinearly over the monomial basis.
+
+        Pairs are summed into one dict per h-weight |e1| + |e2| + val(c1*c2),
+        and merge_sums adds the dicts once per key.  In a graded product (sym,
+        pbw) one weight puts a monomial at one power of h, so acc_scaled stays
+        on its single-power step; the orbit products are not graded."""
         self._check_domain(f)
         self._check_domain(g)
-        out = {}
+        right = [(e2, c2, sum(e2)) for e2, c2 in g.terms.items()]
+        parts = {}
         for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
+            d1 = sum(e1)
+            for e2, c2, d2 in right:
                 c = c2 if c1 is H_ONE else c1 if c2 is H_ONE else c1 * c2
-                acc_scaled(out, self._star_monomials(e1, e2).terms, c)
-        return f._new(out)
+                acc_scaled(parts.setdefault(d1 + d2 + c.val, {}),
+                           self._star_monomials(e1, e2).terms, c)
+        return f._new(merge_sums(list(parts.values())))
 
     def _check_domain(self, f):
         if f.nvars != self.nvars:

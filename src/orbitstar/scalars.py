@@ -15,7 +15,8 @@ representations, and the form in which HPoly coefficients are read out.
 acc_scaled, the step that adds c*v into a term dict for every sum and
 product of CPoly and NCPoly, lives here because it reads HPoly's fields: a
 product of two single powers c*h^k, and its sum with a stored single power
-of the same h-degree, are a few int operations and one new HPoly per key.
+of the same h-degree, are a few int operations and one new HPoly per key;
+merge_sums adds several such dicts, each key's coefficients in one pass.
 The printers read HPoly's integer fields directly, reducing each numerator
 against the denominator with one gcd; only a coefficient with both a real
 and an imaginary part is printed through GaussianRational.  Values are
@@ -485,6 +486,42 @@ def acc_scaled(d, terms, c):
             d[key] = p
         else:
             acc_term(d, key, p)
+
+
+def merge_sums(parts):
+    """The sum of a list of term dicts, as one dict.  One dict is returned as
+    it is; a key that one dict holds keeps its HPoly, and a key that several
+    hold has their coefficients added in one pass on the integer fields, over
+    the lcm of their denominators.  Keys that cancel are dropped."""
+    if len(parts) == 1:
+        return parts[0]
+    out = {}
+    for part in parts:
+        for key, v in part.items():
+            cur = out.get(key)
+            if cur is None:
+                out[key] = v
+            elif cur.__class__ is list:
+                cur.append(v)
+            else:
+                out[key] = [cur, v]
+    for key, cs in list(out.items()):
+        if cs.__class__ is list:
+            den = lcm(*[c.den for c in cs])
+            val = min([c.val for c in cs])
+            res = [0] * (max([c.val + len(c.num) for c in cs]) - val)
+            ims = res[:]
+            for c in cs:
+                s = den // c.den
+                for k, (re, im) in enumerate(c.num, c.val - val):
+                    res[k] += re * s
+                    ims[k] += im * s
+            p = _hpoly(*_canonical(list(zip(res, ims)), den, val))
+            if p:
+                out[key] = p
+            else:
+                del out[key]
+    return out
 
 
 # ---------------------------------------------------------------------------
