@@ -404,15 +404,17 @@ def suite_cohomology(max_degree=None, seed=0, **_):
         if not all(v.is_zero() for v in image.values()):
             ok = False
             break
+    # a nonzero seed is named in the text of each case that draws from it
+    drawn, note = (f", seed {seed}", f" (seed {seed})") if seed else ("", "")
     yield (f"d2(d1(C)) == 0 on random cochains "
-           f"(deg<={bound})", ok)
+           f"(deg<={bound}{drawn})", ok)
 
     dims = [h2_dimension(su2, d) for d in range(bound + 1)]
     yield (f"h2 dimensions 0..{bound} all vanish",
            all(v == 0 for v in dims), dims)
 
     ok = all(coboundary_roundtrip(su2, d, rng) for d in range(min(bound, 3) + 1))
-    yield "coboundary solver round-trips d1 images", ok
+    yield f"coboundary solver round-trips d1 images{note}", ok
 
     ab = LieAlgebra(("A", "B"), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
     nonzero = h2_dimension(ab, 0)
@@ -429,6 +431,7 @@ def suite_grading(seed=0, **_):
     projection, and specialization compatibility."""
     L = predefined("su2")
     rng = random.Random(seed)
+    note = f" (seed {seed})" if seed else ""
     ok = True
     for i in range(3):
         for j in range(3):
@@ -456,7 +459,7 @@ def suite_grading(seed=0, **_):
             ok = False
             break
     yield ("h -> 0 projection is multiplicative on "
-           "random pairs", ok)
+           f"random pairs{note}", ok)
 
     ok = True
     for _ in range(20):
@@ -469,7 +472,7 @@ def suite_grading(seed=0, **_):
             ok = False
             break
     yield ("normal form preserves the graded degree of "
-           "words", ok)
+           f"words{note}", ok)
 
     ok = True
     for _ in range(20):
@@ -480,7 +483,7 @@ def suite_grading(seed=0, **_):
         if lhs != rhs:
             ok = False
             break
-    yield ("specialization commutes with multiplication",
+    yield (f"specialization commutes with multiplication{note}",
            ok)
 
     ok = True
@@ -494,7 +497,7 @@ def suite_grading(seed=0, **_):
         if (pa * pb).truncate(k) != (pa.truncate(k) * pb.truncate(k)).truncate(k):
             ok = False
     yield ("h-evaluation is a ring map and truncation "
-           "is compatible with products", ok)
+           f"is compatible with products{note}", ok)
 
 
 def _check_known(names):

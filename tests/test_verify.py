@@ -80,6 +80,17 @@ def test_cli_verify_passes_its_options(monkeypatch, capsys, argv, options):
     assert seen == [{"seed": 0, **options}]
 
 
+def test_verify_all_names_a_nonzero_seed(capsys):
+    assert cli.main(["verify", "all"]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["verify", "all", "--seed", "5"]) == 0
+    seeded = capsys.readouterr().out
+    assert "seed" not in default and seeded != default
+    # the six random-draw cases of cohomology and grading
+    assert seeded.count("seed 5") == 6
+    assert "(deg<=4, seed 5)" in seeded
+
+
 def _pid_suite(**_):
     return [{"suite": "pid", "case": str(os.getpid()), "status": "pass"}]
 
