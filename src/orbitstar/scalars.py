@@ -491,8 +491,8 @@ def acc_scaled(d, terms, c):
 def merge_sums(parts):
     """The sum of a list of term dicts, as one dict.  One dict is returned as
     it is; a key that one dict holds keeps its HPoly, and a key that several
-    hold has their coefficients added in one pass on the integer fields, over
-    the lcm of their denominators.  Keys that cancel are dropped."""
+    hold has their coefficients summed per power of h on the integer fields,
+    over the lcm of their denominators.  Keys that cancel are dropped."""
     if len(parts) == 1:
         return parts[0]
     out = {}
@@ -508,15 +508,17 @@ def merge_sums(parts):
     for key, cs in list(out.items()):
         if cs.__class__ is list:
             den = lcm(*[c.den for c in cs])
-            val = min([c.val for c in cs])
-            res = [0] * (max([c.val + len(c.num) for c in cs]) - val)
-            ims = res[:]
+            at = {}
             for c in cs:
-                s = den // c.den
-                for k, (re, im) in enumerate(c.num, c.val - val):
-                    res[k] += re * s
-                    ims[k] += im * s
-            p = _hpoly(*_canonical(list(zip(res, ims)), den, val))
+                s, k = den // c.den, c.val
+                for re, im in c.num:
+                    t = at.get(k)
+                    at[k] = ((re * s, im * s) if t is None
+                             else (t[0] + re * s, t[1] + im * s))
+                    k += 1
+            val = min(at)
+            num = [at.get(k, (0, 0)) for k in range(val, max(at) + 1)]
+            p = _hpoly(*_canonical(num, den, val))
             if p:
                 out[key] = p
             else:

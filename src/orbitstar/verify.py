@@ -404,7 +404,6 @@ def suite_cohomology(max_degree=None, seed=0, **_):
         if not all(v.is_zero() for v in image.values()):
             ok = False
             break
-    # a nonzero seed is named in the text of each case that draws from it
     drawn, note = (f", seed {seed}", f" (seed {seed})") if seed else ("", "")
     yield (f"d2(d1(C)) == 0 on random cochains "
            f"(deg<={bound}{drawn})", ok)
