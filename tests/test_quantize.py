@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_coeff
-from orbitstar import quantize
+from orbitstar import quantize, scalars
 from orbitstar.envelope import NCPoly, word_exps
-from orbitstar.exprs import format_cpoly
+from orbitstar.exprs import format_cpoly, parse_expression
 from orbitstar.lie import LieAlgebra, predefined
 from orbitstar.orbit import sphere_orbit
 from orbitstar.poly import CPoly, acc_term, monomials_up_to
@@ -389,15 +389,44 @@ def _bilinear_star(star, f, g):
     return out
 
 
-@pytest.mark.parametrize("kind", ["sym", "orbit"])
-def test_star_against_bilinear_oracle(kind, su2):
+PRODUCTS = ["sym", "pbw", "orbit", "tangential", "split"]
+
+
+def _product(kind, L):
     if kind == "sym":
-        star = symmetrizer_product(su2)
-    else:
-        star = sphere_orbit(2, lift=HPoly([2, Fraction(1, 3)]),
-                            algebra=su2).star_product()
+        return symmetrizer_product(L)
+    if kind == "pbw":
+        return pbw_basis_product(L)
+    orb = sphere_orbit(2, lift=HPoly([2, Fraction(1, 3)]), algebra=L)
+    return {"orbit": orb.star_product, "tangential": orb.tangential_product,
+            "split": orb.split_product}[kind]()
+
+
+# Inputs in the orbit products' basis.  star sums its pairs by h-weight
+# |e1| + |e2| + val(c1*c2); each case names what its parts do at the merge.
+STAR_CASES = [
+    # several weights, h-carrying coefficients
+    ("x + 1/2*y^2 + h*z", "3/4*x*z - 2/3*y + (1+h)*x"),
+    # multi-power coefficients on both sides
+    ("(1 + h + 1/3*h^2)*x + h^2*y - (2/5 - h)*x*y", "(2 - h)*z + 1/5*h*x*y + (i + h)"),
+    # under sym, x^2 gets 1 + h at weight 2 and -h at weight 3: h cancels
+    ("(1+h)*x - h", "x + x^2"),
+    # under sym, a key cancels across weights and another keeps one power
+    ("(1 - h)*x^2*z - h*x*y*z + y^2*z", "-h*x^2 - h*x*y"),
+    # under orbit, x*y^2 cancels across weights
+    ("h*x + h*y + h*x*z", "(1+h)*y^2 - x*y"),
+    # a single monomial pair: one weight, returned as summed
+    ("x*y", "-1/2*h*z"),
+]
+
+
+@pytest.mark.parametrize("kind", PRODUCTS)
+def test_star_against_bilinear_oracle(kind, su2):
+    star = _product(kind, su2)
     basis = star.monomial_basis(3)
     rng = random.Random(43)
+    pairs = [tuple(parse_expression(t, algebra=su2) for t in case)
+             for case in STAR_CASES]
     for _ in range(12):
         f, g = (
             CPoly(3, {
@@ -406,10 +435,30 @@ def test_star_against_bilinear_oracle(kind, su2):
             })
             for _ in range(2)
         )
+        pairs.append((f, g))
+    for f, g in pairs:
         for left, right in ((f, g), (g, f), (f, f - f), (f + g, f - g)):
             got = star.star(left, right)
             assert got == _bilinear_star(star, left, right)
             assert all(got.terms.values())
+    if kind == "sym":
+        f, g = pairs[2]
+        assert star.star(f, g) == parse_expression("x^2 + (1+h)*x^3 - h*x",
+                                                   algebra=su2)
+
+
+@pytest.mark.parametrize("kind", ["sym", "pbw"])
+def test_graded_star_adds_each_update_at_one_power(kind, su2, monkeypatch):
+    # in a graded product the pairs of one h-weight put a monomial at one
+    # power of h, so no update leaves acc_scaled's single-power step
+    star = _product(kind, su2)
+    f = parse_expression("x + h*y + 1/2*h^2*z + 3*x*y - 2/3*h*y*z", algebra=su2)
+    g = parse_expression("y + x - h + 1/3*h*x^2 + 5/7*h^2*z", algebra=su2)
+    want = _bilinear_star(star, f, g)
+    calls = []
+    monkeypatch.setattr(scalars, "acc_term", lambda *a: calls.append(a))
+    assert star.star(f, g) == want
+    assert calls == []
 
 
 def test_orbit_star_domain_memo_still_rejects(su2, xyz):
