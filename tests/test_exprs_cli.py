@@ -422,8 +422,18 @@ SO4_CONFIG = {
     ],
 }
 
+# su2 with every bracket scaled by 1/2 + i: its Killing entries 3/2 - 2*i and
+# determinant -117/8 - 11/2*i print with both a real and an imaginary part
+COMPLEX_SU2_CONFIG = {
+    "dim": 3,
+    "names": ["X", "Y", "Z"],
+    "brackets": [[0, 1, [[2, "1/2 + i"]]], [1, 2, [[0, "1/2 + i"]]],
+                 [0, 2, [[1, "-1/2 - i"]]]],
+}
+
 # SHA-256 of `orbitstar algebra` stdout, recorded while the Killing form was
-# still a dense n^4 sum and computed three times per command
+# still a dense n^4 sum and computed three times per command (the complex
+# config's while scalars were still pairs of Fractions)
 ALGEBRA_DIGESTS = {
     ("--name", "su2"): "21fffaf342ff16880adee48bb6e11d1a20654e497d754fb2353fbde511302a66",
     ("--name", "su2", "--format", "json"):
@@ -435,18 +445,30 @@ ALGEBRA_DIGESTS = {
         "6cc5665fe1b1d05530bb6f10b34517d06d5b08d425af5132b80e20d9e855edd2",
     ("--config", "so4.json", "--format", "json"):
         "bab80ae73f5cd4102355549d3a67ac0b4ad373df562fc613cf9c80d2b3caae5b",
+    ("--config", "su2c.json"):
+        "6742436ab12d01b7e190b1df6c30359d936e7107da2ccc8a946986d3dc89636d",
+    ("--config", "su2c.json", "--format", "json"):
+        "752c54626bb08d8e2e6f60e170bf5ff1c68af5b791d4456b7c316708241d704b",
 }
 
 
 @pytest.mark.parametrize("args", list(ALGEBRA_DIGESTS), ids=" ".join)
 def test_cli_algebra_printed_forms(tmp_path, capsys, args):
     (tmp_path / "so4.json").write_text(json.dumps(SO4_CONFIG))
-    argv = [str(tmp_path / a) if a == "so4.json" else a for a in args]
+    (tmp_path / "su2c.json").write_text(json.dumps(COMPLEX_SU2_CONFIG))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
     assert cli.main(["algebra", *argv]) == 0
     out = capsys.readouterr().out
     if args == ("--config", "so4.json"):
         assert out.splitlines()[1:] == [
             "jacobi identity: ok", "killing determinant: 64 (semisimple)"]
+    if args == ("--config", "su2c.json"):
+        assert out.splitlines()[2] == (
+            "killing determinant: -117/8 - 11/2*i (semisimple)")
+    if args == ("--config", "su2c.json", "--format", "json"):
+        data = json.loads(out)
+        assert data["killing"][1] == ["0", "3/2 - 2*i", "0"]
+        assert data["killing_det"] == "-117/8 - 11/2*i"
     assert hashlib.sha256(out.encode()).hexdigest() == ALGEBRA_DIGESTS[args]
 
 

@@ -25,6 +25,13 @@ DIGESTS = {
     ("-m", "orbitstar", "cohomology", "--max-degree", "4", "--seed", "3",
      "--format", "json"):
         "dbe7010071107283bfd1e164f37b3e10642c0cbe0c93f880f42e24a0ef510618",
+    ("-m", "orbitstar", "rep"):
+        "3d8b835d407c148e8068c6f630c3cd54bf4a65591870fd944f793044cfe4a8ae",
+    ("-m", "orbitstar", "rep", "--format", "json"):
+        "b7319384d6112907bfee0d64f11d9d1882d7fcf3418cb4d61275d7633550bfdb",
+    # a complex lift: its value at h=1 prints as re + im*i, unparenthesized
+    ("-m", "orbitstar", "rep", "--lift", "1/2 + i", "--format", "json"):
+        "e394e64a09dd98abb8ca6069f4774ccb8d0341d557080e07949c16745ebe1d88",
     ("demos/01_pbw_rewriting.py",):
         "6242eb0599a9845f9e7c0fc93f6a399c11d97bf600ba45d3b122108f6bf53c88",
     ("demos/02_symmetrizer_star.py",):
