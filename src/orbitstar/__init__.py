@@ -7,8 +7,7 @@ differentiability probes, representation-theoretic witnesses, and the
 polynomial Chevalley-Eilenberg solver.
 """
 
-from .scalars import (GaussianRational, HPoly, H, H_ONE, H_ZERO, as_gauss, as_hpoly,
-                      format_hpoly)
+from .scalars import HPoly, H, H_ONE, H_ZERO, as_hpoly, format_hpoly
 from .lie import (
     BasisChange,
     LieAlgebra,

@@ -41,7 +41,7 @@ from .lie import (
 )
 from .orbit import Orbit, orbit_from_json, sphere_orbit
 from .quantize import symmetrizer_product, pbw_basis_product
-from .scalars import H_ONE
+from .scalars import H_ONE, format_scalar
 
 
 class CLIError(Exception):
@@ -130,8 +130,8 @@ def cmd_algebra(args):
         "names": list(L.names),
         "varnames": list(L.varnames),
         "jacobi": True,  # the LieAlgebra constructor rejects a failing table
-        "killing": [[str(x) for x in row] for row in K],
-        "killing_det": str(det),
+        "killing": [[format_scalar(x) for x in row] for row in K],
+        "killing_det": format_scalar(det),
         "semisimple": bool(det),
     }
     lines = [
@@ -249,8 +249,8 @@ def cmd_rep(args):
     sl2 = predefined("sl2")
     P = NCPoly(su2, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE})
     scalars = {
-        "defining": str(casimir_scalar(P, su2_defining_rep(), 1)),
-        "adjoint": str(casimir_scalar(P, adjoint_rep(su2), 1)),
+        "defining": format_scalar(casimir_scalar(P, su2_defining_rep(), 1)),
+        "adjoint": format_scalar(casimir_scalar(P, adjoint_rep(su2), 1)),
     }
     omega = sl2_casimir(sl2)
     hw = highest_weight_casimir(sl2, omega)

@@ -17,7 +17,6 @@ from itertools import combinations
 from .lie import LieAlgebra
 from .linalg import LinearSystem
 from .poly import CPoly, kirillov_bracket, monomials_of_degree
-from .scalars import HPoly
 
 
 def _action(L, i, f):
@@ -195,7 +194,7 @@ def solve_coboundary(L: LieAlgebra, C: Cochain2, degree: int):
         for t, exps in enumerate(basis):
             v = solution[gen * nb + t]
             if v:
-                p = p + CPoly.monomial(n, exps, HPoly((v,)))
+                p = p + CPoly.monomial(n, exps, v)
         values.append(p)
     return Cochain1(L, values)
 

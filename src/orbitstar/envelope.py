@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .lie import LieAlgebra
 from .poly import CPoly, Sparse, acc_scaled, acc_term
-from .scalars import H, H_ONE, HPoly, as_hpoly
+from .scalars import H, H_ONE, as_hpoly
 
 def _times(L: LieAlgebra, i, b):
     """Canonical terms of X_i X^b for a nondecreasing word b: the table."""
@@ -274,7 +274,7 @@ class NCPoly(Sparse):
         """Evaluate every coefficient at h = h0."""
         return NCPoly(
             self.algebra,
-            {w: HPoly((c.evaluate(h0),)) for w, c in self.terms.items()},
+            {w: c.evaluate(h0) for w, c in self.terms.items()},
         )
 
     def project_h0(self) -> CPoly:
@@ -285,7 +285,7 @@ class NCPoly(Sparse):
             v = coeff.coeff(0)
             if not v:
                 continue
-            acc_term(out, word_exps(word, n), HPoly((v,)))
+            acc_term(out, word_exps(word, n), v)
         return CPoly(n, out)
 
     def word_exps(self):

@@ -28,11 +28,10 @@ from .envelope import NCPoly
 from .lie import LieAlgebra
 from .poly import CPoly
 from .scalars import (
-    GR_I,
     H,
     H_ONE,
-    GaussianRational,
     HPoly,
+    I,
     _hpoly,
     acc_scaled,
     coeff_pieces,
@@ -51,7 +50,6 @@ class ExprSyntaxError(ValueError):
 _OPS = set("+-*^()")
 _DIGITS = set("0123456789")
 MAX_EXPONENT = 64
-_H_I = HPoly((GR_I,))
 _H_MINUS_ONE = -H_ONE
 
 
@@ -190,7 +188,7 @@ class _Parser:
         if kind == "name":
             self.advance()
             if text == "i":
-                return {self.unit: _H_I}
+                return {self.unit: I}
             if text == "h":
                 return {self.unit: H}
             key = self.keys.get(text)
@@ -241,16 +239,17 @@ def parse_hpoly(text) -> HPoly:
     return value.coeff(())
 
 
-def parse_scalar(text) -> GaussianRational:
+def parse_scalar(text) -> HPoly:
     """Parse an h-free scalar expression."""
     return parse_hpoly(text).as_scalar()
 
 
 def parse_rational(text) -> Fraction:
     s = parse_scalar(text)
-    if s.im:
+    (re, im), = s.num or ((0, 0),)
+    if im:
         raise ValueError(f"{text!r} is not a real rational")
-    return s.re
+    return Fraction(re, s.den)
 
 
 # ---------------------------------------------------------------------------

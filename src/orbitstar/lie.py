@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from . import linalg
-from .scalars import GR_ZERO, GaussianRational, as_gauss
+from .scalars import H_ZERO, HPoly
 
 _RESERVED_VARS = {"h", "i"}
 
@@ -32,10 +32,10 @@ def _constants_from(c):
         for j in range(n):
             row = []
             for k in range(n):
-                v = as_gauss(c[i][j][k])
-                if v is None:
-                    raise TypeError(f"bad structure constant c[{i}][{j}][{k}]")
-                row.append(v)
+                try:
+                    row.append(HPoly.const(c[i][j][k]))
+                except TypeError:
+                    raise TypeError(f"bad structure constant c[{i}][{j}][{k}]") from None
             plane.append(tuple(row))
         cube.append(tuple(plane))
     return tuple(cube)
@@ -83,7 +83,7 @@ def check_jacobi(c) -> bool:
                 for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, u in nz[a][b]:
                         for l, v in nz[m][d]:
-                            acc[l] = acc.get(l, GR_ZERO) + u * v
+                            acc[l] = acc.get(l, H_ZERO) + u * v
                 if any(acc.values()):
                     return False
     return True
@@ -162,11 +162,11 @@ def change_basis(L: LieAlgebra, B: BasisChange, names=None, varnames=None) -> Li
         raise ValueError("basis change dimension mismatch")
     n = L.dim
     M, Minv = B.matrix, B.inverse
-    c = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
+    c = [[[H_ZERO] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             # [Y_i, Y_j] in the old basis, then re-express through Minv
-            old = [GR_ZERO] * n
+            old = [H_ZERO] * n
             for a in range(n):
                 if not M[a][i]:
                     continue
@@ -177,7 +177,7 @@ def change_basis(L: LieAlgebra, B: BasisChange, names=None, varnames=None) -> Li
                     for k, v in L.bracket_terms(a, b):
                         old[k] = old[k] + f * v
             for l in range(n):
-                s = GR_ZERO
+                s = H_ZERO
                 for k in range(n):
                     s = s + Minv[l][k] * old[k]
                 c[i][j][l] = s
@@ -192,14 +192,14 @@ def killing_form(L):
     n, nz = len(c), _nonzero(c)
     return tuple(
         tuple(
-            sum((u * c[j][l][k] for k in range(n) for l, u in nz[i][k]), GR_ZERO)
+            sum((u * c[j][l][k] for k in range(n) for l, u in nz[i][k]), H_ZERO)
             for j in range(n)
         )
         for i in range(n)
     )
 
 
-def killing_det(L: LieAlgebra) -> GaussianRational:
+def killing_det(L: LieAlgebra) -> HPoly:
     return linalg.det(killing_form(L))
 
 
@@ -226,12 +226,11 @@ _SL2_TABLE = {(0, 1): [(0, 2)], (1, 2): [(2, 2)], (2, 0): [(1, 1)]}
 
 
 def _table_to_constants(n, table):
-    c = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (i, j), terms in table.items():
         for k, v in terms:
-            g = as_gauss(v)
-            c[i][j][k] = g
-            c[j][i][k] = -g
+            c[i][j][k] = v
+            c[j][i][k] = -v
     return c
 
 
@@ -273,7 +272,7 @@ def algebra_from_json(data) -> LieAlgebra:
     names = data.get("names") or [f"X{i}" for i in range(n)]
     if len(names) != n:
         raise ValueError("names length does not match dim")
-    c = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
+    c = [[[H_ZERO] * n for _ in range(n)] for _ in range(n)]
     for entry in data.get("brackets", ()):
         i, j, terms = entry
         i, j = int(i), int(j)

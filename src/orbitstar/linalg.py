@@ -1,4 +1,4 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals (h-free HPolys).
 
 Dense helpers for small matrices (products, determinants, inverses) plus an
 incremental sparse row-reduction used by the coboundary, gauge and
@@ -10,24 +10,17 @@ rounding.
 
 from __future__ import annotations
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_gauss
-
-
-def _g(x) -> GaussianRational:
-    v = as_gauss(x)
-    if v is None:
-        raise TypeError(f"not a scalar: {x!r}")
-    return v
+from .scalars import H_ONE, H_ZERO, HPoly
 
 
 def mat(rows):
-    """Normalize a nested sequence into a tuple-of-tuples scalar matrix."""
-    return tuple(tuple(_g(x) for x in row) for row in rows)
+    """Normalize a nested sequence into a tuple-of-tuples of h-free HPolys."""
+    return tuple(tuple(HPoly.const(x) for x in row) for row in rows)
 
 
 def mat_identity(n):
     return tuple(
-        tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n)
+        tuple(H_ONE if i == j else H_ZERO for j in range(n)) for i in range(n)
     )
 
 
@@ -39,7 +32,7 @@ def mat_sub(a, b):
 
 
 def mat_scale(c, a):
-    c = _g(c)
+    c = HPoly.const(c)
     return tuple(tuple(c * x for x in row) for row in a)
 
 
@@ -49,7 +42,7 @@ def mat_mul(a, b):
     for i in range(n):
         row = []
         for j in range(m):
-            s = GR_ZERO
+            s = H_ZERO
             for t in range(k):
                 s = s + a[i][t] * b[t][j]
             row.append(s)
@@ -67,27 +60,27 @@ def mat_is_scalar(a):
     c = a[0][0]
     for i in range(n):
         for j in range(n):
-            want = c if i == j else GR_ZERO
+            want = c if i == j else H_ZERO
             if a[i][j] != want:
                 return None
     return c
 
 
 def det(a):
-    """Exact determinant by fraction-based Gaussian elimination."""
+    """Exact determinant by Gaussian elimination."""
     n = len(a)
     m = [list(row) for row in a]
-    out = GR_ONE
+    out = H_ONE
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return GR_ZERO
+            return H_ZERO
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             out = -out
         p = m[col][col]
         out = out * p
-        inv = GR_ONE / p
+        inv = H_ONE / p
         for r in range(col + 1, n):
             f = m[r][col] * inv
             if not f:
@@ -100,14 +93,14 @@ def det(a):
 def invert(a):
     """Exact inverse, or None when the matrix is singular."""
     n = len(a)
-    m = [list(row) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
+    m = [list(row) + [H_ONE if i == j else H_ZERO for j in range(n)]
          for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        inv = GR_ONE / m[col][col]
+        inv = H_ONE / m[col][col]
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r == col or not m[r][col]:
@@ -136,13 +129,13 @@ class LinearSystem:
 
     def add(self, row, rhs, tag=None) -> bool:
         """Reduce and store one equation; False when it is inconsistent."""
-        row = {c: _g(v) for c, v in row.items() if v}
-        rhs = _g(rhs)
+        row = {c: HPoly.const(v) for c, v in row.items() if v}
+        rhs = HPoly.const(rhs)
         while row:
             col = min(row)
             hit = self.pivots.get(col)
             if hit is None:
-                inv = GR_ONE / row[col]
+                inv = H_ONE / row[col]
                 norm = {c: v * inv for c, v in row.items()}
                 self.pivots[col] = (norm, rhs * inv)
                 return True
@@ -151,7 +144,7 @@ class LinearSystem:
             for c, v in prow.items():
                 if c == col:
                     continue
-                nv = row.get(c, GR_ZERO) - f * v
+                nv = row.get(c, H_ZERO) - f * v
                 if nv:
                     row[c] = nv
                 else:
@@ -176,7 +169,7 @@ class LinearSystem:
             row = {col: p.terms[key].as_scalar()
                    for col, p in lin.items() if key in p.terms}
             b = rhs.terms.get(key)
-            if not self.add(row, GR_ZERO if b is None else b.as_scalar(),
+            if not self.add(row, H_ZERO if b is None else b.as_scalar(),
                             tag=(tag, key)):
                 return False
         return True
@@ -185,7 +178,7 @@ class LinearSystem:
         """A particular solution with free columns set to zero, or None."""
         if self.conflict is not None:
             return None
-        x = [GR_ZERO] * self.ncols
+        x = [H_ZERO] * self.ncols
         for col in sorted(self.pivots, reverse=True):
             row, rhs = self.pivots[col]
             val = rhs
@@ -200,5 +193,5 @@ def rank_dense(rows):
     ncols = max((len(r) for r in rows), default=0)
     sys_ = LinearSystem(ncols)
     for row in rows:
-        sys_.add({j: v for j, v in enumerate(row) if v}, GR_ZERO)
+        sys_.add({j: v for j, v in enumerate(row) if v}, H_ZERO)
     return sys_.rank

@@ -31,7 +31,7 @@ from .poly import (
     reduce as poly_reduce_by,
 )
 from .quantize import StarProduct, symmetrize
-from .scalars import H, H_ONE, HPoly, as_gauss, as_hpoly
+from .scalars import H, H_ONE, HPoly, as_hpoly
 
 
 class Orbit:
@@ -56,9 +56,7 @@ class Orbit:
             )
         if not self.constants[0]:
             raise ValueError("regular orbit needs a nonzero level constant")
-        if lifts is None:
-            lifts = [HPoly.const(c) for c in self.constants]
-        self.lifts = tuple(as_hpoly(c) for c in lifts)
+        self.lifts = tuple(as_hpoly(c) for c in (self.constants if lifts is None else lifts))
         for lift, c0 in zip(self.lifts, self.constants):
             if lift.coeff(0) != c0:
                 raise ValueError("lift must restrict to the orbit constant at h=0")
@@ -384,10 +382,10 @@ class Orbit:
 
 
 def _scalar(x):
-    g = as_gauss(x if not isinstance(x, str) else Fraction(x))
-    if g is None:
-        raise TypeError(f"bad level constant {x!r}")
-    return g
+    try:
+        return HPoly.const(x if not isinstance(x, str) else Fraction(x))
+    except TypeError:
+        raise TypeError(f"bad level constant {x!r}") from None
 
 
 def _sum_of_squares(n) -> CPoly:

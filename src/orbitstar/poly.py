@@ -10,7 +10,7 @@ through scalars.acc_scaled, which this module re-exports.
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .scalars import H_ONE, H_ZERO, HPoly, acc_scaled, acc_term, as_hpoly
+from .scalars import H_ONE, H_ZERO, acc_scaled, acc_term, as_hpoly
 
 
 class Sparse:
@@ -59,7 +59,7 @@ class Sparse:
         for key, c in self.terms.items():
             v = c.coeff(k)
             if v:
-                out[key] = HPoly((v,))
+                out[key] = v
         return self._new(out)
 
     def _scaled(self, c):

@@ -15,7 +15,7 @@ from . import linalg
 from .envelope import NCPoly
 from .lie import LieAlgebra, predefined
 from .poly import CPoly
-from .scalars import GR_ZERO, GaussianRational, as_gauss, as_hpoly
+from .scalars import H_ZERO, I, HPoly, as_hpoly, format_scalar
 
 
 class MatrixRep:
@@ -42,7 +42,7 @@ def validate_rep(L: LieAlgebra, R: MatrixRep) -> bool:
                 linalg.mat_mul(R.matrices[i], R.matrices[j]),
                 linalg.mat_mul(R.matrices[j], R.matrices[i]),
             )
-            want = [[GR_ZERO] * R.dim for _ in range(R.dim)]
+            want = [[H_ZERO] * R.dim for _ in range(R.dim)]
             for k, v in L.bracket_terms(i, j):
                 for a in range(R.dim):
                     for b in range(R.dim):
@@ -55,22 +55,18 @@ def validate_rep(L: LieAlgebra, R: MatrixRep) -> bool:
 def su2_defining_rep() -> MatrixRep:
     """The two-dimensional representation X = -(i/2)s1, Y = -(i/2)s2,
     Z = -(i/2)s3 built from the Pauli matrices."""
-    i2 = GaussianRational(0, Fraction(-1, 2))
-    half = GaussianRational(Fraction(1, 2))
-    zero = GR_ZERO
-    X = ((zero, i2), (i2, zero))
-    Y = ((zero, -half), (half, zero))
-    Z = ((i2, zero), (zero, -i2))
+    i2, half = I * Fraction(-1, 2), Fraction(1, 2)
+    X = ((0, i2), (i2, 0))
+    Y = ((0, -half), (half, 0))
+    Z = ((i2, 0), (0, -i2))
     return MatrixRep(2, (X, Y, Z))
 
 
 def evaluate(u: NCPoly, R: MatrixRep, h0):
     """The image of u under X_i -> h0*rho_i, h -> h0."""
-    h0 = as_gauss(h0 if not isinstance(h0, str) else Fraction(h0))
-    if h0 is None:
-        raise TypeError("bad specialization value")
+    h0 = HPoly.const(h0 if not isinstance(h0, str) else Fraction(h0))
     n = R.dim
-    out = [[GR_ZERO] * n for _ in range(n)]
+    out = [[H_ZERO] * n for _ in range(n)]
     for word, coeff in u.terms.items():
         scalar = coeff.evaluate(h0) * h0 ** len(word)
         if not scalar:
@@ -84,7 +80,7 @@ def evaluate(u: NCPoly, R: MatrixRep, h0):
     return linalg.mat(out)
 
 
-def casimir_scalar(u: NCPoly, R: MatrixRep, h0) -> GaussianRational:
+def casimir_scalar(u: NCPoly, R: MatrixRep, h0) -> HPoly:
     """The scalar by which a central element acts; raises on non-scalar
     images (a sign of a bad representation or non-central input)."""
     m = evaluate(u, R, h0)
@@ -105,7 +101,7 @@ def _check_triangular(L: LieAlgebra):
     want = {(1, 2): {2: 2}, (1, 0): {0: -2}, (2, 0): {1: 1}}
     for (i, j), comps in want.items():
         for k in range(3):
-            if L.c[i][j][k] != as_gauss(comps.get(k, 0)):
+            if L.c[i][j][k] != comps.get(k, 0):
                 raise ValueError(
                     "generators are not in triangular order F < H < E"
                 )
@@ -151,7 +147,7 @@ def casimir_spectrum(L: LieAlgebra, u: NCPoly, lift, lambda_bound: int):
     target = lift.evaluate(1)
     out = []
     for lam in range(lambda_bound + 1):
-        value = hw.evaluate((as_gauss(lam),)).evaluate(1)
+        value = hw.evaluate((lam,)).evaluate(1)
         if value == target:
             out.append(lam)
     return out
@@ -176,8 +172,8 @@ def nonisomorphism_witness(lift_a, lift_b, lambda_bound: int):
     return {
         "lift_a": str(lift_a),
         "lift_b": str(lift_b),
-        "value_a": str(lift_a.evaluate(1)),
-        "value_b": str(lift_b.evaluate(1)),
+        "value_a": format_scalar(lift_a.evaluate(1)),
+        "value_b": format_scalar(lift_b.evaluate(1)),
         "spectrum_a": spec_a,
         "spectrum_b": spec_b,
         "intersection": inter,

@@ -1,4 +1,4 @@
-"""Exact arithmetic over the Gaussian rationals and the ring Q(i)[h].
+"""Exact arithmetic over the ring Q(i)[h], whose h-free values are the scalars.
 
 Every coefficient in the engine lives in Q(i)[h]: polynomials in the
 deformation parameter h whose coefficients have exact rational real and
@@ -9,18 +9,20 @@ valuation).  Its sums and products are plain int arithmetic, and skip every
 gcd when the denominator is 1, as it is for all PBW rewriting over su2 and
 sl2.  The deformed relations are graded in h, so PBW rewriting yields only
 single powers c*h^k; with the valuation held apart these are one numerator
-pair, and they multiply and add in constant time.  GaussianRational is the
-Fraction-based scalar of the linear algebra, the structure constants and the
-representations, and the form in which HPoly coefficients are read out.
+pair, and they multiply and add in constant time.  HPoly is the one type of
+Q(i): a Gaussian rational is an h-free HPoly (val == 0 and at most one
+numerator pair), the scalar of the linear algebra, the structure constants
+and the representations, and the form in which coefficients are read out.
+HPoly.const makes one from an int, a Fraction or an h-free HPoly, and
+refuses anything else.
 acc_scaled, the step that adds c*v into a term dict for every sum and
 product of CPoly and NCPoly, lives here because it reads HPoly's fields: a
 product of two single powers c*h^k, and its sum with a stored single power
 of the same h-degree, are a few int operations and one new HPoly per key;
 merge_sums adds several such dicts, each key's coefficients in one pass.
 The printers read HPoly's integer fields directly, reducing each numerator
-against the denominator with one gcd; only a coefficient with both a real
-and an imaginary part is printed through GaussianRational.  Values are
-immutable after construction; equality is exact structural equality.
+against the denominator with one gcd.  Values are immutable after
+construction; equality is exact structural equality.
 """
 
 from __future__ import annotations
@@ -28,123 +30,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-class GaussianRational:
-    """A number re + im*i with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def is_zero(self):
-        return not self
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __add__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = GR_ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        # A real value equals its Fraction (and int), so it hashes like it.
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __str__(self):
-        return format_scalar(self)
-
-    def __repr__(self):
-        return format_scalar(self)
-
-
-def as_gauss(x):
-    """Coerce x to GaussianRational, or None if it is not scalar-like."""
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    return None
-
-
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 class HPoly:
@@ -162,30 +47,29 @@ class HPoly:
     __slots__ = ("num", "den", "val")
 
     def __init__(self, coeffs=()):
-        gs = []
-        for c in coeffs:
-            g = as_gauss(c)
-            if g is None:
-                raise TypeError(f"bad coefficient {c!r}")
-            gs.append(g)
-        den = lcm(*(q.denominator for g in gs for q in (g.re, g.im)))
+        cs = [HPoly.const(c) for c in coeffs]
+        den = lcm(*(c.den for c in cs))
         self.num, self.den, self.val = _canonical(
-            [(g.re.numerator * (den // g.re.denominator),
-              g.im.numerator * (den // g.im.denominator)) for g in gs],
+            [(re * (den // c.den), im * (den // c.den))
+             for c in cs for re, im in c.num or ((0, 0),)],
             den,
             0,
         )
 
-    @classmethod
-    def const(cls, x):
-        g = as_gauss(x)
-        if g is None:
-            raise TypeError(f"bad constant {x!r}")
-        return cls((g,))
+    @staticmethod
+    def const(x):
+        """x as an h-free HPoly: x is an int, a Fraction or an h-free HPoly;
+        anything else, an HPoly in which h occurs included, is a TypeError."""
+        p = as_hpoly(x)
+        if p is None:
+            raise TypeError(f"not a scalar: {x!r}")
+        if p.val or len(p.num) > 1:
+            raise TypeError(f"{p} is not h-free")
+        return p
 
     @property
     def coeffs(self):
-        """The coefficients of h^0, h^1, ... as GaussianRationals."""
+        """The coefficients of h^0, h^1, ... as h-free HPolys."""
         return tuple(self.coeff(k) for k in range(self.val + len(self.num)))
 
     @property
@@ -193,21 +77,20 @@ class HPoly:
         return self.val + len(self.num) - 1 if self.num else None
 
     def coeff(self, k):
-        """The coefficient of h^k."""
+        """The coefficient of h^k, as an h-free HPoly."""
         k -= self.val
         if 0 <= k < len(self.num):
-            re, im = self.num[k]
-            return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
-        return GR_ZERO
+            return _hpoly(*_canonical(self.num[k:k + 1], self.den, 0))
+        return H_ZERO
 
     def is_zero(self):
         return not self.num
 
     def as_scalar(self):
-        """The value as a GaussianRational; raises if h actually occurs."""
+        """The value itself, checked h-free; raises if h actually occurs."""
         if self.val or len(self.num) > 1:
             raise ValueError(f"{self} is not h-free")
-        return self.coeff(0)
+        return self
 
     def __bool__(self):
         return bool(self.num)
@@ -295,14 +178,12 @@ class HPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        g = as_gauss(other)
-        if g is None:
-            return NotImplemented
-        # p / g == p * s * (a - b*i) / (a^2 + b^2), with g = (a + b*i) / s.
-        s, a, b = _gauss_ints(g)
-        norm = a * a + b * b
-        if not norm:
+        other = HPoly.const(other)
+        if not other.num:
             raise ZeroDivisionError("division by zero in Q(i)")
+        # p / g == p * s * (a - b*i) / (a^2 + b^2), with g = (a + b*i) / s.
+        (a, b), = other.num
+        s, norm = other.den, a * a + b * b
         num = [((re * a + im * b) * s, (im * a - re * b) * s) for re, im in self.num]
         return _hpoly(*_canonical(num, self.den * norm, self.val))
 
@@ -322,21 +203,23 @@ class HPoly:
         return (self.num, self.den, self.val) == (other.num, other.den, other.val)
 
     def __hash__(self):
-        # An h-free value equals its scalar, so it hashes like it.
+        # A real h-free value equals its int or Fraction, so it hashes like it.
         if not self.val and len(self.num) <= 1:
-            return hash(self.coeff(0))
+            re, im = self.num[0] if self.num else (0, 0)
+            if not im:
+                return hash(Fraction(re, self.den))
         return hash((self.num, self.den, self.val))
 
     def evaluate(self, h0):
-        """Substitute h := h0 exactly (Horner on the integer numerators)."""
-        g = as_gauss(h0)
-        if g is None:
-            raise TypeError(f"bad substitution value {h0!r}")
+        """The h-free value at h := h0, an h-free value (Horner on the
+        integer numerators)."""
+        h0 = HPoly.const(h0)
         if not self.num:
-            return GR_ZERO
+            return H_ZERO
         # With h0 = (a + b*i) / s, s^(n-1) * sum num[k] h0^k is the Gaussian
         # integer that Horner's rule builds from num[k] * s^(n-1-k).
-        s, a, b = _gauss_ints(g)
+        (a, b), = h0.num or ((0, 0),)
+        s = h0.den
         re, im = self.num[-1]
         scale = 1
         for cr, ci in reversed(self.num[:-1]):
@@ -345,7 +228,7 @@ class HPoly:
         for _ in range(self.val):
             re, im = re * a - im * b, re * b + im * a
         den = self.den * s ** (len(self.num) - 1 + self.val)
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
+        return _hpoly(*_canonical(((re, im),), den, 0))
 
     def truncate(self, k):
         """Drop all terms of h-degree >= k."""
@@ -392,29 +275,22 @@ def _canonical(num, den, val):
     return tuple((re // g, im // g) for re, im in num), den // g, val
 
 
-def _gauss_ints(g):
-    """(s, a, b) with g == (a + b*i) / s and s the lcm of g's denominators."""
-    re, im = g.re, g.im
-    s = lcm(re.denominator, im.denominator)
-    return s, re.numerator * (s // re.denominator), im.numerator * (s // im.denominator)
-
-
 def as_hpoly(x):
-    """Coerce x to HPoly, or None if it is not coefficient-like; 1 gives the
-    interned H_ONE, whose products the kernels skip."""
+    """Coerce an int, a Fraction or an HPoly to HPoly, or None for anything
+    else; 1 gives the interned H_ONE, whose products the kernels skip."""
     if isinstance(x, HPoly):
         return x
-    if x.__class__ is int:
+    if isinstance(x, int):
         return H_ONE if x == 1 else _hpoly(((x, 0),), 1, 0) if x else H_ZERO
-    g = as_gauss(x)
-    if g is None:
-        return None
-    return HPoly((g,))
+    if isinstance(x, Fraction):
+        return _hpoly(((x.numerator, 0),), x.denominator, 0) if x else H_ZERO
+    return None
 
 
-H_ZERO = HPoly()
-H_ONE = HPoly((1,))
-H = HPoly((0, 1))
+H_ZERO = _hpoly((), 1, 0)
+H_ONE = _hpoly(((1, 0),), 1, 0)
+H = _hpoly(((1, 0),), 1, 1)
+I = _hpoly(((0, 1),), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +406,24 @@ def merge_sums(parts):
 # Text form.  The printed form of every value re-parses to the same value
 # under the expression grammar used by the CLI.
 
-def format_scalar(s: GaussianRational) -> str:
-    if not s:
+def format_scalar(s) -> str:
+    """The text of an h-free value, re + im*i without parentheses."""
+    s = HPoly.const(s)
+    if not s.num:
         return "0"
-    re, im = s.re, s.im
-    re_text = _ratio_text(re.numerator, re.denominator)
+    (re, im), = s.num
+    return _complex_text(re, im, s.den)
+
+
+def _complex_text(re: int, im: int, den: int) -> str:
+    """The text of (re + im*i) / den, not both of re and im zero."""
     if not im:
-        return re_text
+        return _ratio_text(re, den)
     mag = abs(im)
-    text = "i" if mag == 1 else f"{_ratio_text(mag.numerator, mag.denominator)}*i"
+    text = "i" if mag == den else f"{_ratio_text(mag, den)}*i"
     if not re:
         return text if im > 0 else f"-{text}"
-    return f"{re_text} {'+' if im > 0 else '-'} {text}"
+    return f"{_ratio_text(re, den)} {'+' if im > 0 else '-'} {text}"
 
 
 def _ratio_text(n: int, den: int) -> str:
@@ -565,16 +447,11 @@ def _hterm_pieces(p: HPoly):
     for k, (re, im) in enumerate(p.num, p.val):
         sign = "+"
         if re and im:
-            s = GaussianRational(Fraction(re, den), Fraction(im, den))
-            head = f"({format_scalar(s)})"
+            head = f"({_complex_text(re, im, den)})"
         elif re or im:
-            n = re or im
-            if n < 0:
-                sign, n = "-", -n
-            if im:
-                head = "i" if n == den else f"{_ratio_text(n, den)}*i"
-            else:
-                head = "" if n == den and k else _ratio_text(n, den)
+            if re + im < 0:
+                sign, re, im = "-", -re, -im
+            head = "" if re == den and k else _complex_text(re, im, den)
         else:
             continue
         if k:

@@ -44,7 +44,7 @@ from .reps import (
     su2_defining_rep,
     validate_rep,
 )
-from .scalars import H, H_ONE, GaussianRational, HPoly
+from .scalars import H, H_ONE, I, HPoly
 
 
 SUITES_VERSION = "1"
@@ -198,7 +198,7 @@ def suite_orbit_star(max_degree=None, c0=None, lift=None, **_):
     bound = max_degree or 4
     x, y, z = _vars(L)
     star = orb.star_product()
-    if orb.constants[0] == GaussianRational(1) and orb.lifts[0] == H_ONE:
+    if orb.constants[0] == 1 and orb.lifts[0] == H_ONE:
         want = CPoly.one(3) - x * x - y * y
         got = star.star(z, z)
         yield ("z * z == 1 - x^2 - y^2", got == want,
@@ -355,9 +355,9 @@ def suite_reps(lambda_bound=None, **_):
     yield ("adjoint rep satisfies the brackets",
            validate_rep(su2, adj))
     P = NCPoly(su2, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE})
-    ok = casimir_scalar(P, defining, 1) == GaussianRational(Fraction(-3, 4))
+    ok = casimir_scalar(P, defining, 1) == Fraction(-3, 4)
     yield "casimir scalar -3/4 on the defining rep", ok
-    ok = casimir_scalar(P, adj, 1) == GaussianRational(-2)
+    ok = casimir_scalar(P, adj, 1) == -2
     yield "casimir scalar -2 on the adjoint rep", ok
 
     omega = sl2_casimir(sl2)
@@ -366,15 +366,13 @@ def suite_reps(lambda_bound=None, **_):
     yield ("highest-weight casimir == lambda^2/2 + h lambda",
            hw == want, None if hw == want else format_cpoly(hw, ("lambda",)))
     # cross identity: omega maps to -2 P under F -> iX + Y, H -> 2iZ, E -> iX - Y
-    i = GaussianRational(0, 1)
     X, Y, Z = (NCPoly.generator(su2, k) for k in range(3))
-    images = [X * i + Y, Z * (2 * i), X * i - Y]
+    images = [X * I + Y, Z * (2 * I), X * I - Y]
     yield ("casimir cross identity omega == -2 P",
            substitute_generators(omega, images) == P * (-2))
     # spin values lambda = d - 1 tie the two computations together
     for d, rep in ((2, defining), (3, adj)):
-        lam = GaussianRational(d - 1)
-        hw_val = hw.evaluate((lam,)).evaluate(1)
+        hw_val = hw.evaluate((d - 1,)).evaluate(1)
         omega_val = casimir_scalar(P, rep, 1) * (-2)
         yield (f"hw value at lambda={d - 1} matches the "
                f"{d}-dim rep", hw_val == omega_val)

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from orbitstar import CPoly, GaussianRational, HPoly, NCPoly, predefined, sphere_orbit
+from orbitstar import CPoly, HPoly, NCPoly, predefined, sphere_orbit
+from orbitstar.scalars import I
 
 
 def rand_coeff(rng):
     """A nonzero Q(i)[h] coefficient with mixed denominators."""
     while True:
         c = HPoly([
-            GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
-                             Fraction(rng.randint(-3, 3), rng.randint(1, 6)))
+            Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+            + Fraction(rng.randint(-3, 3), rng.randint(1, 6)) * I
             for _ in range(rng.randint(1, 3))
         ])
         if c:

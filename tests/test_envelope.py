@@ -7,7 +7,7 @@ from orbitstar.envelope import NCPoly, multiply_at, substitute_generators
 from orbitstar.lie import algebra_from_json, predefined
 from orbitstar.poly import CPoly
 from conftest import rand_coeff
-from orbitstar.scalars import H, H_ONE, GaussianRational, HPoly
+from orbitstar.scalars import H, H_ONE, HPoly, I
 
 
 def test_normal_form_goldens(su2):
@@ -151,9 +151,8 @@ def test_project_h0_is_multiplicative(su2):
 
 
 def test_substitute_generators_is_multiplicative(su2, sl2):
-    i = GaussianRational(0, 1)
     X, Y, Z = (NCPoly.generator(su2, k) for k in range(3))
-    images = [X * i + Y, Z * (2 * i), X * i - Y]  # F, H, E
+    images = [X * I + Y, Z * (2 * I), X * I - Y]  # F, H, E
     rng = random.Random(10)
     for _ in range(15):
         a = NCPoly.word(sl2, tuple(rng.randrange(3) for _ in range(rng.randint(1, 3))))
@@ -290,12 +289,11 @@ def test_oracle_algebras_are_the_intended_ones():
     su2 = ORACLE_ALGEBRAS["su2"]()
     assert su2.c == predefined("su2").c
     assert ORACLE_ALGEBRAS["sl2"]().c == predefined("sl2").c
-    half = GaussianRational(Fraction(1, 2))
+    half = Fraction(1, 2)
     assert ORACLE_ALGEBRAS["su2-half"]().c == tuple(
         tuple(tuple(v * half for v in row) for row in plane) for plane in su2.c)
-    i = GaussianRational(0, 1)
     assert ORACLE_ALGEBRAS["su2-i"]().c == tuple(
-        tuple(tuple(v * i for v in row) for row in plane) for plane in su2.c)
+        tuple(tuple(v * I for v in row) for row in plane) for plane in su2.c)
     L = _sl2_plus_central()
     W = NCPoly.generator(L, 1)
     assert W.is_central()

@@ -18,7 +18,7 @@ import pytest
 from orbitstar.envelope import NCPoly
 from orbitstar.exprs import MAX_EXPONENT, ExprSyntaxError, _tokenize, parse_expression
 from orbitstar.poly import CPoly
-from orbitstar.scalars import GR_I, H
+from orbitstar.scalars import H, I
 
 
 class _ReferenceParser:
@@ -121,7 +121,7 @@ def reference_parse(text, mode, algebra, names=None):
         parser = _ReferenceParser(
             text,
             one=CPoly.one(nvars),
-            i_value=CPoly.constant(nvars, GR_I),
+            i_value=CPoly.constant(nvars, I),
             h_value=CPoly.constant(nvars, H),
             lookup=lambda nm: CPoly.variable(nvars, index[nm]) if nm in index else None,
             multiply=lambda a, b: a * b,
@@ -131,7 +131,7 @@ def reference_parse(text, mode, algebra, names=None):
         parser = _ReferenceParser(
             text,
             one=NCPoly.one(algebra),
-            i_value=NCPoly.scalar(algebra, GR_I),
+            i_value=NCPoly.scalar(algebra, I),
             h_value=NCPoly.scalar(algebra, H),
             lookup=lambda nm: NCPoly.generator(algebra, index[nm]) if nm in index else None,
             multiply=lambda a, b: a.concat(b),

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from orbitstar.lie import (
     predefined,
 )
 from orbitstar.reps import validate_rep
-from orbitstar.scalars import GR_ZERO, GaussianRational
+from orbitstar.scalars import H_ZERO, I
 
 
 def zero_cube(n):
@@ -39,8 +40,8 @@ def test_rescaled_bracket_still_satisfies_jacobi(su2):
     # ([[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 + 0 + 0, mixed triples cancel
     # in pairs), so the rescaling is still a Lie algebra
     c = [[[v for v in row] for row in plane] for plane in su2.c]
-    c[0][1][2] = GaussianRational(2)
-    c[1][0][2] = GaussianRational(-2)
+    c[0][1][2] = 2
+    c[1][0][2] = -2
     assert check_jacobi(c)
 
 
@@ -48,8 +49,8 @@ def test_corrupted_su2_fails_jacobi(su2):
     # adding X to [X,Y] breaks Jacobi: the (X,Y,Z,l=1) component of the sum
     # expands to c_01^0 * c_02^1 = -1 != 0
     c = [[[v for v in row] for row in plane] for plane in su2.c]
-    c[0][1][0] = GaussianRational(1)
-    c[1][0][0] = GaussianRational(-1)
+    c[0][1][0] = 1
+    c[1][0][0] = -1
     assert not check_jacobi(c)
     with pytest.raises(ValueError):
         LieAlgebra(("X", "Y", "Z"), c)
@@ -65,7 +66,7 @@ def test_antisymmetry_enforced():
 def test_killing_su2(su2):
     K = killing_form(su2)
     assert K == linalg.mat_scale(-2, linalg.mat_identity(3))
-    assert killing_det(su2) == GaussianRational(-8)
+    assert killing_det(su2) == -8
     assert is_semisimple(su2)
 
 
@@ -79,11 +80,11 @@ def test_killing_sl2(sl2):
     # generator order is F, H, E
     K = killing_form(sl2)
     F, H, E = 0, 1, 2
-    assert K[H][H] == GaussianRational(8)
-    assert K[E][F] == GaussianRational(4)
-    assert K[F][E] == GaussianRational(4)
-    assert K[F][F] == GR_ZERO and K[E][E] == GR_ZERO
-    assert K[F][H] == GR_ZERO and K[E][H] == GR_ZERO
+    assert K[H][H] == 8
+    assert K[E][F] == 4
+    assert K[F][E] == 4
+    assert K[F][F] == H_ZERO and K[E][E] == H_ZERO
+    assert K[F][H] == H_ZERO and K[E][H] == H_ZERO
 
 
 def test_adjoint_rep(su2):
@@ -91,24 +92,23 @@ def test_adjoint_rep(su2):
     assert validate_rep(su2, rep)
     ad_x = rep.matrices[0]
     # (ad_X)[k][j] = c[X][j][k]: rotation in the Y,Z plane
-    assert ad_x[2][1] == GaussianRational(1)
-    assert ad_x[1][2] == GaussianRational(-1)
-    assert all(ad_x[k][0] == GR_ZERO for k in range(3))
+    assert ad_x[2][1] == 1
+    assert ad_x[1][2] == -1
+    assert all(ad_x[k][0] == H_ZERO for k in range(3))
 
 
 def test_adjoint_rep_abelian():
     ab = LieAlgebra(("A", "B"), zero_cube(2))
     rep = adjoint_rep(ab)
     assert all(
-        all(v == GR_ZERO for row in m for v in row) for m in rep.matrices
+        all(v == H_ZERO for row in m for v in row) for m in rep.matrices
     )
     assert validate_rep(ab, rep)
 
 
 def test_change_basis_to_sl2(su2, sl2):
-    i = GaussianRational(0, 1)
     # columns F = iX + Y, H = 2iZ, E = iX - Y
-    M = BasisChange([[i, 0, i], [1, 0, -1], [0, 2 * i, 0]])
+    M = BasisChange([[I, 0, I], [1, 0, -1], [0, 2 * I, 0]])
     moved = change_basis(su2, M, names=("F", "H", "E"))
     assert moved.c == sl2.c
     assert check_jacobi(moved)
@@ -195,7 +195,7 @@ def dense_jacobiator(c):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    s = GR_ZERO
+                    s = H_ZERO
                     for m in range(n):
                         for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                             if c[a][b][m]:
@@ -210,14 +210,13 @@ def dense_killing(c):
     n = len(c)
     return tuple(
         tuple(
-            sum((c[i][k][l] * c[j][l][k] for k in range(n) for l in range(n)), GR_ZERO)
+            sum((c[i][k][l] * c[j][l][k] for k in range(n) for l in range(n)), H_ZERO)
             for j in range(n)
         )
         for i in range(n)
     )
 
 
-I = GaussianRational(0, 1)
 # small Q(i) entries, zero most often
 ENTRIES = (0, 0, 0, 0, 0, 1, -1, 2, I, -I, 1 + I)
 
@@ -331,8 +330,8 @@ def su3_compact():
     (j < k) and i*diag(1,-1,0), i*diag(0,1,-1), with the defining
     matrices; brackets are read off the matrix commutators."""
     def unit(j, k):
-        m = [[GR_ZERO] * 3 for _ in range(3)]
-        m[j][k] = GaussianRational(1)
+        m = [[0] * 3 for _ in range(3)]
+        m[j][k] = 1
         return m
 
     pairs = ((0, 1), (0, 2), (1, 2))
@@ -343,8 +342,11 @@ def su3_compact():
 
     def coords(m):
         # the coefficients of a traceless anti-Hermitian matrix
-        return ([m[j][k].im for j, k in pairs] + [m[j][k].re for j, k in pairs]
-                + [m[0][0].im, -m[2][2].im])
+        # (an entry (re + im*i) / den is read from its integer fields)
+        re = lambda v: Fraction(v.num[0][0], v.den) if v.num else 0
+        im = lambda v: Fraction(v.num[0][1], v.den) if v.num else 0
+        return ([im(m[j][k]) for j, k in pairs] + [re(m[j][k]) for j, k in pairs]
+                + [im(m[0][0]), -im(m[2][2])])
 
     c = zero_cube(8)
     for a in range(8):
@@ -352,7 +354,7 @@ def su3_compact():
             br = linalg.mat_sub(linalg.mat_mul(basis[a], basis[b]),
                                 linalg.mat_mul(basis[b], basis[a]))
             c[a][b] = coords(br)
-            back = linalg.mat([[GR_ZERO] * 3] * 3)
+            back = linalg.mat([[H_ZERO] * 3] * 3)
             for k, v in enumerate(c[a][b]):
                 back = linalg.mat_add(back, linalg.mat_scale(v, basis[k]))
             assert back == br
@@ -381,7 +383,7 @@ def test_rank_two_algebras_through_the_sparse_path(su2, sl2):
     # the Killing form of su3 is 6 tr(XY) in its defining representation
     K = killing_form(LieAlgebra([f"T{k}" for k in range(8)], su3))
     assert K == tuple(
-        tuple(6 * sum((linalg.mat_mul(a, b)[d][d] for d in range(3)), GR_ZERO)
+        tuple(6 * sum((linalg.mat_mul(a, b)[d][d] for d in range(3)), H_ZERO)
               for b in basis)
         for a in basis
     )

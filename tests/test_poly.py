@@ -14,7 +14,7 @@ from orbitstar.poly import (
     monomials_up_to,
     reduce,
 )
-from orbitstar.scalars import H, H_ONE, GaussianRational, HPoly, acc_scaled, acc_term
+from orbitstar.scalars import H, H_ONE, HPoly, I, acc_scaled, acc_term
 
 
 def test_product_of_conjugate_binomials(xyz):
@@ -182,7 +182,7 @@ def _two_rule_system():
     # z^2 -> 3/2 - x^2 - y^2, then x*z -> (2/3)(y^2 - (1/2 + i) h y)
     x, y, z = (CPoly.variable(3, i) for i in range(3))
     sphere = x * x + y * y + z * z - CPoly.constant(3, Fraction(3, 2))
-    tail = y * H * GaussianRational(Fraction(1, 2), 1)
+    tail = y * H * (Fraction(1, 2) + I)
     second = x * z * Fraction(3, 2) - y * y + tail
     return ReductionSystem.from_polynomials([sphere, second], priority=(2, 0, 1))
 
@@ -219,8 +219,8 @@ def _acc_coeff(rng):
     low = [0] * rng.choice((0, 0, 1, 2))
     while True:
         p = HPoly(low + [
-            GaussianRational(Fraction(rng.randint(-4, 4), den),
-                             Fraction(rng.choice((0, rng.randint(-3, 3))), den))
+            Fraction(rng.randint(-4, 4), den)
+            + Fraction(rng.choice((0, rng.randint(-3, 3))), den) * I
             for _ in range(1 if rng.random() < 0.7 else rng.randint(2, 3))
         ])
         if p:

@@ -18,7 +18,7 @@ from orbitstar.reps import (
     su2_defining_rep,
     validate_rep,
 )
-from orbitstar.scalars import H, H_ONE, GaussianRational, HPoly
+from orbitstar.scalars import H, H_ONE, HPoly
 
 
 def test_validate_defining_and_adjoint(su2):
@@ -51,11 +51,9 @@ def test_defining_relation_evaluates_to_zero(su2):
 
 
 def test_casimir_scalars(su2, casimir_word):
-    assert casimir_scalar(casimir_word, su2_defining_rep(), 1) == GaussianRational(
-        Fraction(-3, 4)
-    )
-    assert casimir_scalar(casimir_word, adjoint_rep(su2), 1) == GaussianRational(-2)
-    assert casimir_scalar(NCPoly.one(su2), su2_defining_rep(), 1) == GaussianRational(1)
+    assert casimir_scalar(casimir_word, su2_defining_rep(), 1) == Fraction(-3, 4)
+    assert casimir_scalar(casimir_word, adjoint_rep(su2), 1) == -2
+    assert casimir_scalar(NCPoly.one(su2), su2_defining_rep(), 1) == 1
 
 
 def test_casimir_scalar_rejects_noncentral(su2):
@@ -66,7 +64,7 @@ def test_casimir_scalar_rejects_noncentral(su2):
 def test_evaluate_scales_with_h(su2, casimir_word):
     # generators map to h0 * rho, so the quadratic element scales by h0^2
     val = casimir_scalar(casimir_word, su2_defining_rep(), Fraction(1, 2))
-    assert val == GaussianRational(Fraction(-3, 16))
+    assert val == Fraction(-3, 16)
 
 
 def test_evaluate_is_multiplicative(su2):
@@ -88,7 +86,7 @@ def test_highest_weight_casimir(sl2):
     assert hw == want
     assert highest_weight_casimir(sl2, NCPoly.one(sl2)) == CPoly.one(1)
     # adjoint-weight cross-check: lambda = 2 at h = 1 gives 4
-    assert hw.evaluate((GaussianRational(2),)).evaluate(1) == GaussianRational(4)
+    assert hw.evaluate((2,)).evaluate(1) == 4
 
 
 def test_highest_weight_rejects_noncentral(sl2):
@@ -106,8 +104,7 @@ def test_cross_identity_with_casimir_scalars(su2, sl2, casimir_word):
     omega = sl2_casimir(sl2)
     hw = highest_weight_casimir(sl2, omega)
     for d, rep in ((2, su2_defining_rep()), (3, adjoint_rep(su2))):
-        lam = GaussianRational(d - 1)
-        hw_val = hw.evaluate((lam,)).evaluate(1)
+        hw_val = hw.evaluate((d - 1,)).evaluate(1)
         assert hw_val == casimir_scalar(casimir_word, rep, 1) * (-2)
 
 

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from gaussian_oracle import GaussianRational as gr
+from orbitstar import cli, linalg, reps
+from orbitstar.envelope import NCPoly
+from orbitstar.lie import predefined
 from orbitstar.scalars import (
-    GR_ONE,
-    GaussianRational,
     H,
     HPoly,
     H_ONE,
     H_ZERO,
+    I,
     as_hpoly,
     coeff_pieces,
     format_hpoly,
@@ -18,14 +21,10 @@ from orbitstar.scalars import (
 )
 
 
-def gr(re, im=0):
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
 def test_conjugate_product():
-    a = gr(Fraction(1, 2), 1)
-    b = gr(Fraction(1, 2), -1)
-    assert a * b == gr(Fraction(5, 4))
+    a = Fraction(1, 2) + I
+    b = Fraction(1, 2) - I
+    assert a * b == Fraction(5, 4)
 
 
 def test_difference_of_squares_in_h():
@@ -39,17 +38,17 @@ def test_monomial_product():
 
 
 def test_division():
-    a = gr(1, 1)
-    assert a / a == GR_ONE
+    a = 1 + I
+    assert a / a == H_ONE
     with pytest.raises(ZeroDivisionError):
-        a / gr(0)
+        a / H_ZERO
 
 
 def test_evaluate_examples():
     p = HPoly([3, 2, -1])  # 3 + 2h - h^2
-    assert p.evaluate(1) == gr(4)
-    assert p.evaluate(0) == gr(3)
-    assert (H ** 3).evaluate(Fraction(1, 2)) == gr(Fraction(1, 8))
+    assert p.evaluate(1) == 4
+    assert p.evaluate(0) == 3
+    assert (H ** 3).evaluate(Fraction(1, 2)) == Fraction(1, 8)
 
 
 def test_truncate_examples():
@@ -69,7 +68,30 @@ def test_degree_markers():
 def test_as_scalar_rejects_h():
     with pytest.raises(ValueError):
         (H_ONE + H).as_scalar()
-    assert HPoly.const(7).as_scalar() == gr(7)
+    assert HPoly.const(7).as_scalar() == 7
+
+
+def test_h_free_hpoly_is_a_scalar_everywhere(tmp_path, capsys):
+    two = HPoly.const(2)
+    X = NCPoly.generator(predefined("su2"), 0)
+    rho = reps.su2_defining_rep()
+    assert H / two == H * Fraction(1, 2)
+    assert (1 + H).evaluate(two) == 3
+    assert reps.evaluate(X, rho, two) == reps.evaluate(X, rho, 2)
+    assert reps.evaluate(X, rho, two)[0][1] == -I
+    assert linalg.mat([[two]]) == ((2,),)
+    assert HPoly.const(two) is two
+    assert HPoly((two,)) == two
+    # an h-carrying value is refused with one error wherever a scalar is taken
+    for refuse in (lambda: H_ONE / H, lambda: linalg.mat([[H]]),
+                   lambda: (1 + H).evaluate(H), lambda: reps.evaluate(X, rho, H),
+                   lambda: HPoly.const(H), lambda: HPoly((H,))):
+        with pytest.raises(TypeError, match="^h is not h-free$"):
+            refuse()
+    config = tmp_path / "h.json"
+    config.write_text('{"dim": 3, "brackets": [[0, 1, [[2, "h"]]]]}')
+    assert cli.main(["algebra", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: config {config}: h is not h-free\n"
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -77,10 +99,8 @@ def test_ring_axioms_randomized(seed):
     rng = random.Random(seed)
 
     def rand_scalar():
-        return gr(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-        )
+        return (Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                + Fraction(rng.randint(-6, 6), rng.randint(1, 4)) * I)
 
     def rand_poly():
         return HPoly([rand_scalar() for _ in range(rng.randint(0, 4))])
@@ -115,18 +135,36 @@ def test_truncate_compatible_with_products():
 
 
 def test_formatting():
-    assert format_scalar(gr(Fraction(3, 2))) == "3/2"
-    assert format_scalar(gr(0, 1)) == "i"
-    assert format_scalar(gr(Fraction(1, 2), -3)) == "1/2 - 3*i"
+    assert format_scalar(Fraction(3, 2)) == "3/2"
+    assert format_scalar(I) == "i"
+    assert format_scalar(Fraction(1, 2) - 3 * I) == "1/2 - 3*i"
+    assert format_hpoly(Fraction(1, 2) - 3 * I) == "(1/2 - 3*i)"
     assert format_hpoly(HPoly([3, 2, -1])) == "3 + 2*h - h^2"
     assert format_hpoly(H_ZERO) == "0"
-    assert format_hpoly(HPoly([gr(0), gr(0, 2)])) == "2*i*h"
+    assert format_hpoly(HPoly([0, 2 * I])) == "2*i*h"
 
 
 # ---------------------------------------------------------------------------
-# HPoly against a coefficient-wise GaussianRational oracle.  The oracle keeps
-# a polynomial as a plain list of GaussianRationals and shares no code with
-# the integer-numerator kernel.
+# HPoly against a coefficient-wise oracle.  The oracle keeps a polynomial as a
+# plain list of Fraction-based GaussianRationals (tests/gaussian_oracle.py)
+# and shares no code with the integer-numerator kernel; values cross between
+# the two only through to_hpoly and from_hpoly.
+
+def to_hpoly(g):
+    """The oracle value g as an h-free HPoly."""
+    return g.re + g.im * I
+
+
+def from_hpoly(c):
+    """An h-free HPoly as an oracle value, read from its integer fields."""
+    assert not c.val and len(c.num) <= 1
+    re, im = c.num[0] if c.num else (0, 0)
+    return gr(Fraction(re, c.den), Fraction(im, c.den))
+
+
+def hpoly_of(cs):
+    """The HPoly with the oracle coefficients cs of h^0, h^1, ..."""
+    return HPoly([to_hpoly(x) for x in cs])
 
 def _strip(cs):
     cs = list(cs)
@@ -190,8 +228,8 @@ def test_hpoly_against_gaussian_oracle(seed):
 
     for _ in range(60):
         ca, cb = rand_coeffs(), rand_coeffs()
-        a, b = HPoly(ca), HPoly(cb)
-        assert list(a.coeffs) == ca
+        a, b = hpoly_of(ca), hpoly_of(cb)
+        assert [from_hpoly(c) for c in a.coeffs] == ca
         neg_b = [-x for x in cb]
         j = rng.randint(0, len(ca))
         cases = [
@@ -200,18 +238,20 @@ def test_hpoly_against_gaussian_oracle(seed):
             (-b, neg_b),
             (a * b, _oracle_mul(ca, cb)),
             # the low-order terms cancel
-            (a - HPoly(ca[:j]), _strip([gr(0)] * j + ca[j:])),
+            (a - hpoly_of(ca[:j]), _strip([gr(0)] * j + ca[j:])),
         ]
         g = rand_gauss()
-        cases.append((a / g, [x / g for x in ca]))
+        cases.append((a / to_hpoly(g), [x / g for x in ca]))
         k = rng.randint(0, 5)
         cases.append((a.truncate(k), _strip(ca[:k])))
         for got, want in cases:
             _assert_canonical(got)
-            assert list(got.coeffs) == want
-            assert got == HPoly(want)
+            assert [from_hpoly(c) for c in got.coeffs] == want
+            assert got == hpoly_of(want)
         h0 = rand_gauss()
-        assert a.evaluate(h0) == _oracle_evaluate(ca, h0)
+        value = a.evaluate(to_hpoly(h0))
+        _assert_canonical(value)
+        assert from_hpoly(value) == _oracle_evaluate(ca, h0)
 
 
 def test_hpoly_canonical_form():
@@ -220,9 +260,9 @@ def test_hpoly_canonical_form():
     assert hash(half + half) == hash(H_ONE)
     assert ((half + half).num, (half + half).den) == (((1, 0),), 1)
 
-    a = HPoly([gr(Fraction(1, 3), 2), gr(0, Fraction(-1, 4))])
-    b = HPoly([Fraction(5, 6), gr(Fraction(2, 7), 1)])
-    c = gr(Fraction(3, 5), Fraction(-1, 2))
+    a = HPoly([Fraction(1, 3) + 2 * I, I * Fraction(-1, 4)])
+    b = HPoly([Fraction(5, 6), Fraction(2, 7) + I])
+    c = Fraction(3, 5) - I * Fraction(1, 2)
     left, right = (a * b) / c, a * (b / c)
     assert left == right
     assert hash(left) == hash(right)
@@ -244,35 +284,36 @@ def test_hpoly_canonical_form():
     assert (h2 * Fraction(1, 3)).truncate(2) == H_ZERO
     assert (h2 * Fraction(1, 3)).truncate(1) == H_ZERO
     assert (h2 + H).truncate(2) == H
-    p = HPoly([0, gr(Fraction(1, 2), 1), 0, -3])  # (1/2 + i) h - 3 h^3
-    assert p.evaluate(0) == gr(0)
-    assert HPoly([5, 1]).evaluate(0) == gr(5)
-    assert p.evaluate(Fraction(-2, 3)) == gr(Fraction(5, 9), Fraction(-2, 3))
-    assert p.evaluate(gr(0, 2)) == gr(-2, 25)
+    p = HPoly([0, Fraction(1, 2) + I, 0, -3])  # (1/2 + i) h - 3 h^3
+    assert p.evaluate(0) == 0
+    assert HPoly([5, 1]).evaluate(0) == 5
+    assert p.evaluate(Fraction(-2, 3)) == Fraction(5, 9) - I * Fraction(2, 3)
+    assert p.evaluate(2 * I) == -2 + 25 * I
 
 
 def test_equal_scalars_hash_alike():
     for x in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
-        for form in (Fraction(x), GaussianRational(x), HPoly((x,)), as_hpoly(x)):
+        for form in (Fraction(x), HPoly.const(x), HPoly((x,)), as_hpoly(x),
+                     (x + I) - I, (H + x).coeff(0)):
             assert form == x and hash(form) == hash(x)
-    z = gr(Fraction(1, 2), -1)
+    z = Fraction(1, 2) - I
     assert HPoly((z,)) == z and hash(HPoly((z,))) == hash(z)
     assert {1: "a"}.get(H_ONE) == "a"
-    assert {Fraction(1, 2): "b"}.get(gr(Fraction(1, 2))) == "b"
+    assert {Fraction(1, 2): "b"}.get(H_ONE / 2) == "b"
 
 
-@pytest.mark.parametrize("divisor", [0, Fraction(0), gr(0)])
+@pytest.mark.parametrize("divisor", [0, Fraction(0), H_ZERO])
 def test_hpoly_division_by_zero(divisor):
     with pytest.raises(ZeroDivisionError):
-        HPoly([1, gr(0, 1)]) / divisor
+        HPoly([1, I]) / divisor
     with pytest.raises(ZeroDivisionError):
         H_ZERO / divisor
 
 
 # ---------------------------------------------------------------------------
-# The printers against a GaussianRational oracle: each coefficient is read
-# out as a pair of Fractions and rendered with str(Fraction), sharing no code
-# with the integer-field printers.
+# The printers against the oracle: each coefficient is an oracle value, a
+# pair of Fractions rendered with str(Fraction), sharing no code with the
+# integer-field printers.
 
 def _oracle_scalar(s):
     if not s:
@@ -313,17 +354,17 @@ def _oracle_join(pieces):
     return out + "".join(f" {sign} {text}" for sign, text in pieces[1:])
 
 
-def _oracle_hpoly(p):
-    pieces = [_oracle_term(s, k, False) for k, s in enumerate(p.coeffs) if s]
+def _oracle_hpoly(cs):
+    pieces = [_oracle_term(s, k, False) for k, s in enumerate(cs) if s]
     return _oracle_join(pieces) if pieces else "0"
 
 
-def _oracle_coeff_pieces(c, monomial_text):
-    nonzero = [(k, s) for k, s in enumerate(c.coeffs) if s]
+def _oracle_coeff_pieces(cs, monomial_text):
+    nonzero = [(k, s) for k, s in enumerate(cs) if s]
     if not monomial_text or not nonzero:
         return [_oracle_term(s, k, False) for k, s in nonzero]
     if len(nonzero) > 1:
-        return [("+", f"({_oracle_hpoly(c)})*{monomial_text}")]
+        return [("+", f"({_oracle_hpoly(cs)})*{monomial_text}")]
     sign, head = _oracle_term(nonzero[0][1], nonzero[0][0], True)
     return [(sign, f"{head}*{monomial_text}" if head else monomial_text)]
 
@@ -346,13 +387,13 @@ def test_printers_against_gaussian_oracle(seed):
         coeffs = [gr(0)] * rng.choice([0, 0, 1, 3])
         coeffs += [rand_gauss() if rng.random() < 0.8 else gr(0)
                    for _ in range(rng.randint(1, 4))]
-        p = HPoly(coeffs)
-        seen.add((p.den > 1, p.val > 0, len([s for s in p.coeffs if s]) > 1))
-        assert format_hpoly(p) == _oracle_hpoly(p)
-        for s in p.coeffs:
-            assert format_scalar(s) == _oracle_scalar(s)
+        p = hpoly_of(coeffs)
+        seen.add((p.den > 1, p.val > 0, len([s for s in coeffs if s]) > 1))
+        assert format_hpoly(p) == _oracle_hpoly(coeffs)
+        for k, s in enumerate(coeffs):
+            assert format_scalar(p.coeff(k)) == _oracle_scalar(s)
         for mono in ("", "x", "X^2*Y"):
-            assert coeff_pieces(p, mono) == _oracle_coeff_pieces(p, mono)
+            assert coeff_pieces(p, mono) == _oracle_coeff_pieces(coeffs, mono)
     assert len(seen) == 8
 
 
@@ -360,12 +401,12 @@ def test_printer_units_and_signs():
     cases = {
         (1,): ("1", [("+", "x")]),
         (-1,): ("-1", [("-", "x")]),
-        (gr(0, 1),): ("i", [("+", "i*x")]),
-        (gr(0, -1),): ("-i", [("-", "i*x")]),
+        (I,): ("i", [("+", "i*x")]),
+        (-I,): ("-i", [("-", "i*x")]),
         (0, -1): ("-h", [("-", "h*x")]),
-        (0, 0, gr(0, Fraction(-2, 3))): ("-2/3*i*h^2", [("-", "2/3*i*h^2*x")]),
-        (gr(Fraction(-1, 2), 1),): ("(-1/2 + i)", [("+", "(-1/2 + i)*x")]),
-        (gr(0, Fraction(3, 4)), 0, Fraction(5, 6)):
+        (0, 0, I * Fraction(-2, 3)): ("-2/3*i*h^2", [("-", "2/3*i*h^2*x")]),
+        (Fraction(-1, 2) + I,): ("(-1/2 + i)", [("+", "(-1/2 + i)*x")]),
+        (I * Fraction(3, 4), 0, Fraction(5, 6)):
             ("3/4*i + 5/6*h^2", [("+", "(3/4*i + 5/6*h^2)*x")]),
     }
     for coeffs, (text, pieces) in cases.items():
