@@ -166,6 +166,7 @@ def hpoly_of(cs):
     """The HPoly with the oracle coefficients cs of h^0, h^1, ..."""
     return HPoly([to_hpoly(x) for x in cs])
 
+
 def _strip(cs):
     cs = list(cs)
     while cs and not cs[-1]:
