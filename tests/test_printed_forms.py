@@ -32,6 +32,14 @@ DIGESTS = {
     # a complex lift: its value at h=1 prints as re + im*i, unparenthesized
     ("-m", "orbitstar", "rep", "--lift", "1/2 + i", "--format", "json"):
         "e394e64a09dd98abb8ca6069f4774ccb8d0341d557080e07949c16745ebe1d88",
+    # both reductions on inputs that take many rewriting steps, recorded
+    # while they still rescanned (poly.reduce) and multiplied the lift into
+    # every rewrite (ideal_reduce); this lift carries h^2 and i
+    ("-m", "orbitstar", "reduce", "--mode", "orbit", "(x + 2*y + 3*z + 1)^12"):
+        "571b1b9a92b09c3b110151363452ec0f8722e2a771720be8eff940257e697164",
+    ("-m", "orbitstar", "reduce", "--mode", "ideal", "--c", "2", "--lift",
+     "2 + 1/3*h - 1/5*i*h^2", "X*Z*Y*Z*X*Z*Y*Z*X*Y"):
+        "f410d5d4083a1af94d750e545c726de247bf959b00169b901e484d4f38c893a1",
     ("demos/01_pbw_rewriting.py",):
         "6242eb0599a9845f9e7c0fc93f6a399c11d97bf600ba45d3b122108f6bf53c88",
     ("demos/02_symmetrizer_star.py",):
