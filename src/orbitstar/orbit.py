@@ -9,7 +9,10 @@ ideal (p - c0) is handled by one confluent rewrite rule with the last
 variable leading (z^2 -> c0 - x^2 - y^2); on the deformed side the central
 element P = symmetrize(p) drives the analogous word rewrite
 Z^2 -> c(h) - X^2 - Y^2 with renormalization, which terminates because each
-substitution lowers the generator degree.
+substitution lowers the generator degree.  That rewrite holds the lift c(h)
+as a formal central t, one term dict per power of t, and substitutes c(h)
+once at the end.  Both reductions pop their next step from a heap: the
+grlex-largest monomial, and the largest word in tuple order.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .poly import (
     reduce as poly_reduce_by,
 )
 from .quantize import StarProduct, symmetrize
-from .scalars import H, H_ONE, HPoly, as_hpoly
+from .scalars import H, H_ONE, HPoly, as_hpoly, merge_sums
 
 
 class Orbit:
@@ -57,6 +60,8 @@ class Orbit:
         if not self.constants[0]:
             raise ValueError("regular orbit needs a nonzero level constant")
         self.lifts = tuple(as_hpoly(c) for c in (self.constants if lifts is None else lifts))
+        if len(self.lifts) != len(self.constants):
+            raise ValueError("need one lift per constant")
         for lift, c0 in zip(self.lifts, self.constants):
             if lift.coeff(0) != c0:
                 raise ValueError("lift must restrict to the orbit constant at h=0")
@@ -72,7 +77,8 @@ class Orbit:
             priority=self.priority,
         )
         self._products = {}
-        # canonical terms of sum_{i<z} b X_i X_i per word b (ideal_reduce)
+        # per word b: the canonical terms of sum_{i<z} b X_i X_i, and the heap
+        # entries of b and of those terms that end in Z Z (ideal_reduce)
         self._squares = {}
         # (P - c(h))^k for the default lift, extended by tangential_embed
         self._shifted_powers = [NCPoly.one(algebra), self.casimir_minus_lift()]
@@ -100,10 +106,18 @@ class Orbit:
         """Reduce a canonical element modulo (P - c(h)).
 
         Words with leading-variable exponent >= 2 are rewritten through
-        Z^2 = P - X^2 - Y^2 with P replaced by the lift, renormalizing as
-        needed; the result is the canonical representative supported on
-        words with leading exponent <= 1.  With track_quotient the left
-        cofactor q with u = q*(P - c(h)) + r is returned as well.
+        Z^2 = P - X^2 - Y^2, renormalizing as needed; the result is the
+        canonical representative supported on words with leading exponent
+        <= 1.  With track_quotient the left cofactor q with u = q*(P - c(h))
+        + r is returned as well.
+
+        The lift is held as a formal central t: parts[k] holds the terms of
+        t^k, and rewriting base*Z*Z in parts[k] moves its coefficient to base
+        in parts[k+1] and subtracts the normal form of base*(X^2 + Y^2) in
+        parts[k].  Every update thus stays on the coefficients' own powers
+        of h, and sum_k c(h)^k parts[k] (and the quotient's parts likewise)
+        is formed once at the end.  Words ending in Z Z are popped largest
+        first (tuple order) from a heap, each queued at most once at a time.
         """
         if u.algebra is not self.algebra:
             raise ValueError("element lives over a different algebra")
@@ -113,40 +127,43 @@ class Orbit:
         L = self.algebra
         z = L.dim - 1
         squares = self._squares
-        terms = dict(u.terms)
-        quotient = {}
-        # The words ending in Z Z, largest first: a heap keyed by the
-        # negated letters plus a sentinel above them, which reverses tuple
-        # order.  Every such word in terms has an entry; entries whose word
-        # has since cancelled or been rewritten are skipped when popped.
-        heap = []
+        parts = [dict(u.terms)]
+        quotient = [{}]
+        heap, queued = [], set()
 
-        def push(words):
-            for w in words:
-                if len(w) >= 2 and w[-2] == z:
-                    heappush(heap, (tuple([-i for i in w]) + (1,), w))
+        def push(entries):
+            for entry in entries:
+                if entry[1] not in queued:
+                    queued.add(entry[1])
+                    heappush(heap, entry)
 
-        push(terms)
+        push(_rewrites(u.terms, z))
         while heap:
             w = heappop(heap)[1]
-            coeff = terms.pop(w, None)
-            if coeff is None:
+            queued.discard(w)
+            hits = [(k, part.pop(w)) for k, part in enumerate(parts) if w in part]
+            if not hits:
                 continue
             base = w[:-2]
-            if track_quotient:
-                acc_term(quotient, base, coeff)
-            acc_term(terms, base, coeff * lift)
-            nf = squares.get(base)
-            if nf is None:
-                nf = squares[base] = {}
+            memo = squares.get(base)
+            if memo is None:
+                nf = {}
                 for i in range(z):
                     acc_scaled(nf, _nf_word(L, base + (i, i)), H_ONE)
-            acc_scaled(terms, nf, -coeff)
-            push((base,))
-            push(nf)
-        rem = u._new(terms)
+                memo = squares[base] = (nf, _rewrites((base, *nf), z))
+            nf, entries = memo
+            for k, coeff in hits:
+                if k + 1 == len(parts):
+                    parts.append({})
+                    quotient.append({})
+                acc_term(parts[k + 1], base, coeff)
+                if track_quotient:
+                    acc_term(quotient[k], base, coeff)
+                acc_scaled(parts[k], nf, -coeff)
+            push(entries)
+        rem = u._new(_substitute(parts, lift))
         if track_quotient:
-            return u._new(quotient), rem
+            return u._new(_substitute(quotient, lift)), rem
         return rem
 
     def casimir_minus_lift(self, lift=None) -> NCPoly:
@@ -386,6 +403,22 @@ def _scalar(x):
         return HPoly.const(x if not isinstance(x, str) else Fraction(x))
     except TypeError:
         raise TypeError(f"bad level constant {x!r}") from None
+
+
+def _rewrites(words, z):
+    """Heap entries for the words ending in Z Z: the negated letters plus a
+    sentinel above them, which reverses tuple order, then the word."""
+    return [(tuple([-i for i in w]) + (1,), w)
+            for w in words if len(w) >= 2 and w[-2] == z]
+
+
+def _substitute(parts, lift):
+    """sum_k lift^k parts[k], the term dicts of the formal powers t^k."""
+    scaled, power = [parts[0]], H_ONE
+    for part in parts[1:]:
+        power = power * lift
+        scaled.append({w: power * c for w, c in part.items()})
+    return merge_sums(scaled)
 
 
 def _sum_of_squares(n) -> CPoly:

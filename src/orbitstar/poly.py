@@ -9,6 +9,8 @@ through scalars.acc_scaled, which this module re-exports.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .lie import LieAlgebra
 from .scalars import H_ONE, H_ZERO, acc_scaled, acc_term, as_hpoly
 
@@ -281,6 +283,9 @@ class ReductionSystem:
     def __init__(self, nvars, rules, priority=None):
         self.nvars = nvars
         self.priority = tuple(priority) if priority is not None else None
+        if priority is not None and sorted(self.priority) != list(range(nvars)):
+            raise ValueError(f"priority {self.priority} is not an ordering "
+                             f"of the {nvars} variables")
         norm = []
         for lead, repl in rules:
             lead = tuple(lead)
@@ -318,18 +323,26 @@ def reduce(f: CPoly, system: ReductionSystem):
     Returns (quotients, remainder) with f = sum_r quotients[r]*rule_r +
     remainder, rule_r = lead_r - replacement_r, and no remainder monomial
     divisible by any rule lead.  Rules are tried in listed order, so the
-    division is deterministic.  Leading monomials strictly decrease, so each
-    quotient or remainder key is set once.
+    division is deterministic.  The lead is popped from a heap of negated
+    grlex keys, each computed once when its monomial enters the work dict;
+    an entry whose monomial has since cancelled is skipped when popped.  The
+    priority orders all variables, so grlex keys are injective and the heap
+    pops the grlex-largest monomial.  Leading monomials strictly decrease,
+    so each quotient or remainder key is set once.
     """
     if f.nvars != system.nvars:
         raise ValueError("variable count mismatch")
-    order = lambda e: grlex_key(e, system.priority)
+    order = system.priority or range(system.nvars)
     quotients = [{} for _ in system.rules]
     remainder = {}
     work = dict(f.terms)
-    while work:
-        exps = max(work, key=order)
-        coeff = work.pop(exps)
+    heap = [(-sum(e), [-e[i] for i in order], e) for e in work]
+    heapify(heap)
+    while heap:
+        exps = heappop(heap)[2]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
         for r, (lead, repl) in enumerate(system.rules):
             if _divides(lead, exps):
                 break
@@ -340,10 +353,12 @@ def reduce(f: CPoly, system: ReductionSystem):
         # leaves coeff * x^shift * repl.
         shift = tuple([a - b for a, b in zip(exps, lead)])
         quotients[r][shift] = coeff
-        acc_scaled(work, {
-            tuple([a + b for a, b in zip(shift, e)]): c
-            for e, c in repl.terms.items()
-        }, coeff)
+        step = {tuple([a + b for a, b in zip(shift, e)]): c
+                for e, c in repl.terms.items()}
+        for e in step:
+            if e not in work:
+                heappush(heap, (-sum(e), [-e[i] for i in order], e))
+        acc_scaled(work, step, coeff)
     return [f._new(q) for q in quotients], f._new(remainder)
 
 

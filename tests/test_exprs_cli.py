@@ -501,6 +501,18 @@ def test_cli_orbit_config_without_algebra(tmp_path, capsys, config):
     assert capsys.readouterr().out == want == "1 - x^2 - y^2\n"
 
 
+def test_cli_orbit_config_with_two_lifts_for_one_constant_exits_2(tmp_path, capsys):
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({
+        "invariants": ["x^2+y^2+z^2"], "constants": ["1"], "lifts": ["1", "2"],
+    }))
+    assert cli.main(["reduce", "--config", str(path), "--mode", "ideal", "Z*Z"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: config {path}: need one lift per constant"]
+
+
 def test_cli_top_level_invariants_win_over_orbit_entry(tmp_path, capsys):
     path = tmp_path / "orbit.json"
     path.write_text(json.dumps({

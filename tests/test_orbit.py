@@ -15,7 +15,7 @@ from orbitstar.poly import (
     reduce as poly_reduce,
 )
 from orbitstar.quantize import check_deformation_axioms, symmetrizer_product
-from orbitstar.scalars import H, H_ONE
+from orbitstar.scalars import H, H_ONE, I
 
 from conftest import rand_coeff
 
@@ -34,6 +34,10 @@ def test_orbit_validation(su2, xyz):
                                   ([p * p], [1])):
         with pytest.raises(ValueError):
             Orbit(su2, invariants, constants)
+    # one lift per constant: none, or two for the one level
+    for lifts in ([], [1, 1 + H]):
+        with pytest.raises(ValueError, match="one lift per constant"):
+            Orbit(su2, [p], [1], lifts)
 
 
 def test_orbit_reduce_goldens(sphere, xyz):
@@ -110,20 +114,30 @@ def _rescan_ideal_reduce(orb, u, lift):
     return NCPoly(orb.algebra, quotient), NCPoly(orb.algebra, terms)
 
 
-@pytest.mark.parametrize(
-    "lift", [None, H_ONE * 2 + H * Fraction(1, 3)], ids=["level", "h-part"]
-)
-def test_ideal_reduce_against_rescan_oracle(su2, lift):
+_LIFT_H2_I = H_ONE * 2 + H * Fraction(1, 3) - H * H * I * Fraction(1, 5)
+
+
+@pytest.mark.parametrize("lift, neighbor", [
+    (None, None),
+    (H_ONE * 2 + H * Fraction(1, 3), None),
+    (_LIFT_H2_I, None),
+    # an explicit lift= argument, as tangentiality_check passes it
+    (_LIFT_H2_I, Fraction(5, 2)),
+], ids=["level", "h-part", "h2-and-i", "neighbor-lift"])
+def test_ideal_reduce_against_rescan_oracle(su2, lift, neighbor):
     rng = random.Random(35)
     orb = sphere_orbit(2, lift=lift)
+    c = orb.lifts[0] if neighbor is None else orb.neighbor_lift(neighbor)
+    kwargs = {} if neighbor is None else {"lift": c}
     for _ in range(4):
         u = NCPoly.zero(su2)
         for _ in range(3):
             w = tuple(sorted(rng.randrange(3) for _ in range(rng.randint(8, 10))))
             u = u + NCPoly.word(su2, w, rand_coeff(rng))
-        q, r = orb.ideal_reduce(u, track_quotient=True)
-        assert (q, r) == _rescan_ideal_reduce(orb, u, orb.lifts[0])
-        assert q * orb.casimir_minus_lift() + r == u
+        q, r = orb.ideal_reduce(u, track_quotient=True, **kwargs)
+        assert (q, r) == _rescan_ideal_reduce(orb, u, c)
+        assert orb.ideal_reduce(u, **kwargs) == r
+        assert q * orb.casimir_minus_lift(c) + r == u
         assert all(len(w) < 2 or w[-2] != 2 for w in r.terms)
 
 
@@ -133,9 +147,12 @@ def test_ideal_reduce_memoizes_sums_of_squares(su2, monkeypatch):
         su2, (1, 1, 2, 2, 2))
     first = orb.ideal_reduce(u)
     assert (0, 1, 2, 2) in orb._squares and (1, 1, 2) in orb._squares
-    for base, nf in orb._squares.items():
+    for base, (nf, entries) in orb._squares.items():
         want = NCPoly(su2, {base + (0, 0): 1, base + (1, 1): 1}).normal_form()
         assert nf == want.terms
+        # the heap entries: each word of base and nf that ends in Z Z
+        assert [w for _, w in entries] == [
+            w for w in (base, *nf) if len(w) >= 2 and w[-2] == 2]
     monkeypatch.setattr(orbit_module, "_nf_word", None)
     assert orb.ideal_reduce(u) == first
 

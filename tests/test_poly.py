@@ -7,6 +7,7 @@ from conftest import rand_coeff
 from orbitstar.poly import (
     CPoly,
     ReductionSystem,
+    grlex_key,
     is_invariant,
     kirillov_bracket,
     leading_term,
@@ -185,6 +186,55 @@ def _two_rule_system():
     tail = y * H * (Fraction(1, 2) + I)
     second = x * z * Fraction(3, 2) - y * y + tail
     return ReductionSystem.from_polynomials([sphere, second], priority=(2, 0, 1))
+
+
+def _max_scan_reduce(f, system):
+    """Multivariate division that rescans the work dict for its grlex-largest
+    monomial at every step: the quadratic reference for reduce."""
+    quotients = [{} for _ in system.rules]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        exps = max(work, key=lambda e: grlex_key(e, system.priority))
+        coeff = work.pop(exps)
+        for r, (lead, repl) in enumerate(system.rules):
+            if all(a <= b for a, b in zip(lead, exps)):
+                break
+        else:
+            remainder[exps] = coeff
+            continue
+        shift = tuple(a - b for a, b in zip(exps, lead))
+        quotients[r][shift] = coeff
+        acc_scaled(work, {
+            tuple(a + b for a, b in zip(shift, e)): c
+            for e, c in repl.terms.items()
+        }, coeff)
+    return [CPoly(f.nvars, q) for q in quotients], CPoly(f.nvars, remainder)
+
+
+@pytest.mark.parametrize("priority", [(2, 0, 1), None], ids=["z-first", "natural"])
+@pytest.mark.parametrize("rules", ["sphere", "two-rule"])
+def test_reduce_against_max_scan_oracle(rules, priority):
+    x, y, z = (CPoly.variable(3, i) for i in range(3))
+    polys = [x * x + y * y + z * z - CPoly.constant(3, Fraction(3, 2))]
+    if rules == "two-rule":
+        polys.append(x * z * Fraction(3, 2) - y * y + y * H * (Fraction(1, 2) + I))
+    system = ReductionSystem.from_polynomials(polys, priority=priority)
+    rng = random.Random(45)
+    for _ in range(25):
+        f = CPoly(3, {
+            tuple(rng.randint(0, 4) for _ in range(3)): rand_coeff(rng)
+            for _ in range(rng.randint(1, 8))
+        })
+        assert reduce(f, system) == _max_scan_reduce(f, system)
+
+
+def test_priority_orders_every_variable_once():
+    z = CPoly.variable(3, 2)
+    for priority in [(2, 0), (2, 0, 0), (2, 0, 3), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match="not an ordering"):
+            ReductionSystem(3, [((0, 0, 2), z)], priority=priority)
+    assert ReductionSystem(3, [((0, 0, 2), z)], priority=[2, 0, 1]).priority == (2, 0, 1)
 
 
 @pytest.mark.parametrize("rules", ["sphere", "two-rule"])
