@@ -9,10 +9,10 @@ ideal (p - c0) is handled by one confluent rewrite rule with the last
 variable leading (z^2 -> c0 - x^2 - y^2); on the deformed side the central
 element P = symmetrize(p) drives the analogous word rewrite
 Z^2 -> c(h) - X^2 - Y^2 with renormalization, which terminates because each
-substitution lowers the generator degree.  That rewrite holds the lift c(h)
-as a formal central t, one term dict per power of t, and substitutes c(h)
-once at the end.  Both reductions pop their next step from a heap: the
-grlex-largest monomial, and the largest word in tuple order.
+substitution lowers the generator degree.  A lift with several powers of h
+is held there as a formal central t, one term dict per power of t, and
+substituted once at the end.  Both reductions pop their next step from a
+heap: the grlex-largest monomial, and the largest word in tuple order.
 """
 
 from __future__ import annotations
@@ -111,19 +111,23 @@ class Orbit:
         <= 1.  With track_quotient the left cofactor q with u = q*(P - c(h))
         + r is returned as well.
 
-        The lift is held as a formal central t: parts[k] holds the terms of
-        t^k, and rewriting base*Z*Z in parts[k] moves its coefficient to base
-        in parts[k+1] and subtracts the normal form of base*(X^2 + Y^2) in
-        parts[k].  Every update thus stays on the coefficients' own powers
-        of h, and sum_k c(h)^k parts[k] (and the quotient's parts likewise)
-        is formed once at the end.  Words ending in Z Z are popped largest
-        first (tuple order) from a heap, each queued at most once at a time.
+        A lift with several powers of h is held as a formal central t:
+        parts[k] holds the terms of t^k, and rewriting base*Z*Z in parts[k]
+        moves its coefficient to base in parts[k+1] and subtracts the normal
+        form of base*(X^2 + Y^2) in parts[k].  Every update thus stays on the
+        coefficients' own powers of h, and sum_k c(h)^k parts[k] (and the
+        quotient's parts likewise) is formed once at the end.  A lift of one
+        power keeps every product a single power, so it is multiplied in at
+        each rewrite and parts[0] is the only part.  Words ending in Z Z are
+        popped largest first (tuple order) from a heap, each queued at most
+        once at a time.
         """
         if u.algebra is not self.algebra:
             raise ValueError("element lives over a different algebra")
         if not u.is_canonical():
             u = u.normal_form()
         lift = self.lifts[0] if lift is None else as_hpoly(lift)
+        formal = len(lift.num) > 1
         L = self.algebra
         z = L.dim - 1
         squares = self._squares
@@ -153,10 +157,13 @@ class Orbit:
                 memo = squares[base] = (nf, _rewrites((base, *nf), z))
             nf, entries = memo
             for k, coeff in hits:
-                if k + 1 == len(parts):
-                    parts.append({})
+                if not formal:
+                    acc_term(parts[0], base, coeff * lift)
+                elif k + 1 < len(parts):
+                    acc_term(parts[k + 1], base, coeff)
+                else:
+                    parts.append({base: coeff})
                     quotient.append({})
-                acc_term(parts[k + 1], base, coeff)
                 if track_quotient:
                     acc_term(quotient[k], base, coeff)
                 acc_scaled(parts[k], nf, -coeff)
