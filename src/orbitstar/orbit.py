@@ -109,18 +109,14 @@ class Orbit:
         Z^2 = P - X^2 - Y^2, renormalizing as needed; the result is the
         canonical representative supported on words with leading exponent
         <= 1.  With track_quotient the left cofactor q with u = q*(P - c(h))
-        + r is returned as well.
+        + r is returned as well.  Words ending in Z Z are popped largest
+        first (tuple order) from a heap, each queued at most once at a time.
 
-        A lift with several powers of h is held as a formal central t:
-        parts[k] holds the terms of t^k, and rewriting base*Z*Z in parts[k]
-        moves its coefficient to base in parts[k+1] and subtracts the normal
-        form of base*(X^2 + Y^2) in parts[k].  Every update thus stays on the
-        coefficients' own powers of h, and sum_k c(h)^k parts[k] (and the
-        quotient's parts likewise) is formed once at the end.  A lift of one
-        power keeps every product a single power, so it is multiplied in at
-        each rewrite and parts[0] is the only part.  Words ending in Z Z are
-        popped largest first (tuple order) from a heap, each queued at most
-        once at a time.
+        A lift of one power of h is multiplied in at each rewrite.  A lift of
+        several is held as a formal central t, so every update stays on the
+        coefficients' own powers of h: rewriting base*Z*Z in parts[k], the
+        terms of t^k, moves its coefficient to base in parts[k+1], and
+        sum_k c(h)^k parts[k] (and the quotient's parts) is formed at the end.
         """
         if u.algebra is not self.algebra:
             raise ValueError("element lives over a different algebra")

@@ -15,7 +15,7 @@ from orbitstar.poly import (
     reduce as poly_reduce,
 )
 from orbitstar.quantize import check_deformation_axioms, symmetrizer_product
-from orbitstar.scalars import H, H_ONE, I
+from orbitstar.scalars import H, H_ONE, HPoly, I
 
 from conftest import rand_coeff
 
@@ -139,6 +139,20 @@ def test_ideal_reduce_against_rescan_oracle(su2, lift, neighbor):
         assert orb.ideal_reduce(u, **kwargs) == r
         assert q * orb.casimir_minus_lift(c) + r == u
         assert all(len(w) < 2 or w[-2] != 2 for w in r.terms)
+
+
+def test_ideal_reduce_adds_single_powers_under_a_multi_power_lift(su2, monkeypatch):
+    # the lift is held as a formal t, so no update adds a value of several
+    # powers of h; multiplying it in at each rewrite would
+    orb = sphere_orbit(2, lift=_LIFT_H2_I, algebra=su2)
+    u = NCPoly.word(su2, (0, 1, 2, 2, 2, 2, 2, 2), Fraction(2, 3)) + NCPoly.word(
+        su2, (1, 2, 2, 2, 2, 2), H)
+    want = _rescan_ideal_reduce(orb, u, orb.lifts[0])
+    sums = []
+    add = HPoly.__add__
+    monkeypatch.setattr(HPoly, "__add__", lambda a, b: sums.append((a, b)) or add(a, b))
+    assert orb.ideal_reduce(u, track_quotient=True) == want
+    assert sums and all(len(a.num) == len(b.num) == 1 for a, b in sums)
 
 
 def test_ideal_reduce_memoizes_sums_of_squares(su2, monkeypatch):

@@ -98,11 +98,11 @@ def test_invariance(su2, xyz, casimir_poly):
     assert is_invariant(su2, CPoly.constant(3, Fraction(5, 3)))
 
 
-def _unit_sphere_rule():
+def _unit_sphere_rule(priority=(2, 0, 1)):
     # z highest so the generator rewrites z^2 -> 1 - x^2 - y^2
     x, y, z = (CPoly.variable(3, i) for i in range(3))
     p = x * x + y * y + z * z - CPoly.one(3)
-    return ReductionSystem.from_polynomials([p], priority=(2, 0, 1))
+    return ReductionSystem.from_polynomials([p], priority=priority)
 
 
 def test_reduce_single_step(xyz):
@@ -179,13 +179,13 @@ def test_h_coefficient_and_truncate(xyz):
     assert f.truncate_h(2) == x * H + x * y
 
 
-def _two_rule_system():
+def _two_rule_system(priority=(2, 0, 1)):
     # z^2 -> 3/2 - x^2 - y^2, then x*z -> (2/3)(y^2 - (1/2 + i) h y)
     x, y, z = (CPoly.variable(3, i) for i in range(3))
     sphere = x * x + y * y + z * z - CPoly.constant(3, Fraction(3, 2))
     tail = y * H * (Fraction(1, 2) + I)
     second = x * z * Fraction(3, 2) - y * y + tail
-    return ReductionSystem.from_polynomials([sphere, second], priority=(2, 0, 1))
+    return ReductionSystem.from_polynomials([sphere, second], priority=priority)
 
 
 def _max_scan_reduce(f, system):
@@ -215,11 +215,7 @@ def _max_scan_reduce(f, system):
 @pytest.mark.parametrize("priority", [(2, 0, 1), None], ids=["z-first", "natural"])
 @pytest.mark.parametrize("rules", ["sphere", "two-rule"])
 def test_reduce_against_max_scan_oracle(rules, priority):
-    x, y, z = (CPoly.variable(3, i) for i in range(3))
-    polys = [x * x + y * y + z * z - CPoly.constant(3, Fraction(3, 2))]
-    if rules == "two-rule":
-        polys.append(x * z * Fraction(3, 2) - y * y + y * H * (Fraction(1, 2) + I))
-    system = ReductionSystem.from_polynomials(polys, priority=priority)
+    system = (_unit_sphere_rule if rules == "sphere" else _two_rule_system)(priority)
     rng = random.Random(45)
     for _ in range(25):
         f = CPoly(3, {
