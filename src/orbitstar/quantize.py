@@ -214,9 +214,18 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
     if assoc_degree is None:
         assoc_degree = degree_bound
     basis = star.monomial_basis(max(degree_bound, assoc_degree))
+    degree = {e: sum(e) for e in basis}
+    mono = {e: CPoly.monomial(star.nvars, e) for e in basis}
+    products = {}
     failures = []
-    mono = lambda e: CPoly.monomial(star.nvars, e)
     names = tuple(star.algebra.varnames)
+
+    def product(e1, e2):
+        """star(x^e1, x^e2), computed once per ordered pair."""
+        p = products.get((e1, e2))
+        if p is None:
+            p = products[e1, e2] = star.star(mono[e1], mono[e2])
+        return p
 
     def fmt(p):
         from .exprs import format_cpoly
@@ -226,11 +235,11 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
     pairs = 0
     for e1 in basis:
         for e2 in basis:
-            if sum(e1) + sum(e2) > degree_bound:
+            if degree[e1] + degree[e2] > degree_bound:
                 continue
             pairs += 1
-            f, g = mono(e1), mono(e2)
-            fg = star.star(f, g)
+            f, g = mono[e1], mono[e2]
+            fg = product(e1, e2)
             want0 = star.b0(f, g)
             if fg.h_coefficient(0) != want0:
                 failures.append({
@@ -239,7 +248,7 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
                     "expected": fmt(want0),
                     "got": fmt(fg.h_coefficient(0)),
                 })
-            comm = fg - star.star(g, f)
+            comm = fg - product(e2, e1)
             want1 = star.bracket(f, g)
             if not comm.h_coefficient(0).is_zero() or comm.h_coefficient(1) != want1:
                 failures.append({
@@ -251,19 +260,20 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
     triples = 0
     for e1 in basis:
         for e2 in basis:
-            if sum(e1) + sum(e2) > assoc_degree:
+            if degree[e1] + degree[e2] > assoc_degree:
                 continue
+            f, fg = mono[e1], product(e1, e2)
             for e3 in basis:
-                if sum(e1) + sum(e2) + sum(e3) > assoc_degree:
+                if degree[e1] + degree[e2] + degree[e3] > assoc_degree:
                     continue
                 triples += 1
-                f, g, k = mono(e1), mono(e2), mono(e3)
-                left = star.star(star.star(f, g), k)
-                right = star.star(f, star.star(g, k))
+                k = mono[e3]
+                left = star.star(fg, k)
+                right = star.star(f, product(e2, e3))
                 if left != right:
                     failures.append({
                         "property": "associativity",
-                        "pair": (fmt(f), fmt(g), fmt(k)),
+                        "pair": (fmt(f), fmt(mono[e2]), fmt(k)),
                         "expected": fmt(right),
                         "got": fmt(left),
                     })

@@ -225,6 +225,51 @@ def test_axiom_checker_catches_fault(su2):
     assert any(f["property"] == "product-mod-h" for f in report["failures"])
 
 
+def _reference_axioms(star, degree_bound, assoc_degree):
+    """check_deformation_axioms' report from a plain loop that multiplies
+    every pair and both sides of every triple afresh."""
+    fmt = lambda p: format_cpoly(p, star.algebra.varnames)
+    basis = star.monomial_basis(max(degree_bound, assoc_degree))
+    mono = lambda e: CPoly.monomial(3, e)
+    failures, pairs, triples = [], 0, 0
+    for e1, e2 in itertools.product(basis, repeat=2):
+        if sum(e1) + sum(e2) > degree_bound:
+            continue
+        pairs += 1
+        f, g = mono(e1), mono(e2)
+        fg, want0 = star.star(f, g), star.b0(f, g)
+        if fg.h_coefficient(0) != want0:
+            failures.append({"property": "product-mod-h", "pair": (fmt(f), fmt(g)),
+                             "expected": fmt(want0), "got": fmt(fg.h_coefficient(0))})
+        comm, want1 = fg - star.star(g, f), star.bracket(f, g)
+        if not comm.h_coefficient(0).is_zero() or comm.h_coefficient(1) != want1:
+            failures.append({"property": "commutator-mod-h2", "pair": (fmt(f), fmt(g)),
+                             "expected": fmt(want1), "got": fmt(comm.h_coefficient(1))})
+    for e1, e2, e3 in itertools.product(basis, repeat=3):
+        if sum(e1) + sum(e2) + sum(e3) > assoc_degree:
+            continue
+        triples += 1
+        f, g, k = mono(e1), mono(e2), mono(e3)
+        left, right = star.star(star.star(f, g), k), star.star(f, star.star(g, k))
+        if left != right:
+            failures.append({"property": "associativity", "pair": (fmt(f), fmt(g), fmt(k)),
+                             "expected": fmt(right), "got": fmt(left)})
+    return {"passed": not failures, "failures": failures,
+            "pairs": pairs, "triples": triples}
+
+
+def test_axiom_checker_report_matches_plain_loop(su2, xyz):
+    x, y, z = xyz
+    star = symmetrizer_product(su2)
+    # x * y gains h^2 z in the pair table: the pair checks (mod h, and the
+    # commutator mod h^2) still pass, but associativity fails
+    star._pair_cache[(1, 0, 0), (0, 1, 0)] = star.star(x, y) + z * H * H
+    report = check_deformation_axioms(star, 2, assoc_degree=3)
+    assert not report["passed"]
+    assert {f["property"] for f in report["failures"]} == {"associativity"}
+    assert report == _reference_axioms(star, 2, 3)
+
+
 def test_pbw_product_roundtrip(su2):
     star = pbw_basis_product(su2)
     f = CPoly.monomial(3, (1, 2, 0)) + CPoly.monomial(3, (0, 0, 1))

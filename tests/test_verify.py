@@ -2,10 +2,14 @@
 the in-process loop give the same reports and the same faults, and every
 child is reaped on every path.  Patching `verify.available_cpus` picks the
 path: one CPU runs the suites in-process, two or more fork up to two
-children.  Also: the suite registry keeps its order and names, and `verify`
-hands its options to run_suites unchanged."""
+children.  Also: the suite registry keeps its order and names, `verify`
+hands its options to run_suites unchanged, and the pbw suite's per-word
+associativity sweep gives the verdict, count and witness of a plain triple
+loop."""
 
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -20,7 +24,9 @@ import pytest
 
 import orbitstar
 from orbitstar import cli, verify
+from orbitstar.envelope import NCPoly
 from orbitstar.exprs import parse_hpoly
+from orbitstar.lie import LieAlgebra, predefined
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -285,3 +291,53 @@ def test_suite_fault_reaps_every_child(monkeypatch):
     with pytest.raises(verify.InternalError, match=r"^suite centrality: RuntimeError: boom$"):
         verify.run_suites(["lemma", "centrality", "grading"])
     _assert_no_children()
+
+
+def _reference_associativity(L, bound):
+    """(triples checked, first failing triple or None): every split of
+    words wa wb wc with total length <= bound, each side multiplied out."""
+    checked = 0
+    for la in range(1, bound - 1):
+        for lb in range(1, bound - la):
+            for lc in range(1, bound - la - lb + 1):
+                for wa, wb, wc in itertools.product(
+                        itertools.product(range(3), repeat=la),
+                        itertools.product(range(3), repeat=lb),
+                        itertools.product(range(3), repeat=lc)):
+                    checked += 1
+                    a, b, c = (NCPoly.word(L, w) for w in (wa, wb, wc))
+                    if (a * b) * c != a * (b * c):
+                        return checked, (wa, wb, wc)
+    return checked, None
+
+
+def _associativity_case(reports):
+    case, = (r for r in reports if r["case"].startswith("associativity"))
+    return case
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_pbw_counts_every_word_triple(bound):
+    case = _associativity_case(verify.run_suite("pbw", max_degree=bound))
+    count = sum(math.comb(n - 1, 2) * 3 ** n for n in range(3, bound + 1))
+    assert case == {"suite": "pbw", "status": "pass",
+                    "case": f"associativity on {count} word triples (len<={bound})"}
+    if bound == 6:
+        assert count == 9018
+
+
+def test_pbw_keeps_the_triple_loop_witness(monkeypatch):
+    # su2 with [X, Y] = Z + X: antisymmetric, but the Jacobiator is Y, so
+    # the rewriting is not associative; a fresh instance keeps its memos apart
+    su2 = predefined("su2")
+    broken = LieAlgebra(su2.names, su2.c)
+    nz = [list(row) for row in broken._bracket_nz]
+    nz[0][1] += ((0, su2.c[0][1][2]),)
+    nz[1][0] += ((0, -su2.c[0][1][2]),)
+    broken._bracket_nz = tuple(tuple(row) for row in nz)
+    monkeypatch.setattr(verify, "predefined", lambda name: broken)
+    case = _associativity_case(verify.run_suite("pbw", max_degree=4))
+    checked, bad = _reference_associativity(broken, 4)
+    assert bad is not None
+    assert case == {"suite": "pbw", "status": "fail", "witness": bad,
+                    "case": f"associativity on {checked} word triples (len<=4)"}
