@@ -102,7 +102,8 @@ def suite_pbw(max_degree=None, **_):
     words_by_len = {0: [()]}
     for n in range(1, max(bound, 5) + 1):
         words_by_len[n] = [w + (g,) for w in words_by_len[n - 1] for g in range(3)]
-    elem = {w: NCPoly.word(L, w) for n in range(1, bound) for w in words_by_len[n]}
+    # each word of a triple within the bound has at most bound - 2 letters
+    elem = {w: NCPoly.word(L, w) for n in range(1, bound - 1) for w in words_by_len[n]}
     products = {}
 
     def prod(v, w):
@@ -551,10 +552,11 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-# pbw is about 40% of `verify all` (0.26-0.40 s against 0.43-0.57 s for
-# the other ten suites together, in-process on 2 CPUs), so two children
-# taking suites in order finish close together; a third could save at most
-# half the total less pbw (about 0.06 s), for one more copy of the memos.
+# pbw, the largest suite, is about 30% of `verify all` (0.16 s against
+# 0.39 s for the other ten suites together, in-process medians on a 2-vCPU
+# VM), so two children taking suites in order finish within about 0.03 s of
+# each other; a third could bring each child's 0.27 s towards 0.18 s, but
+# only with three free CPUs, and it holds one more copy of the memos.
 _MAX_WORKERS = 2
 
 # a suite index travels as one byte of the task pipe

@@ -230,7 +230,7 @@ def _reference_axioms(star, degree_bound, assoc_degree):
     every pair and both sides of every triple afresh."""
     fmt = lambda p: format_cpoly(p, star.algebra.varnames)
     basis = star.monomial_basis(max(degree_bound, assoc_degree))
-    mono = lambda e: CPoly.monomial(3, e)
+    mono = lambda e: CPoly.monomial(star.nvars, e)
     failures, pairs, triples = [], 0, 0
     for e1, e2 in itertools.product(basis, repeat=2):
         if sum(e1) + sum(e2) > degree_bound:
