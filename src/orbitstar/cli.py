@@ -199,7 +199,7 @@ def cmd_reduce(args):
         text = format_cpoly(out, L.varnames)
     else:
         u = parse_expression(args.expr, mode="noncommutative", algebra=L)
-        out = orbit.ideal_reduce(u.normal_form())
+        out = orbit.ideal_reduce(u)
         text = format_ncpoly(out)
     _emit(args, [text], {"mode": args.mode, "input": args.expr, "result": text})
     return 0

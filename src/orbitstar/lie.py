@@ -272,7 +272,7 @@ def algebra_from_json(data) -> LieAlgebra:
     names = data.get("names") or [f"X{i}" for i in range(n)]
     if len(names) != n:
         raise ValueError("names length does not match dim")
-    c = [[[H_ZERO] * n for _ in range(n)] for _ in range(n)]
+    table = {}
     for entry in data.get("brackets", ()):
         i, j, terms = entry
         i, j = int(i), int(j)
@@ -280,9 +280,10 @@ def algebra_from_json(data) -> LieAlgebra:
             raise ValueError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
         for k, coeff in terms:
             k = int(k)
-            v = parse_scalar(str(coeff))
-            c[i][j][k] = v
-            c[j][i][k] = -v
+            if not 0 <= k < n:
+                raise ValueError(f"bracket component {k} must satisfy 0 <= k < dim")
+            table.setdefault((i, j), []).append((k, parse_scalar(str(coeff))))
+    c = _table_to_constants(n, table)
     return LieAlgebra(names, c, varnames=data.get("varnames"))
 
 

@@ -66,40 +66,23 @@ def mat_is_scalar(a):
     return c
 
 
-def det(a):
-    """Exact determinant by Gaussian elimination."""
+def _gauss_jordan(a):
+    """One Gauss-Jordan pass over a square matrix: (det, inverse), where the
+    inverse is None when the matrix is singular."""
     n = len(a)
-    m = [list(row) for row in a]
-    out = H_ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return H_ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            out = -out
-        p = m[col][col]
-        out = out * p
-        inv = H_ONE / p
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if not f:
-                continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return out
-
-
-def invert(a):
-    """Exact inverse, or None when the matrix is singular."""
-    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     m = [list(row) + [H_ONE if i == j else H_ZERO for j in range(n)]
          for i, row in enumerate(a)]
+    d = H_ONE
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
+            return H_ZERO, None
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            d = -d
+        d = d * m[col][col]
         inv = H_ONE / m[col][col]
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
@@ -107,7 +90,17 @@ def invert(a):
                 continue
             f = m[r][col]
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return d, tuple(tuple(row[n:]) for row in m)
+
+
+def det(a):
+    """Exact determinant."""
+    return _gauss_jordan(a)[0]
+
+
+def invert(a):
+    """Exact inverse, or None when the matrix is singular."""
+    return _gauss_jordan(a)[1]
 
 
 class LinearSystem:

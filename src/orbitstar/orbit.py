@@ -72,10 +72,10 @@ class Orbit:
                 raise ValueError("symmetrized invariant is not central")
         # the last variable leads the reduction
         self.priority = (n - 1,) + tuple(range(n - 1))
+        # the generator p - c0 of the orbit ideal
+        self.generator = self.invariants[0] - CPoly.constant(n, self.constants[0])
         self.basis_rule = ReductionSystem.from_polynomials(
-            [self.invariants[0] - CPoly.constant(n, self.constants[0])],
-            priority=self.priority,
-        )
+            [self.generator], priority=self.priority)
         self._products = {}
         # per word b: the canonical terms of sum_{i<z} b X_i X_i, and the heap
         # entries of b and of those terms that end in Z Z (ideal_reduce)
@@ -88,14 +88,6 @@ class Orbit:
         """The remainder of f modulo the orbit ideal's rewrite system."""
         _, rem = poly_reduce_by(f, self.basis_rule)
         return rem
-
-    def basis_monomials(self, max_degree):
-        """Orbit-basis exponent vectors (leading-variable exponent <= 1)."""
-        return [
-            e
-            for e in monomials_up_to(self.algebra.dim, max_degree, self.priority)
-            if e[-1] <= 1
-        ]
 
     # -- deformed side -----------------------------------------------------
     def neighbor_lift(self, c0_prime) -> HPoly:
@@ -192,17 +184,13 @@ class Orbit:
         (a,), rem = poly_reduce_by(f, self.basis_rule)
         out = self.word_lift(rem)
         if not a.is_zero():
-            c0 = self.constants[0]
-            shifted = self.casimirs[0] - NCPoly.scalar(self.algebra, c0)
-            out = out + self.word_lift(a) * shifted
-        return out.normal_form()
+            out = out + self.word_lift(a) * self.casimir_minus_lift(self.constants[0])
+        return out
 
     def split_embed_inverse(self, u: NCPoly) -> CPoly:
-        c0 = self.constants[0]
-        q, r = self.ideal_reduce(u, lift=HPoly.const(c0), track_quotient=True)
+        q, r = self.ideal_reduce(u, lift=self.constants[0], track_quotient=True)
         n = self.algebra.dim
-        gen = self.invariants[0] - CPoly.constant(n, c0)
-        return CPoly(n, q.word_exps()) * gen + self.word_lower(r)
+        return CPoly(n, q.word_exps()) * self.generator + self.word_lower(r)
 
     def tangential_embed(self, f: CPoly) -> NCPoly:
         """Embed along powers of the generator: (p - c0)^k * b maps to
@@ -223,14 +211,13 @@ class Orbit:
 
     def tangential_embed_inverse(self, u: NCPoly) -> CPoly:
         n = self.algebra.dim
-        gen = self.invariants[0] - CPoly.constant(n, self.constants[0])
         out = CPoly.zero(n)
         power = CPoly.one(n)
         work = u
         while not work.is_zero():
             q, r = self.ideal_reduce(work, track_quotient=True)
             out = out + self.word_lower(r) * power
-            power = power * gen
+            power = power * self.generator
             work = q
         return out
 
@@ -269,7 +256,7 @@ class Orbit:
         lift = self.neighbor_lift(c0_prime)
         for exps in monomials_up_to(n, max(degree_bound - 2, 0), self.priority):
             g = CPoly.monomial(n, exps)
-            rem = self.ideal_reduce(embed(g * gen).normal_form(), lift=lift)
+            rem = self.ideal_reduce(embed(g * gen), lift=lift)
             if not rem.is_zero():
                 return {
                     "passed": False,
@@ -282,7 +269,7 @@ class Orbit:
         n = self.algebra.dim
         for exps in monomials_up_to(n, degree_bound, self.priority):
             f = CPoly.monomial(n, exps)
-            lhs = self.ideal_reduce(embed(f).normal_form())
+            lhs = self.ideal_reduce(embed(f))
             rhs = self.word_lift(self.orbit_reduce(f))
             if lhs != rhs:
                 return {
@@ -362,7 +349,7 @@ class Orbit:
             zz_data if zz_data is not None else self.orbit_reduce(z * z * zz)
         )
 
-        basis = self.basis_monomials(coeff_degree_bound)
+        basis = star.monomial_basis(coeff_degree_bound)
         cols = [(uv, exps) for uv in b_values for exps in basis]
         # the cleared (z, z) equation: sum_uv b_uv * x_u x_v = cleared value
         chart = {

@@ -10,7 +10,9 @@ polynomials and the deformed enveloping algebra; the induced product is
 f * g = backward(forward(f) . forward(g)), memoized per monomial pair and
 summed bilinearly, one dict per h-weight (deg x_i = deg h = 1), the dicts
 merged once per key.  The forward image of each monomial is computed once
-per product and shared by every pair it enters.
+per product and shared by every pair it enters.  The image table is also
+the product's domain: a monomial is checked against poly_reduce when it
+first enters the table, and one that is not reduced raises there.
 """
 
 from __future__ import annotations
@@ -102,14 +104,17 @@ class StarProduct:
         self.name = name
         self._pair_cache = {}
         self._images = {}
-        self._domain = set()
 
     # -- the product ------------------------------------------------------
     def _image(self, exps):
-        """forward(x^exps), computed once per monomial."""
+        """forward(x^exps), computed once per monomial.  A monomial enters
+        the product here, so a miss checks that it lies in the domain."""
         u = self._images.get(exps)
         if u is None:
-            u = self._images[exps] = self.forward(CPoly.monomial(self.nvars, exps))
+            m = CPoly.monomial(self.nvars, exps)
+            if not self._reduced(m):
+                raise ValueError(f"inputs not in the product's basis span: {exps}")
+            u = self._images[exps] = self.forward(m)
         return u
 
     def _star_monomials(self, e1, e2):
@@ -126,9 +131,14 @@ class StarProduct:
         Pairs are summed into one dict per h-weight |e1| + |e2| + val(c1*c2),
         and merge_sums adds the dicts once per key.  In a graded product (sym,
         pbw) one weight puts a monomial at one power of h, so acc_scaled stays
-        on its single-power step; the orbit products are not graded."""
-        self._check_domain(f)
-        self._check_domain(g)
+        on its single-power step; the orbit products are not graded.  Each
+        new monomial of f, then of g, enters the image table first, so an
+        out-of-domain input raises even when the other factor is zero."""
+        if f.nvars != self.nvars or g.nvars != self.nvars:
+            raise ValueError("polynomial over the wrong variables")
+        for exps in (*f.terms, *g.terms):
+            if exps not in self._images:
+                self._image(exps)
         right = [(e2, c2, sum(e2)) for e2, c2 in g.terms.items()]
         parts = {}
         for e1, c1 in f.terms.items():
@@ -139,23 +149,9 @@ class StarProduct:
                            self._star_monomials(e1, e2).terms, c)
         return f._new(merge_sums(list(parts.values())))
 
-    def _check_domain(self, f):
-        if f.nvars != self.nvars:
-            raise ValueError("polynomial over the wrong variables")
-        for exps in f.terms:
-            if not self._in_domain(exps):
-                raise ValueError(f"inputs not in the product's basis span: {exps}")
-
-    def _in_domain(self, exps):
-        """Is x^exps reduced under poly_reduce?  Accepted vectors are
-        remembered; a rejected one is tested again on every call."""
-        if self.poly_reduce is None or exps in self._domain:
-            return True
-        m = CPoly.monomial(self.nvars, exps)
-        if self.poly_reduce(m) != m:
-            return False
-        self._domain.add(exps)
-        return True
+    def _reduced(self, m):
+        """Is the monomial m reduced under poly_reduce, so in the domain?"""
+        return self.poly_reduce is None or self.poly_reduce(m) == m
 
     def b0(self, f: CPoly, g: CPoly) -> CPoly:
         """The undeformed product (reduced when the domain is a quotient)."""
@@ -181,7 +177,7 @@ class StarProduct:
         return [
             exps
             for exps in monomials_up_to(self.nvars, max_degree, self.priority)
-            if self._in_domain(exps)
+            if self._reduced(CPoly.monomial(self.nvars, exps))
         ]
 
 

@@ -42,12 +42,10 @@ def validate_rep(L: LieAlgebra, R: MatrixRep) -> bool:
                 linalg.mat_mul(R.matrices[i], R.matrices[j]),
                 linalg.mat_mul(R.matrices[j], R.matrices[i]),
             )
-            want = [[H_ZERO] * R.dim for _ in range(R.dim)]
+            want = ((H_ZERO,) * R.dim,) * R.dim
             for k, v in L.bracket_terms(i, j):
-                for a in range(R.dim):
-                    for b in range(R.dim):
-                        want[a][b] = want[a][b] + v * R.matrices[k][a][b]
-            if comm != linalg.mat(want):
+                want = linalg.mat_add(want, linalg.mat_scale(v, R.matrices[k]))
+            if comm != want:
                 return False
     return True
 
@@ -65,19 +63,16 @@ def su2_defining_rep() -> MatrixRep:
 def evaluate(u: NCPoly, R: MatrixRep, h0):
     """The image of u under X_i -> h0*rho_i, h -> h0."""
     h0 = HPoly.const(h0 if not isinstance(h0, str) else Fraction(h0))
-    n = R.dim
-    out = [[H_ZERO] * n for _ in range(n)]
+    out = ((H_ZERO,) * R.dim,) * R.dim
     for word, coeff in u.terms.items():
         scalar = coeff.evaluate(h0) * h0 ** len(word)
         if not scalar:
             continue
-        m = linalg.mat_identity(n)
+        m = linalg.mat_identity(R.dim)
         for g in word:
             m = linalg.mat_mul(m, R.matrices[g])
-        for a in range(n):
-            for b in range(n):
-                out[a][b] = out[a][b] + scalar * m[a][b]
-    return linalg.mat(out)
+        out = linalg.mat_add(out, linalg.mat_scale(scalar, m))
+    return out
 
 
 def casimir_scalar(u: NCPoly, R: MatrixRep, h0) -> HPoly:

@@ -562,6 +562,11 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("algebra", {"dim": 3, "names": 5, "brackets": []}, "has no len()"),
         ("algebra", {"dim": 3, "names": ["X", "Y", "Z"], "brackets": 7},
          "is not iterable"),
+        ("algebra", {"dim": 3, "brackets": [[0, 1, [[5, "1"]]]]},
+         "bracket component 5 must satisfy 0 <= k < dim"),
+        ("algebra", {"dim": 3, "brackets": [[0, 1, [[-1, "1"]]], [1, 2, [[0, "1"]]],
+                                            [0, 2, [[1, "-1"]]]]},
+         "bracket component -1 must satisfy 0 <= k < dim"),
         ("reduce", {"algebra": "su2", "invariants": ["x^2+y^2+z^2"]},
          "missing key 'constants'"),
         ("reduce", {"algebra": "su2", "orbit": [1]}, '"orbit" must be a JSON object'),
@@ -569,6 +574,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
                     "constants": ["1", "2"]}, "only the sum-of-squares orbit"),
     ],
     ids=["top-level-list", "dim-null", "names-int", "brackets-int",
+         "bracket-component-5", "bracket-component-negative",
          "orbit-missing-constants", "orbit-entry-list", "orbit-two-invariants"],
 )
 def test_cli_malformed_config_exit_code(tmp_path, command, config, message):

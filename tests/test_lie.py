@@ -182,6 +182,15 @@ def test_json_loader(su2):
         algebra_from_json(bad)
 
 
+@pytest.mark.parametrize("k", [3, 5, -1])
+def test_json_loader_rejects_component_out_of_range(k):
+    # an unchecked -1 would index the last generator and read [X, Y] = Z as su2
+    data = {"dim": 3, "brackets": [[0, 1, [[k, "1"]]], [1, 2, [[0, "1"]]],
+                                   [0, 2, [[1, "-1"]]]]}
+    with pytest.raises(ValueError, match=f"bracket component {k} must"):
+        algebra_from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # Sparse checks against the dense loops they replaced.
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gaussian_oracle import GaussianRational as gr
 from orbitstar import linalg
 from orbitstar.poly import CPoly, monomials_up_to
 from orbitstar.scalars import H_ZERO, I
@@ -21,6 +22,62 @@ def test_det_and_invert():
 def test_det_with_imaginary_entries():
     m = linalg.mat([[I, 0], [0, I]])
     assert linalg.det(m) == -1
+
+
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1], [2]], [[1, 2], [3]]],
+                         ids=["wide", "tall", "ragged"])
+def test_det_and_invert_reject_non_square(rows):
+    with pytest.raises(ValueError, match="not square"):
+        linalg.det(linalg.mat(rows))
+    with pytest.raises(ValueError, match="not square"):
+        linalg.invert(linalg.mat(rows))
+
+
+def _cofactor_det(m):
+    """Laplace expansion along the first row, on oracle values: shares no
+    code with the engine's elimination."""
+    if not m:
+        return gr(1)
+    total = gr(0)
+    for j, x in enumerate(m[0]):
+        if x:
+            term = x * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def _from_oracle(g):
+    return g.re + g.im * I
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_det_and_invert_against_cofactor_oracle(seed):
+    # random Q(i) matrices, ones whose top-left entry is zero (the first
+    # pivot needs a row swap), and ones whose last row is a combination of
+    # the others; invert is None exactly when the oracle's determinant is 0
+    rng = random.Random(700 + seed)
+
+    def rand_gauss():
+        return gr(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                  Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    for n in range(1, 6):
+        for shape in ("random", "zero-corner", "singular"):
+            m = [[rand_gauss() for _ in range(n)] for _ in range(n)]
+            if shape == "zero-corner":
+                m[0][0] = gr(0)
+            elif shape == "singular":
+                coeffs = [rand_gauss() for _ in range(n - 1)]
+                m[-1] = [sum((c * row[j] for c, row in zip(coeffs, m)), gr(0))
+                         for j in range(n)]
+            a = linalg.mat([[_from_oracle(x) for x in row] for row in m])
+            want = _cofactor_det(m)
+            assert shape != "singular" or not want
+            assert linalg.det(a) == _from_oracle(want)
+            inv = linalg.invert(a)
+            assert (inv is None) == (not want)
+            if inv is not None:
+                assert linalg.mat_mul(a, inv) == linalg.mat_identity(n)
 
 
 def test_infeasible_system():

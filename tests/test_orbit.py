@@ -227,6 +227,20 @@ def test_tangential_embed_inverse_roundtrip(sphere):
         assert sphere.tangential_embed_inverse(sphere.tangential_embed(f)) == f
 
 
+@pytest.mark.parametrize("c0, lift", [(1, None), (2, HPoly((2, Fraction(1, 3))))])
+def test_embeddings_return_canonical_elements(c0, lift):
+    # split_embed and tangential_embed add products of ordered words and
+    # normal-formed Casimir shifts, so neither needs a final normal form, and
+    # the checks pass their images to ideal_reduce as they are
+    orb = sphere_orbit(c0, lift=lift)
+    for exps in monomials_up_to(3, 5):
+        m = CPoly.monomial(3, exps)
+        for embed in (orb.split_embed, orb.tangential_embed):
+            u = embed(m)
+            assert u.is_canonical()
+            assert u == u.normal_form()
+
+
 def _fresh_tangential_embed(orb, f):
     """The tangential embedding with (P - c(h))^k multiplied out afresh."""
     out, power, work = NCPoly.zero(orb.algebra), NCPoly.one(orb.algebra), f

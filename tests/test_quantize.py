@@ -517,6 +517,23 @@ def test_orbit_star_domain_memo_still_rejects(su2, xyz):
             star.star(x, x + z * z)
 
 
+def test_orbit_star_domain_is_its_image_table(su2, xyz):
+    # a monomial enters the product through its image table, which checks the
+    # domain on a miss: a fresh product and one whose tables are warm both
+    # reject z^2 on either side, also against a zero factor
+    x, y, z = xyz
+    zero = CPoly.zero(3)
+    star = sphere_orbit(1, algebra=su2).star_product()
+    for warm in (False, True):
+        for f, g in ((z * z, zero), (zero, z * z), (x, z * z)):
+            with pytest.raises(ValueError, match=r"basis span: \(0, 0, 2\)$"):
+                star.star(f, g)
+        if not warm:
+            assert check_deformation_axioms(star, 2, assoc_degree=3)["passed"]
+    assert star._images
+    assert all(e[-1] <= 1 for e in star._images)
+
+
 @pytest.mark.parametrize("kind", ["sym", "orbit"])
 def test_forward_image_built_once_per_monomial(kind):
     L = predefined("su2")
