@@ -24,11 +24,23 @@ def mat_identity(n):
     )
 
 
+def _shape(a, square=False):
+    """The (rows, columns) of a matrix; ValueError unless every row has the
+    same length and, when asked, the matrix is square."""
+    n, m = len(a), len(a[0]) if a else 0
+    if any(len(row) != m for row in a) or (square and m != n):
+        raise ValueError("matrix is not square" if square
+                         else "matrix rows differ in length")
+    return n, m
+
+
 def mat_add(a, b):
+    if _shape(a) != _shape(b):
+        raise ValueError("matrix shapes differ")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return mat_add(a, mat_scale(-1, b))
 
 
 def mat_scale(c, a):
@@ -37,7 +49,9 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    (n, k), (rows, m) = _shape(a), _shape(b)
+    if k != rows:
+        raise ValueError(f"cannot multiply a {n}x{k} by a {rows}x{m} matrix")
     out = []
     for i in range(n):
         row = []
@@ -56,7 +70,7 @@ def mat_transpose(a):
 
 def mat_is_scalar(a):
     """Return the scalar c when a == c*Id, else None."""
-    n = len(a)
+    n, _ = _shape(a, square=True)
     c = a[0][0]
     for i in range(n):
         for j in range(n):
@@ -69,9 +83,7 @@ def mat_is_scalar(a):
 def _gauss_jordan(a):
     """One Gauss-Jordan pass over a square matrix: (det, inverse), where the
     inverse is None when the matrix is singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
+    n, _ = _shape(a, square=True)
     m = [list(row) + [H_ONE if i == j else H_ZERO for j in range(n)]
          for i, row in enumerate(a)]
     d = H_ONE

@@ -8,11 +8,12 @@ the constructor rejects every other invariant.  On the commutative side the
 ideal (p - c0) is handled by one confluent rewrite rule with the last
 variable leading (z^2 -> c0 - x^2 - y^2); on the deformed side the central
 element P = symmetrize(p) drives the analogous word rewrite
-Z^2 -> c(h) - X^2 - Y^2 with renormalization, which terminates because each
-substitution lowers the generator degree.  A lift with several powers of h
-is held there as a formal central t, one term dict per power of t, and
-substituted once at the end.  Both reductions pop their next step from a
-heap: the grlex-largest monomial, and the largest word in tuple order.
+Z^2 -> P - X^2 - Y^2 with renormalization, which terminates because each
+substitution lowers the generator degree.  P is held as a formal central t,
+so one pass expands an element in powers of P; the reduction evaluates that
+expansion at P = c(h), and both tangential maps are Horner loops.  Both
+reductions pop their next step from a heap: the grlex-largest monomial, and
+the largest word in tuple order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class Orbit:
     def __init__(self, algebra: LieAlgebra, invariants, constants, lifts=None):
         self.algebra = algebra
         n = algebra.dim
+        if not n:
+            raise ValueError("an orbit needs an algebra of positive dimension")
         self.invariants = tuple(invariants)
         for p in self.invariants:
             if not is_invariant(algebra, p):
@@ -78,10 +81,8 @@ class Orbit:
             [self.generator], priority=self.priority)
         self._products = {}
         # per word b: the canonical terms of sum_{i<z} b X_i X_i, and the heap
-        # entries of b and of those terms that end in Z Z (ideal_reduce)
+        # entries of b and of those terms that end in Z Z (_expand)
         self._squares = {}
-        # (P - c(h))^k for the default lift, extended by tangential_embed
-        self._shifted_powers = [NCPoly.one(algebra), self.casimir_minus_lift()]
 
     # -- commutative side --------------------------------------------------
     def orbit_reduce(self, f: CPoly) -> CPoly:
@@ -95,27 +96,32 @@ class Orbit:
         return self.lifts[0] + (_scalar(c0_prime) - self.constants[0])
 
     def ideal_reduce(self, u: NCPoly, lift=None, track_quotient=False):
-        """Reduce a canonical element modulo (P - c(h)).
+        """Reduce a canonical element modulo (P - c(h)): its expansion by
+        _expand evaluated at P = c(h).  With track_quotient the left cofactor
+        q with u = q*(P - c(h)) + r is returned as well."""
+        lift = self.lifts[0] if lift is None else as_hpoly(lift)
+        parts, quotient = self._expand(u, track_quotient)
+        rem = u._new(_substitute(parts, lift))
+        if track_quotient:
+            return u._new(_substitute(quotient, lift)), rem
+        return rem
 
-        Words with leading-variable exponent >= 2 are rewritten through
-        Z^2 = P - X^2 - Y^2, renormalizing as needed; the result is the
-        canonical representative supported on words with leading exponent
-        <= 1.  With track_quotient the left cofactor q with u = q*(P - c(h))
-        + r is returned as well.  Words ending in Z Z are popped largest
-        first (tuple order) from a heap, each queued at most once at a time.
+    def _expand(self, u: NCPoly, track_quotient=False):
+        """The unique expansion u = sum_k P^k parts[k] over words with
+        leading-variable exponent <= 1 (U_h is free over its centre on them).
 
-        A lift of one power of h is multiplied in at each rewrite.  A lift of
-        several is held as a formal central t, so every update stays on the
-        coefficients' own powers of h: rewriting base*Z*Z in parts[k], the
-        terms of t^k, moves its coefficient to base in parts[k+1], and
-        sum_k c(h)^k parts[k] (and the quotient's parts) is formed at the end.
+        A word ending in Z Z is rewritten through Z^2 = P - X^2 - Y^2 with P
+        held as a formal central t: rewriting base*Z*Z in parts[k] moves its
+        coefficient to base in parts[k+1] and subtracts its sum of squares,
+        so every update stays on the coefficients' own powers of h.  When
+        tracked, quotient[k] collects those bases: u = q*(P - c) + r for
+        q, r = sum_k c^k quotient[k], sum_k c^k parts[k].  Words pop largest
+        first (tuple order) from a heap that holds each at most once.
         """
         if u.algebra is not self.algebra:
             raise ValueError("element lives over a different algebra")
         if not u.is_canonical():
             u = u.normal_form()
-        lift = self.lifts[0] if lift is None else as_hpoly(lift)
-        formal = len(lift.num) > 1
         L = self.algebra
         z = L.dim - 1
         squares = self._squares
@@ -145,9 +151,7 @@ class Orbit:
                 memo = squares[base] = (nf, _rewrites((base, *nf), z))
             nf, entries = memo
             for k, coeff in hits:
-                if not formal:
-                    acc_term(parts[0], base, coeff * lift)
-                elif k + 1 < len(parts):
+                if k + 1 < len(parts):
                     acc_term(parts[k + 1], base, coeff)
                 else:
                     parts.append({base: coeff})
@@ -156,10 +160,7 @@ class Orbit:
                     acc_term(quotient[k], base, coeff)
                 acc_scaled(parts[k], nf, -coeff)
             push(entries)
-        rem = u._new(_substitute(parts, lift))
-        if track_quotient:
-            return u._new(_substitute(quotient, lift)), rem
-        return rem
+        return parts, quotient
 
     def casimir_minus_lift(self, lift=None) -> NCPoly:
         lift = self.lifts[0] if lift is None else as_hpoly(lift)
@@ -194,31 +195,26 @@ class Orbit:
 
     def tangential_embed(self, f: CPoly) -> NCPoly:
         """Embed along powers of the generator: (p - c0)^k * b maps to
-        (P - c(h))^k times the ordered word of b."""
-        parts = []
-        work = f
-        while not work.is_zero():
-            quots, rem = poly_reduce_by(work, self.basis_rule)
-            parts.append(rem)
-            work = quots[0]
-        powers = self._shifted_powers
-        while len(powers) < len(parts):
-            powers.append(powers[-1] * powers[1])
+        (P - c(h))^k times the ordered word of b, summed by Horner over the
+        (p - c0)-adic digits b of f."""
+        digits = []
+        while not f.is_zero():
+            (f,), rem = poly_reduce_by(f, self.basis_rule)
+            digits.append(rem)
+        shift = self.casimir_minus_lift()
         out = NCPoly.zero(self.algebra)
-        for rem, power in zip(parts, powers):
-            out = out + self.word_lift(rem) * power
+        for rem in reversed(digits):
+            out = out * shift + self.word_lift(rem)
         return out
 
     def tangential_embed_inverse(self, u: NCPoly) -> CPoly:
-        n = self.algebra.dim
-        out = CPoly.zero(n)
-        power = CPoly.one(n)
-        work = u
-        while not work.is_zero():
-            q, r = self.ideal_reduce(work, track_quotient=True)
-            out = out + self.word_lower(r) * power
-            power = power * self.generator
-            work = q
+        """P - c(h) pulls back to p - c0, so P pulls back to p - c0 + c(h):
+        evaluate the expansion u = sum_k P^k s_k there by Horner."""
+        parts, _ = self._expand(u)
+        shift = self.generator + self.lifts[0]
+        out = CPoly.zero(self.algebra.dim)
+        for part in reversed(parts):
+            out = out * shift + self.word_lower(u._new(part))
         return out
 
     # -- star products -------------------------------------------------------
@@ -404,6 +400,8 @@ def _rewrites(words, z):
 
 def _substitute(parts, lift):
     """sum_k lift^k parts[k], the term dicts of the formal powers t^k."""
+    if not lift:
+        return parts[0]
     scaled, power = [parts[0]], H_ONE
     for part in parts[1:]:
         power = power * lift

@@ -590,6 +590,39 @@ def test_cli_malformed_config_exit_code(tmp_path, command, config, message):
     assert message in lines[0]
 
 
+_DIM0 = {"dim": 0, "names": [], "brackets": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "1"],
+    ["reduce", "--mode", "orbit", "1"],
+    ["star", "--product", "orbit", "1", "1"],
+    ["star", "--product", "tangential", "1", "1"],
+    ["star", "--product", "split", "1", "1"],
+], ids=["reduce-ideal", "reduce-orbit", "orbit", "tangential", "split"])
+def test_cli_orbit_commands_reject_a_dim0_algebra(tmp_path, capsys, argv):
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps(_DIM0))
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an orbit needs an algebra of positive dimension\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra"],
+    ["nf", "1"],
+    ["star", "--product", "sym", "1", "1"],
+    ["star", "--product", "pbw", "1", "1"],
+    ["cohomology"],
+], ids=["algebra", "nf", "sym", "pbw", "cohomology"])
+def test_cli_dim0_algebra_commands_still_run(tmp_path, capsys, argv):
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps(_DIM0))
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

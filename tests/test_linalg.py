@@ -33,6 +33,24 @@ def test_det_and_invert_reject_non_square(rows):
         linalg.invert(linalg.mat(rows))
 
 
+def test_mat_mul_rejects_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match="cannot multiply a 1x2 by a 1x1 matrix"):
+        linalg.mat_mul(linalg.mat([[1, 2]]), linalg.mat([[1]]))
+
+
+@pytest.mark.parametrize("op", [linalg.mat_add, linalg.mat_sub], ids=["add", "sub"])
+def test_entrywise_ops_reject_mismatched_shapes(op):
+    with pytest.raises(ValueError, match="shapes differ"):
+        op(linalg.mat([[1, 2]]), linalg.mat([[1]]))
+    with pytest.raises(ValueError, match="rows differ in length"):
+        op(linalg.mat([[1, 2], [3]]), linalg.mat([[1, 2], [3]]))
+
+
+def test_mat_is_scalar_rejects_non_square():
+    with pytest.raises(ValueError, match="not square"):
+        linalg.mat_is_scalar(linalg.mat([[1, 0, 5]]))
+
+
 def _cofactor_det(m):
     """Laplace expansion along the first row, on oracle values: shares no
     code with the engine's elimination."""

@@ -5,6 +5,7 @@ import pytest
 
 from orbitstar import orbit as orbit_module
 from orbitstar.envelope import NCPoly
+from orbitstar.lie import LieAlgebra
 from orbitstar.orbit import Orbit, orbit_from_json, sphere_orbit
 from orbitstar.poly import (
     CPoly,
@@ -38,6 +39,9 @@ def test_orbit_validation(su2, xyz):
     for lifts in ([], [1, 1 + H]):
         with pytest.raises(ValueError, match="one lift per constant"):
             Orbit(su2, [p], [1], lifts)
+    # a dimension-0 algebra has no coordinates to square
+    with pytest.raises(ValueError, match="positive dimension"):
+        Orbit(LieAlgebra([], {}), [CPoly.zero(0)], [1])
 
 
 def test_orbit_reduce_goldens(sphere, xyz):
@@ -123,7 +127,10 @@ _LIFT_H2_I = H_ONE * 2 + H * Fraction(1, 3) - H * H * I * Fraction(1, 5)
     (_LIFT_H2_I, None),
     # an explicit lift= argument, as tangentiality_check passes it
     (_LIFT_H2_I, Fraction(5, 2)),
-], ids=["level", "h-part", "h2-and-i", "neighbor-lift"])
+    # the level-0 neighbour of an h-free lift: every power of t but the
+    # first evaluates to zero
+    (None, 0),
+], ids=["level", "h-part", "h2-and-i", "neighbor-lift", "zero-lift"])
 def test_ideal_reduce_against_rescan_oracle(su2, lift, neighbor):
     rng = random.Random(35)
     orb = sphere_orbit(2, lift=lift)
@@ -252,16 +259,12 @@ def _fresh_tangential_embed(orb, f):
     return out
 
 
-def test_tangential_powers_kept_on_the_orbit(su2, xyz):
+def test_tangential_embed_against_fresh_powers(su2, xyz):
     x, y, z = xyz
     orb = sphere_orbit(2, lift=H_ONE * 2 + H * Fraction(1, 3), algebra=su2)
-    powers = orb._shifted_powers
-    assert len(powers) == 2
     gen = x * x + y * y + z * z - CPoly.constant(3, 2)
     f = x * gen * gen * gen + z
     assert orb.tangential_embed(f) == _fresh_tangential_embed(orb, f)
-    assert len(powers) == 4
-    cubed = powers[3]
     rng = random.Random(36)
     for _ in range(8):
         f = CPoly.zero(3)
@@ -269,10 +272,76 @@ def test_tangential_powers_kept_on_the_orbit(su2, xyz):
             exps = tuple(rng.randint(0, 3) for _ in range(3))
             f = f + CPoly.monomial(3, exps, rand_coeff(rng))
         assert orb.tangential_embed(f) == _fresh_tangential_embed(orb, f)
-    assert orb._shifted_powers is powers and powers[3] is cubed
-    assert powers[:2] == [NCPoly.one(su2), orb.casimir_minus_lift()]
-    assert all(powers[k] * powers[1] == powers[k + 1]
-               for k in range(len(powers) - 1))
+
+
+def _reducing_tangential_inverse(orb, u):
+    """The tangential inverse as a loop of reductions: peel off the
+    remainder modulo (P - c(h)) and go on with the quotient."""
+    n = orb.algebra.dim
+    out, power, work = CPoly.zero(n), CPoly.one(n), u
+    while not work.is_zero():
+        q, r = orb.ideal_reduce(work, track_quotient=True)
+        out = out + orb.word_lower(r) * power
+        power = power * orb.generator
+        work = q
+    return out
+
+
+def _non_images(orb, rng):
+    """Canonical elements that are not embedding images: products of two
+    tangential images, and sums of nondecreasing words of length 6-10."""
+    su2 = orb.algebra
+    for _ in range(3):
+        a, b = (orb.tangential_embed(CPoly.monomial(
+            3, tuple(rng.randint(0, 2) for _ in range(3)), rand_coeff(rng)))
+            for _ in range(2))
+        yield a * b
+    for _ in range(3):
+        u = NCPoly.zero(su2)
+        for _ in range(3):
+            w = tuple(sorted(rng.randrange(3) for _ in range(rng.randint(6, 10))))
+            u = u + NCPoly.word(su2, w, rand_coeff(rng))
+        yield u
+
+
+_LIFTS = pytest.mark.parametrize("c0, lift", [
+    (1, None),
+    (2, H_ONE * 2 + H * Fraction(1, 3)),
+    (2, _LIFT_H2_I),
+], ids=["unit", "h-part", "h2-and-i"])
+
+
+@_LIFTS
+def test_tangential_inverse_against_reducing_loop(su2, c0, lift):
+    orb = sphere_orbit(c0, lift=lift, algebra=su2)
+    for u in _non_images(orb, random.Random(37)):
+        assert orb.tangential_embed_inverse(u) == _reducing_tangential_inverse(orb, u)
+
+
+@_LIFTS
+def test_expansion_in_powers_of_the_casimir(su2, c0, lift):
+    orb = sphere_orbit(c0, lift=lift, algebra=su2)
+    P = orb.casimirs[0]
+    for u in _non_images(orb, random.Random(38)):
+        parts, _ = orb._expand(u)
+        total, power = NCPoly.zero(su2), NCPoly.one(su2)
+        for part in parts:
+            assert all(w.count(2) <= 1 for w in part)
+            total = total + power * NCPoly(su2, part)
+            power = power * P
+        assert total == u
+
+
+def test_tangential_inverse_expands_once(monkeypatch):
+    orb = sphere_orbit(2, lift=_LIFT_H2_I)
+    x = CPoly.variable(3, 0)
+    f = x * orb.generator * orb.generator + x
+    u = orb.tangential_embed(f)
+    expand, calls = orb._expand, []
+    monkeypatch.setattr(orb, "_expand", lambda *a: calls.append(a) or expand(*a))
+    monkeypatch.setattr(orb, "ideal_reduce", None)
+    assert orb.tangential_embed_inverse(u) == f
+    assert len(calls) == 1
 
 
 def test_tangential_embed_preserves_nearby_ideals(sphere):

@@ -40,6 +40,11 @@ DIGESTS = {
     ("-m", "orbitstar", "reduce", "--mode", "ideal", "--c", "2", "--lift",
      "2 + 1/3*h - 1/5*i*h^2", "X*Z*Y*Z*X*Z*Y*Z*X*Y"):
         "f410d5d4083a1af94d750e545c726de247bf959b00169b901e484d4f38c893a1",
+    # the h-free lift on the same input, recorded while an h-free lift was
+    # multiplied into every rewrite rather than held as a formal central t
+    ("-m", "orbitstar", "reduce", "--mode", "ideal", "--c", "2",
+     "X*Z*Y*Z*X*Z*Y*Z*X*Y"):
+        "36061b0001c1d1d89d5f882f83738e152b3d7cbc264705ce3d155215200f95f6",
     ("demos/01_pbw_rewriting.py",):
         "6242eb0599a9845f9e7c0fc93f6a399c11d97bf600ba45d3b122108f6bf53c88",
     ("demos/02_symmetrizer_star.py",):
@@ -82,6 +87,23 @@ for _product, _text in [
 ]:
     DIGESTS[("-m", "orbitstar", "star", "--product", _product, "--c", "2",
              "--lift", "2 + 1/3*h", _STAR_RIGHT, _STAR_LEFT)] = _text
+
+# the tangential and split products on inputs of degree 3, whose pair
+# products expand up to P^2, recorded while the tangential maps multiplied
+# out powers of (P - c(h)) and reduced once per power
+_DEEP_LEFT, _DEEP_RIGHT = "z^3 + x*y*z", "x*z^2 - y^3"
+for _product, _level, _text in [
+    ("tangential", (),
+     "78cd285fa61e86e83a2e3b635d118651d8f04797b3733e45db115749312194e5"),
+    ("tangential", ("--c", "2", "--lift", "2 + 1/3*h"),
+     "65e7ff573b85f6bff0cabfa4024bc819663407f39bfafe514800dc6e4a936c6b"),
+    ("split", (),
+     "a5465d4f0fd02ccee0a01d8dfeff669661ba8a10b8a766f44d39acfd99666ede"),
+    ("split", ("--c", "2", "--lift", "2 + 1/3*h"),
+     "4ebc79a7c5bae426b370da25039c6ba16201d49171f1032ad53602b3fa86b5dd"),
+]:
+    DIGESTS[("-m", "orbitstar", "star", "--product", _product, *_level,
+             _DEEP_LEFT, _DEEP_RIGHT)] = _text
 
 
 def test_every_demo_is_pinned():
