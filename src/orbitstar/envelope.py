@@ -4,13 +4,14 @@ NCPoly stores linear combinations of generator-index words with Q(i)[h]
 coefficients.  An element is canonical when every word is nondecreasing
 (ordered-monomial form).  Normal forms use the multiplication-table method
 for algebras of solvable type (Levandovskyy and Schoenemann, "Plural",
-2003): a memoized table holds X_i X^b for a generator i and a nondecreasing
-word b, X^(i b) when b is empty or i <= b0, else
+2003): the table gives X_i X^b for a generator i and a nondecreasing word
+b, X^(i b) when b is empty or i <= b0, else
 X_b0 (X_i X^r) + h sum_k c^k_(i,b0) X_k X^r for b = (b0,) + r.  Any other
-word is one table step of its first letter onto the memoized normal form of
-its tail; products, normal_form() and the orbit ideal reduction all take
-this path.  The swap rewriter, trading one adjacent inversion for an
-h-weighted shorter word at a time, is kept only as an independent reference
+word is one table step of its first letter onto the normal form of its
+tail.  One memo per word holds what both steps compute, and products,
+normal_form() and the orbit ideal reduction all read it.  The swap
+rewriter, trading one adjacent inversion for an h-weighted shorter word at
+a time, is kept only as an independent reference
 behind normal_form("leftmost"/"rightmost"), with memos of its own.
 Products and normal forms accumulate into one dict in place, as poly.Sparse
 does for sums, and skip every product by the interned H_ONE.
@@ -26,9 +27,9 @@ def _times(L: LieAlgebra, i, b):
     """Canonical terms of X_i X^b for a nondecreasing word b: the table."""
     if not b or i <= b[0]:
         return {(i,) + b: H_ONE}
-    table = L._nf_cache["table"]
+    memo = L._nf_cache["engine"]
     word = (i,) + b
-    hit = table.get(word)
+    hit = memo.get(word)
     if hit is None:
         b0, r = b[0], b[1:]
         hit = {}
@@ -36,7 +37,7 @@ def _times(L: LieAlgebra, i, b):
             acc_scaled(hit, _times(L, b0, v), c)
         for k, ck in L.bracket_terms(i, b0):
             acc_scaled(hit, _times(L, k, r), H * ck)
-        table[word] = hit
+        memo[word] = hit
     return hit
 
 
@@ -196,17 +197,6 @@ class NCPoly(Sparse):
         return hash((id(self.algebra), frozenset(self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
-    def concat(self, other):
-        """The raw word-concatenation product, without normalization."""
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError("cannot concatenate")
-        self._check(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            acc_scaled(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
-        return self._new(out)
-
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
             return self._scaled(other)

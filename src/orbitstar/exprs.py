@@ -26,7 +26,7 @@ from operator import add
 
 from .envelope import NCPoly
 from .lie import LieAlgebra
-from .poly import CPoly
+from .poly import CPoly, monomial_mul, product
 from .scalars import (
     H,
     H_ONE,
@@ -131,13 +131,6 @@ class _Parser:
             raise ExprSyntaxError("unexpected trailing input", tok[2])
         return value
 
-    def product(self, a, b):
-        key_mul = self.key_mul
-        out = {}
-        for k1, c1 in a.items():
-            acc_scaled(out, {key_mul(k1, k2): c2 for k2, c2 in b.items()}, c1)
-        return out
-
     def expr(self):
         negate = self.peek()[0] == "-"
         if negate:
@@ -154,7 +147,7 @@ class _Parser:
         value = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            value = self.product(value, self.factor())
+            value = product(value, self.factor(), self.key_mul)
         return value
 
     def factor(self):
@@ -169,7 +162,7 @@ class _Parser:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
             power = value if n else {self.unit: H_ONE}
             for _ in range(n - 1):
-                power = self.product(power, value)
+                power = product(power, value, self.key_mul)
             value = power
         return value
 
@@ -221,8 +214,7 @@ def parse_expression(text, mode="commutative", algebra: LieAlgebra | None = None
         nvars = len(names)
         keys = {nm: tuple([int(j == k) for j in range(nvars)])
                 for k, nm in enumerate(names)}
-        key_mul = lambda a, b: tuple(map(add, a, b))
-        terms = _Parser(text, (0,) * nvars, key_mul, keys).parse()
+        terms = _Parser(text, (0,) * nvars, monomial_mul, keys).parse()
         return CPoly.zero(nvars)._new(terms)
     if mode == "noncommutative":
         if algebra is None:

@@ -20,9 +20,6 @@ import json
 from . import linalg
 from .scalars import H_ZERO, HPoly
 
-_RESERVED_VARS = {"h", "i"}
-
-
 def _constants_from(c):
     """Normalize nested structure constants into a dense scalar cube."""
     n = len(c)
@@ -89,9 +86,28 @@ def check_jacobi(c) -> bool:
     return True
 
 
+def _check_labels(labels, what):
+    """Raise unless labels are distinct names of the expression grammar, none
+    of them h or i: only such a label prints as text that parses back to it."""
+    from .exprs import ExprSyntaxError, _tokenize
+
+    for text in labels:
+        try:
+            ok = _tokenize(text)[0][:2] == ("name", text) and text not in ("h", "i")
+        except ExprSyntaxError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{what} {text!r} must be one name of the "
+                             "expression grammar, not h or i")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{what}s are not distinct")
+
+
 def _default_varnames(names):
     vars_ = tuple(name.lower() for name in names)
-    if len(set(vars_)) != len(vars_) or _RESERVED_VARS & set(vars_):
+    try:
+        _check_labels(vars_, "variable name")
+    except ValueError:
         return tuple(f"x{i}" for i in range(len(names)))
     return vars_
 
@@ -99,13 +115,14 @@ def _default_varnames(names):
 class LieAlgebra:
     """A finite-dimensional Lie algebra given by its structure constants.
 
-    names label the generators on the noncommutative side; varnames label
-    the corresponding commutative coordinates (lowercased names, unless that
-    would collide with the reserved symbols h and i).
+    names label the generators on the noncommutative side, varnames the
+    commutative coordinates (the lowercased names, else x0, x1, ...); each
+    set is distinct names of the expression grammar, none of them h or i.
     """
 
     def __init__(self, names, c, varnames=None):
         self.names = tuple(str(x) for x in names)
+        _check_labels(self.names, "generator name")
         self.dim = len(self.names)
         self.c = _constants_from(c)
         if len(self.c) != self.dim:
@@ -116,12 +133,14 @@ class LieAlgebra:
         self._bracket_nz = _nonzero(self.c)
         if not check_jacobi(self):
             raise ValueError("Jacobi identity fails")
-        self.varnames = tuple(varnames) if varnames else _default_varnames(self.names)
+        self.varnames = (tuple(str(x) for x in varnames) if varnames
+                         else _default_varnames(self.names))
         if len(self.varnames) != self.dim:
             raise ValueError("varnames length does not match dim")
-        # normal-form memos keyed by word: the engine's memo and its
-        # multiplication table, and one memo per reference rewriting strategy
-        self._nf_cache = {"engine": {}, "table": {}, "leftmost": {}, "rightmost": {}}
+        _check_labels(self.varnames, "variable name")
+        # normal-form memos keyed by word: the engine's, and one per
+        # reference rewriting strategy
+        self._nf_cache = {"engine": {}, "leftmost": {}, "rightmost": {}}
         # symmetrizer images keyed by exponent vector, and the inverse
         # symmetrizer keyed by nondecreasing word (quantize)
         self._sym_cache = {}
@@ -256,30 +275,37 @@ def predefined(name: str) -> LieAlgebra:
     return L
 
 
+def _integer(x, what):
+    """x if it is a JSON integer; a bool, a float or a string is an error."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def algebra_from_json(data) -> LieAlgebra:
     """Load an algebra description.
 
     Accepts {"dim": n, "names": [...], "brackets": [[i, j, [[k, coeff], ...]],
-    ...]} with 0-based indices listing only i < j pairs; the loader
-    antisymmetrizes and validates.  Coefficients are scalar expressions such
-    as "1", "-1/2" or "i".
+    ...]} with JSON integers n and 0-based indices, listing only i < j pairs;
+    the loader antisymmetrizes and validates.  Coefficients are scalar
+    expressions such as "1", "-1/2" or "i".
     """
     from .exprs import parse_scalar
 
     if isinstance(data, str):
         data = json.loads(data)
-    n = int(data["dim"])
+    n = _integer(data["dim"], "dim")
     names = data.get("names") or [f"X{i}" for i in range(n)]
     if len(names) != n:
         raise ValueError("names length does not match dim")
     table = {}
     for entry in data.get("brackets", ()):
         i, j, terms = entry
-        i, j = int(i), int(j)
+        i, j = _integer(i, "bracket index"), _integer(j, "bracket index")
         if not 0 <= i < j < n:
             raise ValueError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
         for k, coeff in terms:
-            k = int(k)
+            k = _integer(k, "bracket component")
             if not 0 <= k < n:
                 raise ValueError(f"bracket component {k} must satisfy 0 <= k < dim")
             table.setdefault((i, j), []).append((k, parse_scalar(str(coeff))))

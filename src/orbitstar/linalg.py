@@ -64,10 +64,6 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_transpose(a):
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
 def mat_is_scalar(a):
     """Return the scalar c when a == c*Id, else None."""
     n, _ = _shape(a, square=True)
@@ -192,11 +188,3 @@ class LinearSystem:
                     val = val - v * x[c]
             x[col] = val
         return x
-
-
-def rank_dense(rows):
-    ncols = max((len(r) for r in rows), default=0)
-    sys_ = LinearSystem(ncols)
-    for row in rows:
-        sys_.add({j: v for j, v in enumerate(row) if v}, H_ZERO)
-    return sys_.rank

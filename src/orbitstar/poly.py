@@ -10,9 +10,23 @@ through scalars.acc_scaled, which this module re-exports.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import add
 
 from .lie import LieAlgebra
 from .scalars import H_ONE, H_ZERO, acc_scaled, acc_term, as_hpoly
+
+
+def product(a, b, key_mul):
+    """The product of two term dicts, key_mul giving the product of keys: the
+    one such loop, for CPoly and the expression parser."""
+    out = {}
+    for k1, c1 in a.items():
+        acc_scaled(out, {key_mul(k1, k2): c2 for k2, c2 in b.items()}, c1)
+    return out
+
+
+def monomial_mul(a, b):
+    return tuple(map(add, a, b))
 
 
 class Sparse:
@@ -171,11 +185,7 @@ class CPoly(Sparse):
         if not isinstance(other, CPoly):
             return self._scaled(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            acc_scaled(out, {tuple([a + b for a, b in zip(e1, e2)]): c2
-                             for e2, c2 in other.terms.items()}, c1)
-        return self._new(out)
+        return self._new(product(self.terms, other.terms, monomial_mul))
 
     __rmul__ = __mul__
 
@@ -353,8 +363,7 @@ def reduce(f: CPoly, system: ReductionSystem):
         # leaves coeff * x^shift * repl.
         shift = tuple([a - b for a, b in zip(exps, lead)])
         quotients[r][shift] = coeff
-        step = {tuple([a + b for a, b in zip(shift, e)]): c
-                for e, c in repl.terms.items()}
+        step = {monomial_mul(shift, e): c for e, c in repl.terms.items()}
         for e in step:
             if e not in work:
                 heappush(heap, (-sum(e), [-e[i] for i in order], e))

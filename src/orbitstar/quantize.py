@@ -7,12 +7,13 @@ part of sym(x^a), so its inverse is x^a minus the inverses of the strictly
 shorter words of sym(x^a).
 A StarProduct packages an invertible basis correspondence between
 polynomials and the deformed enveloping algebra; the induced product is
-f * g = backward(forward(f) . forward(g)), memoized per monomial pair and
-summed bilinearly, one dict per h-weight (deg x_i = deg h = 1), the dicts
-merged once per key.  The forward image of each monomial is computed once
-per product and shared by every pair it enters.  The image table is also
-the product's domain: a monomial is checked against poly_reduce when it
-first enters the table, and one that is not reduced raises there.
+f * g = backward(forward(f) . forward(g)), memoized per monomial pair in a
+pair table that the axiom checker reads too, and summed bilinearly, one
+dict per h-weight (deg x_i = deg h = 1), the dicts merged once per key.
+The forward image of each monomial is computed once per product and
+shared by every pair it enters.  The image table is also the product's
+domain: a monomial is checked against poly_reduce when it first enters the
+table, and one that is not reduced raises there.
 """
 
 from __future__ import annotations
@@ -212,21 +213,16 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
     basis = star.monomial_basis(max(degree_bound, assoc_degree))
     degree = {e: sum(e) for e in basis}
     mono = {e: CPoly.monomial(star.nvars, e) for e in basis}
-    products = {}
+    product = star._star_monomials
     failures = []
     names = tuple(star.algebra.varnames)
 
-    def product(e1, e2):
-        """star(x^e1, x^e2), computed once per ordered pair."""
-        p = products.get((e1, e2))
-        if p is None:
-            p = products[e1, e2] = star.star(mono[e1], mono[e2])
-        return p
-
-    def fmt(p):
+    def fail(prop, factors, expected, got):
         from .exprs import format_cpoly
 
-        return format_cpoly(p, names)
+        fmt = lambda p: format_cpoly(p, names)
+        failures.append({"property": prop, "pair": tuple(map(fmt, factors)),
+                         "expected": fmt(expected), "got": fmt(got)})
 
     pairs = 0
     for e1 in basis:
@@ -238,21 +234,11 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
             fg = product(e1, e2)
             want0 = star.b0(f, g)
             if fg.h_coefficient(0) != want0:
-                failures.append({
-                    "property": "product-mod-h",
-                    "pair": (fmt(f), fmt(g)),
-                    "expected": fmt(want0),
-                    "got": fmt(fg.h_coefficient(0)),
-                })
+                fail("product-mod-h", (f, g), want0, fg.h_coefficient(0))
             comm = fg - product(e2, e1)
             want1 = star.bracket(f, g)
             if not comm.h_coefficient(0).is_zero() or comm.h_coefficient(1) != want1:
-                failures.append({
-                    "property": "commutator-mod-h2",
-                    "pair": (fmt(f), fmt(g)),
-                    "expected": fmt(want1),
-                    "got": fmt(comm.h_coefficient(1)),
-                })
+                fail("commutator-mod-h2", (f, g), want1, comm.h_coefficient(1))
     triples = 0
     for e1 in basis:
         for e2 in basis:
@@ -267,12 +253,7 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
                 left = star.star(fg, k)
                 right = star.star(f, product(e2, e3))
                 if left != right:
-                    failures.append({
-                        "property": "associativity",
-                        "pair": (fmt(f), fmt(mono[e2]), fmt(k)),
-                        "expected": fmt(right),
-                        "got": fmt(left),
-                    })
+                    fail("associativity", (f, mono[e2], k), right, left)
     return {
         "passed": not failures,
         "failures": failures,

@@ -18,8 +18,9 @@ refuses anything else.
 acc_scaled, the step that adds c*v into a term dict for every sum and
 product of CPoly and NCPoly, lives here because it reads HPoly's fields: a
 product of two single powers c*h^k, and its sum with a stored single power
-of the same h-degree, are a few int operations and one new HPoly per key;
-merge_sums adds several such dicts, each key's coefficients in one pass.
+of the same h-degree, are a few int operations and one new HPoly per key.
+Every other sum (HPoly(coeffs), HPoly.__add__, merge_sums of several term
+dicts) is one _sum per value, per power of h over the lcm of denominators.
 The printers read HPoly's integer fields directly, reducing each numerator
 against the denominator with one gcd.  Values are immutable after
 construction; equality is exact structural equality.
@@ -48,13 +49,8 @@ class HPoly:
 
     def __init__(self, coeffs=()):
         cs = [HPoly.const(c) for c in coeffs]
-        den = lcm(*(c.den for c in cs))
-        self.num, self.den, self.val = _canonical(
-            [(re * (den // c.den), im * (den // c.den))
-             for c in cs for re, im in c.num or ((0, 0),)],
-            den,
-            0,
-        )
+        p = _sum([_hpoly(c.num, c.den, k) for k, c in enumerate(cs)] or [H_ZERO])
+        self.num, self.den, self.val = p.num, p.den, p.val
 
     @staticmethod
     def const(x):
@@ -108,26 +104,7 @@ class HPoly:
             if den == 1:
                 return _hpoly(((re, im),), 1, val) if re or im else H_ZERO
             return _hpoly(*_canonical(((re, im),), den, val))
-        if den != other.den:
-            # Bring both to the lcm of the denominators.
-            g = gcd(den, other.den)
-            sa, sb = other.den // g, den // g
-            den *= sa
-            a = [(re * sa, im * sa) for re, im in a]
-            b = [(re * sb, im * sb) for re, im in b]
-        # Align both at the lower valuation.
-        if val < other.val:
-            b = [(0, 0)] * (other.val - val) + list(b)
-        elif val > other.val:
-            a = [(0, 0)] * (val - other.val) + list(a)
-            val = other.val
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, (re, im) in enumerate(b):
-            ore, oim = out[k]
-            out[k] = (ore + re, oim + im)
-        return _hpoly(*_canonical(out, den, val))
+        return _sum((self, other))
 
     __radd__ = __add__
 
@@ -252,6 +229,29 @@ def _hpoly(num, den, val):
     return p
 
 
+def _sum(values):
+    """The sum of a nonempty sequence of HPolys, per power of h on the
+    integer fields, over the lcm of their denominators: the one general
+    addition in Q(i)[h]."""
+    den, val = 1, values[0].val
+    for c in values:
+        if c.den != den:
+            den = lcm(den, c.den)
+        if c.val < val:
+            val = c.val
+    out = []
+    for c in values:
+        s, k = den // c.den, c.val - val
+        n = k + len(c.num) - len(out)
+        if n > 0:
+            out += [(0, 0)] * n
+        for re, im in c.num:
+            ore, oim = out[k]
+            out[k] = (ore + re * s, oim + im * s)
+            k += 1
+    return _hpoly(*_canonical(out, den, val))
+
+
 def _canonical(num, den, val):
     """(num, den, val) with the (0, 0) pairs at both ends dropped, val raised
     by the number dropped at the low end, and the gcd divided out."""
@@ -367,8 +367,8 @@ def acc_scaled(d, terms, c):
 def merge_sums(parts):
     """The sum of a list of term dicts, as one dict.  One dict is returned as
     it is; a key that one dict holds keeps its HPoly, and a key that several
-    hold has their coefficients summed per power of h on the integer fields,
-    over the lcm of their denominators.  Keys that cancel are dropped."""
+    hold has their coefficients added in one _sum.  Keys that cancel are
+    dropped."""
     if len(parts) == 1:
         return parts[0]
     out = {}
@@ -383,18 +383,7 @@ def merge_sums(parts):
                 out[key] = [cur, v]
     for key, cs in list(out.items()):
         if cs.__class__ is list:
-            den = lcm(*[c.den for c in cs])
-            at = {}
-            for c in cs:
-                s, k = den // c.den, c.val
-                for re, im in c.num:
-                    t = at.get(k)
-                    at[k] = ((re * s, im * s) if t is None
-                             else (t[0] + re * s, t[1] + im * s))
-                    k += 1
-            val = min(at)
-            num = [at.get(k, (0, 0)) for k in range(val, max(at) + 1)]
-            p = _hpoly(*_canonical(num, den, val))
+            p = _sum(cs)
             if p:
                 out[key] = p
             else:

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from orbitstar.envelope import NCPoly, multiply_at, substitute_generators
 from orbitstar.lie import algebra_from_json, predefined
-from orbitstar.poly import CPoly
+from orbitstar.poly import CPoly, product
 from conftest import rand_coeff
 from orbitstar.scalars import H, H_ONE, HPoly, I
 
@@ -199,7 +200,8 @@ def test_product_against_concat_oracle(name, su2, sl2):
         a, b = _rand_element(rng, L), _rand_element(rng, L)
         for left, right in ((a, b), (b, a), (a, null), (null, b)):
             got = left * right
-            assert got == left.concat(right).normal_form("rightmost")
+            raw = NCPoly(L, product(left.terms, right.terms, operator.add))
+            assert got == raw.normal_form("rightmost")
             assert all(got.terms.values())
             assert got.is_canonical()
     assert (a * null).is_zero()
@@ -302,9 +304,13 @@ def test_oracle_algebras_are_the_intended_ones():
 
 def test_engine_memos_are_separate_from_the_reference():
     L = _sl2_plus_central()
+    assert set(L._nf_cache) == {"engine", "leftmost", "rightmost"}
     e = NCPoly.word(L, (3, 2, 1, 0, 3))
     e.normal_form()
-    assert L._nf_cache["table"] and not L._nf_cache["leftmost"]
+    # one engine memo holds both a table word X_1 X^(0, 3) and a longer word
+    memo = L._nf_cache["engine"]
+    assert (1, 0, 3) in memo and (3, 2, 1, 0, 3) in memo
+    assert not L._nf_cache["leftmost"]
     assert not L._nf_cache["rightmost"]
     e.normal_form("leftmost")
     assert not L._nf_cache["rightmost"]

@@ -554,11 +554,14 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert cli.main(["algebra", "--config", str(missing)]) == 2
 
 
+_BAD_LABELS = ["1X", "X-1", "", "h", "i"]
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [
         ("algebra", [1, 2], "the top level must be a JSON object"),
-        ("algebra", {"dim": None}, "int() argument"),
+        ("algebra", {"dim": None}, "dim must be an integer, not None"),
         ("algebra", {"dim": 3, "names": 5, "brackets": []}, "has no len()"),
         ("algebra", {"dim": 3, "names": ["X", "Y", "Z"], "brackets": 7},
          "is not iterable"),
@@ -572,10 +575,27 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("reduce", {"algebra": "su2", "orbit": [1]}, '"orbit" must be a JSON object'),
         ("reduce", {"invariants": ["x^2+y^2+z^2", "(x^2+y^2+z^2)^2"],
                     "constants": ["1", "2"]}, "only the sum-of-squares orbit"),
+        # labels must print as text that parses back to them, and an index
+        # must not be truncated
+        *[("algebra", {"dim": 3, "names": [label, "Y", "Z"], "brackets": []},
+           f"generator name {label!r} must be one name of the expression grammar")
+          for label in _BAD_LABELS],
+        ("algebra", {"dim": 3, "names": ["X", "X", "Z"], "brackets": []},
+         "generator names are not distinct"),
+        ("algebra", {"dim": 3, "names": ["X", "Y", "Z"], "varnames": ["a", "a", "c"],
+                     "brackets": []}, "variable names are not distinct"),
+        ("algebra", {"dim": 3, "varnames": ["x-1", "y", "z"], "brackets": []},
+         "variable name 'x-1' must be one name"),
+        ("algebra", {"dim": 3.9, "brackets": [[0, 1.7, [[2.6, "1"]]], [1, 2, [[0, "1"]]],
+                                              [0, 2, [[1, "-1"]]]]},
+         "dim must be an integer, not 3.9"),
+        ("algebra", {"dim": True, "brackets": []}, "dim must be an integer, not True"),
     ],
     ids=["top-level-list", "dim-null", "names-int", "brackets-int",
          "bracket-component-5", "bracket-component-negative",
-         "orbit-missing-constants", "orbit-entry-list", "orbit-two-invariants"],
+         "orbit-missing-constants", "orbit-entry-list", "orbit-two-invariants",
+         *[f"name-{label or 'empty'}" for label in _BAD_LABELS],
+         "names-repeated", "varnames-repeated", "varname-x-1", "dim-float", "dim-bool"],
 )
 def test_cli_malformed_config_exit_code(tmp_path, command, config, message):
     path = tmp_path / "config.json"
@@ -588,6 +608,17 @@ def test_cli_malformed_config_exit_code(tmp_path, command, config, message):
     assert len(lines) == 1
     assert lines[0].startswith(f"error: config {path}: ")
     assert message in lines[0]
+
+
+def test_cli_names_that_reparse_print_text_that_parses_back(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dim": 3, "names": ["X1", "H", "Z"], "brackets": [
+        [0, 1, [[2, "1"]]], [1, 2, [[0, "1"]]], [0, 2, [[1, "-1"]]]]}))
+    first = _run_cli("nf", "--config", str(path), "Z*X1")
+    assert first.returncode == 0
+    assert first.stdout.strip() == "X1*Z + h*H"
+    again = _run_cli("nf", "--config", str(path), first.stdout.strip())
+    assert again.returncode == 0 and again.stdout == first.stdout
 
 
 _DIM0 = {"dim": 0, "names": [], "brackets": []}

@@ -3,13 +3,15 @@
 exprs._Parser builds term dicts on HPoly's integer fields.  The reference
 below is the parser it replaced: every atom is a CPoly or NCPoly and values
 combine through their arithmetic (Fraction literals, Sparse sums, CPoly
-products and NCPoly.concat).  Both share the tokenizer and the grammar, so
-they must agree on every value, field for field, and on every syntax error.
+products and the raw word product poly.product(..., operator.add)).  Both
+share the tokenizer and the grammar, so they must agree on every value,
+field for field, and on every syntax error.
 A power is repeated use of the mode's product, so in noncommutative mode
 (Y*X)^2 is the raw word Y*X*Y*X, as Y*X*Y*X is (the replaced parser took
 powers through NCPoly.__mul__, which normal-forms).
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ import pytest
 
 from orbitstar.envelope import NCPoly
 from orbitstar.exprs import MAX_EXPONENT, ExprSyntaxError, _tokenize, parse_expression
-from orbitstar.poly import CPoly
+from orbitstar.poly import CPoly, product
 from orbitstar.scalars import H, I
 
 
@@ -134,7 +136,7 @@ def reference_parse(text, mode, algebra, names=None):
             i_value=NCPoly.scalar(algebra, I),
             h_value=NCPoly.scalar(algebra, H),
             lookup=lambda nm: NCPoly.generator(algebra, index[nm]) if nm in index else None,
-            multiply=lambda a, b: a.concat(b),
+            multiply=lambda a, b: a._new(product(a.terms, b.terms, operator.add)),
         )
     return parser.parse()
 

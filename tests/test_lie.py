@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from orbitstar import linalg
+from orbitstar.envelope import NCPoly
+from orbitstar.exprs import format_ncpoly, parse_expression
 from orbitstar.lie import (
     BasisChange,
     _constants_from,
@@ -144,7 +146,7 @@ def test_killing_transforms_covariantly(su2):
             continue
     moved = change_basis(su2, M)
     want = linalg.mat_mul(
-        linalg.mat_transpose(M.matrix),
+        tuple(zip(*M.matrix)),
         linalg.mat_mul(killing_form(su2), M.matrix),
     )
     assert killing_form(moved) == want
@@ -189,6 +191,56 @@ def test_json_loader_rejects_component_out_of_range(k):
                                    [0, 2, [[1, "-1"]]]]}
     with pytest.raises(ValueError, match=f"bracket component {k} must"):
         algebra_from_json(data)
+
+
+_SU2_BRACKETS = [[0, 1, [[2, "1"]]], [1, 2, [[0, "1"]]], [0, 2, [[1, "-1"]]]]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dim": 3.9, "brackets": [[0, 1.7, [[2.6, "1"]]], [1, 2, [[0, "1"]]],
+                               [0, 2, [[1, "-1"]]]]},
+     "dim must be an integer, not 3.9"),
+    ({"dim": True, "brackets": []}, "dim must be an integer, not True"),
+    ({"dim": "3", "brackets": _SU2_BRACKETS}, "dim must be an integer, not '3'"),
+    ({"dim": 3, "brackets": [[0, 1.0, [[2, "1"]]]]},
+     "bracket index must be an integer, not 1.0"),
+    ({"dim": 3, "brackets": [[0, 1, [[True, "1"]]]]},
+     "bracket component must be an integer, not True"),
+], ids=["float-dim-and-indices", "bool-dim", "string-dim", "float-index",
+        "bool-component"])
+def test_json_loader_rejects_non_integers(data, message):
+    # int() would truncate 3.9 to 3 and read the first case as su2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        algebra_from_json(data)
+
+
+@pytest.mark.parametrize("names", [("X1", "H", "Z"), ("a_b", "Y", "Z2")])
+def test_names_that_reparse_are_accepted(su2, names):
+    L = LieAlgebra(names, su2.c)
+    assert L.names == names
+    u = NCPoly.word(L, (2, 0)).normal_form()
+    assert parse_expression(format_ncpoly(u), "noncommutative", L).normal_form() == u
+
+
+@pytest.mark.parametrize("label", ["1X", "X-1", "", "h", "i", " X", "X@"])
+def test_labels_that_do_not_reparse_are_rejected(su2, label):
+    with pytest.raises(ValueError, match=f"^generator name {label!r} must be one name"):
+        LieAlgebra([label, "Y", "Z"], su2.c)
+    with pytest.raises(ValueError, match=f"^variable name {label!r} must be one name"):
+        LieAlgebra(su2.names, su2.c, varnames=[label, "y", "z"])
+
+
+def test_repeated_labels_are_rejected(su2):
+    with pytest.raises(ValueError, match="^generator names are not distinct$"):
+        LieAlgebra(["X", "X", "Z"], su2.c)
+    with pytest.raises(ValueError, match="^variable names are not distinct$"):
+        LieAlgebra(su2.names, su2.c, varnames=["a", "a", "c"])
+
+
+def test_default_varnames_fall_back_when_lowercasing_breaks_them(su2):
+    assert LieAlgebra(["X", "Y", "Z"], su2.c).varnames == ("x", "y", "z")
+    # "İ" is a name, but its lowercase is "i" and a combining dot, which is not
+    assert LieAlgebra(["\u0130", "Y", "Z"], su2.c).varnames == ("x0", "x1", "x2")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +330,8 @@ def oracle_cube(rng, n):
         scale = [rng.choice((1, -1, 2, I, -I)) for _ in range(n)]
         M = [[scale[j] if perm[j] == a else 0 for j in range(n)] for a in range(n)]
         c = [[list(row) for row in plane] for plane in
-             change_basis(LieAlgebra(range(n), cube_of(n, table)), BasisChange(M)).c]
+             change_basis(LieAlgebra([f"X{k}" for k in range(n)], cube_of(n, table)),
+                          BasisChange(M)).c]
     if n > 1 and rng.random() < 0.5:
         perturb(rng, c)
     return c

@@ -12,10 +12,12 @@ from orbitstar.poly import (
     kirillov_bracket,
     leading_term,
     monomials_of_degree,
+    monomial_mul,
     monomials_up_to,
+    product,
     reduce,
 )
-from orbitstar.scalars import H, H_ONE, HPoly, I, acc_scaled, acc_term
+from orbitstar.scalars import H, H_ONE, H_ZERO, HPoly, I, acc_scaled, acc_term
 
 
 def test_product_of_conjugate_binomials(xyz):
@@ -296,3 +298,35 @@ def test_acc_scaled_against_acc_term(seed):
             assert (v.num, v.den, v.val) == (want[k].num, want[k].den, want[k].val)
         updates += len(terms)
     assert cancelled
+
+
+def _exponent_add_product(f, g):
+    """The term dict of f * g by the schoolbook loop: each pair's exponent
+    vectors added entry by entry, its coefficients multiplied and summed
+    through HPoly arithmetic."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple([a + b for a, b in zip(e1, e2)])
+            out[e] = out.get(e, H_ZERO) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_against_exponent_add_loop(seed):
+    rng = random.Random(900 + seed)
+    keys = monomials_up_to(3, 2)
+    x, y = CPoly.variable(3, 0), CPoly.variable(3, 1)
+    null = (x + y) * (x - y) - x * x + y * y  # cancels to zero in the product
+    assert null.is_zero()
+    for _ in range(40):
+        f, g = (CPoly(3, {e: H_ONE if rng.random() < 0.3 else _acc_coeff(rng)
+                          for e in rng.sample(keys, rng.randint(0, 6))})
+                for _ in range(2))
+        # g + f*(x - y) and f*(x + y) share monomials whose terms cancel
+        for a, b in ((f, g), (g, f), (f, x - y), (f * (x + y), x - y)):
+            want = _exponent_add_product(a, b)
+            got = product(a.terms, b.terms, monomial_mul)
+            assert got == want and (a * b).terms == want
+            for e, c in got.items():
+                assert (c.num, c.den, c.val) == (want[e].num, want[e].den, want[e].val)

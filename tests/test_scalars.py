@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -18,6 +19,7 @@ from orbitstar.scalars import (
     coeff_pieces,
     format_hpoly,
     format_scalar,
+    merge_sums,
 )
 
 
@@ -253,6 +255,57 @@ def test_hpoly_against_gaussian_oracle(seed):
         value = a.evaluate(to_hpoly(h0))
         _assert_canonical(value)
         assert from_hpoly(value) == _oracle_evaluate(ca, h0)
+
+
+def _fields(p):
+    return p.num, p.den, p.val
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_sums_against_gaussian_oracle(seed):
+    """merge_sums, a + b and HPoly(coeffs) share one summation kernel: each
+    is checked against the oracle, and the three agree field for field."""
+    rng = random.Random(800 + seed)
+
+    def rand_value():
+        # mixed denominators, a run of low zeros (the valuation) and one to
+        # four powers of h
+        while True:
+            cs = _strip([gr(0)] * rng.randint(0, 3) + [
+                gr(Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6])),
+                   Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5])))
+                for _ in range(rng.randint(1, 4))])
+            if cs:
+                return cs
+
+    parts = [{} for _ in range(5)]
+    want, pairs = {}, {}
+    cancelled = raised = 0
+    for key in range(120):
+        cs = [rand_value() for _ in range(rng.randint(1, 5))]
+        rest = reduce(_oracle_add, cs[:-1], [])
+        low = next((k for k, x in enumerate(rest) if x), None)
+        if key % 3 == 1 and low is not None:
+            cs[-1] = [-x for x in rest]  # the sum cancels to zero
+            cancelled += 1
+        elif key % 3 == 2 and low is not None and low + 1 < len(rest):
+            cut = rng.randint(low + 1, len(rest) - 1)
+            cs[-1] = [-x for x in rest[:cut]]  # the low end cancels: val rises
+            raised += 1
+        for part, cs_k in zip(parts, cs):
+            part[key] = hpoly_of(cs_k)
+        want[key] = reduce(_oracle_add, cs, [])
+        if len(cs) == 2:
+            pairs[key] = [part[key] for part in parts[:2]]
+    got = merge_sums(parts)
+    assert cancelled and raised and len(pairs) > 5
+    assert set(got) == {key for key, cs in want.items() if cs}
+    for key, value in got.items():
+        _assert_canonical(value)
+        assert [from_hpoly(c) for c in value.coeffs] == want[key]
+    for key, (a, b) in pairs.items():
+        one = merge_sums([{key: a}, {key: b}]).get(key, H_ZERO)
+        assert _fields(a + b) == _fields(one) == _fields(hpoly_of(want[key]))
 
 
 def test_hpoly_canonical_form():
