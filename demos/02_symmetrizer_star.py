@@ -45,4 +45,4 @@ for n in range(3):
 print("\nDeformation axioms swept over monomials (exact):")
 report = check_deformation_axioms(star, 3, assoc_degree=4)
 print(f"  pairs checked: {report['pairs']}, triples: {report['triples']},",
-      f"all pass: {report['passed']}")
+      f"all pass: {not report['failures']}")

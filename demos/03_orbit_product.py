@@ -38,4 +38,4 @@ print("\nFirst-order rule on x,y-polynomials:")
 for p1, p2, label in [(y, x, "y, x"), (x * y, x, "xy, x"), (y * y, x * x, "y^2, x^2")]:
     res = orb.first_order_check(p1, p2)
     print(f"  ({label}): product mod h^2 = {format_cpoly(res['got'], V)}"
-          f"   rule agrees: {res['passed']}")
+          f"   rule agrees: {res['got'] == res['expected']}")

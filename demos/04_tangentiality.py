@@ -27,25 +27,22 @@ print(f"  tangential(x*z)   = {format_ncpoly(orb.tangential_embed(x * z))}")
 
 print("\nIdeal preservation across nearby levels (degree bound 4):")
 for level in (1, Fraction(5, 4), Fraction(3, 4)):
-    res = orb.tangentiality_check(orb.tangential_embed, level, 4)
-    print(f"  tangential embed, level {level}: {'preserved' if res['passed'] else 'FAILS'}")
+    w = orb.tangentiality_check(orb.tangential_embed, level, 4)
+    print(f"  tangential embed, level {level}: {'FAILS' if w else 'preserved'}")
 for level in (1, Fraction(5, 4)):
-    res = orb.tangentiality_check(orb.split_embed, level, 5)
-    status = "preserved" if res["passed"] else "FAILS"
-    print(f"  split embed, level {level}: {status}")
-    if not res["passed"]:
-        w = res["witness"]
+    w = orb.tangentiality_check(orb.split_embed, level, 5)
+    print(f"  split embed, level {level}: {'FAILS' if w else 'preserved'}")
+    if w:
         print(f"    first witness: cofactor {format_cpoly(w['cofactor'], V)},"
               f" remainder {format_ncpoly(w['remainder'])}")
 
 print("\nBoth embeddings commute with reduction onto the level-1 orbit:")
 for embed, label in ((orb.split_embed, "split"), (orb.tangential_embed, "tangential")):
-    ok = orb.reduction_compatibility_check(embed, 4)["passed"]
-    print(f"  {label}: {ok}")
+    print(f"  {label}: {orb.reduction_compatibility_check(embed, 4) is None}")
 
 print("\nMultiplication by the invariant p (degree bound 3):")
-res = orb.invariant_product_check(orb.tangential_product(), 3)
-print(f"  tangential product: g * p == g p for all monomials: {res['passed']}")
+w = orb.invariant_product_check(orb.tangential_product(), 3)
+print(f"  tangential product: g * p == g p for all monomials: {w is None}")
 star_s = symmetrizer_product(su2)
 diff = star_s.star(x, p) - x * p
 print(f"  symmetrizer product: x * p - x p = {format_cpoly(diff, V)}  (deformed!)")

@@ -282,11 +282,19 @@ def _integer(x, what):
     return x
 
 
+def _list(x, what):
+    """x if it is a JSON list; a string, a number or an object is an error."""
+    if type(x) is not list:
+        raise ValueError(f"{what} must be a JSON list, not {x!r}")
+    return x
+
+
 def algebra_from_json(data) -> LieAlgebra:
     """Load an algebra description.
 
     Accepts {"dim": n, "names": [...], "brackets": [[i, j, [[k, coeff], ...]],
     ...]} with JSON integers n and 0-based indices, listing only i < j pairs;
+    names, varnames, brackets and each bracket's terms are JSON lists;
     the loader antisymmetrizes and validates.  Coefficients are scalar
     expressions such as "1", "-1/2" or "i".
     """
@@ -295,22 +303,22 @@ def algebra_from_json(data) -> LieAlgebra:
     if isinstance(data, str):
         data = json.loads(data)
     n = _integer(data["dim"], "dim")
-    names = data.get("names") or [f"X{i}" for i in range(n)]
+    names = _list(data.get("names", []), "names") or [f"X{i}" for i in range(n)]
     if len(names) != n:
         raise ValueError("names length does not match dim")
     table = {}
-    for entry in data.get("brackets", ()):
-        i, j, terms = entry
+    for entry in _list(data.get("brackets", []), "brackets"):
+        i, j, terms = _list(entry, "bracket entry")
         i, j = _integer(i, "bracket index"), _integer(j, "bracket index")
         if not 0 <= i < j < n:
             raise ValueError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
-        for k, coeff in terms:
+        for k, coeff in _list(terms, "bracket terms"):
             k = _integer(k, "bracket component")
             if not 0 <= k < n:
                 raise ValueError(f"bracket component {k} must satisfy 0 <= k < dim")
             table.setdefault((i, j), []).append((k, parse_scalar(str(coeff))))
     c = _table_to_constants(n, table)
-    return LieAlgebra(names, c, varnames=data.get("varnames"))
+    return LieAlgebra(names, c, varnames=_list(data.get("varnames", []), "varnames"))
 
 
 def orbit_algebra(data) -> LieAlgebra:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .envelope import NCPoly, _nf_word
-from .lie import LieAlgebra, orbit_algebra, predefined
+from .lie import LieAlgebra, _list, orbit_algebra, predefined
 from .linalg import LinearSystem
 from .poly import (
     CPoly,
@@ -246,7 +246,7 @@ class Orbit:
         """Does the embedding carry the nearby orbit's ideal into the lifted
         nearby ideal?  Sweeps monomial cofactors g with deg(g) + 2 within the
         bound and reduces embed(g*(p - c0')) modulo (P - lift').  Returns the
-        first nonvanishing remainder as a witness."""
+        first nonvanishing remainder as {"cofactor", "remainder"}, or None."""
         n = self.algebra.dim
         gen = self.invariants[0] - CPoly.constant(n, _scalar(c0_prime))
         lift = self.neighbor_lift(c0_prime)
@@ -254,68 +254,54 @@ class Orbit:
             g = CPoly.monomial(n, exps)
             rem = self.ideal_reduce(embed(g * gen), lift=lift)
             if not rem.is_zero():
-                return {
-                    "passed": False,
-                    "witness": {"cofactor": g, "remainder": rem},
-                }
-        return {"passed": True, "witness": None}
+                return {"cofactor": g, "remainder": rem}
+        return None
 
     def reduction_compatibility_check(self, embed, degree_bound):
-        """Reducing after embedding must equal embedding the reduction."""
+        """Reducing after embedding must equal embedding the reduction.
+        Returns the first monomial where they differ as {"monomial", "lhs",
+        "rhs"}, or None."""
         n = self.algebra.dim
         for exps in monomials_up_to(n, degree_bound, self.priority):
             f = CPoly.monomial(n, exps)
             lhs = self.ideal_reduce(embed(f))
             rhs = self.word_lift(self.orbit_reduce(f))
             if lhs != rhs:
-                return {
-                    "passed": False,
-                    "witness": {"monomial": f, "lhs": lhs, "rhs": rhs},
-                }
-        return {"passed": True, "witness": None}
+                return {"monomial": f, "lhs": lhs, "rhs": rhs}
+        return None
 
     def invariant_product_check(self, star: StarProduct, degree_bound):
         """Multiplication by invariants should be undeformed: g*p = gp.
 
-        Sweeps monomial g within the bound against the invariant p and p^2."""
+        Sweeps monomial g within the bound against the invariant p and p^2.
+        Returns the first deformed product as {"factor", "invariant", "got",
+        "expected"}, or None."""
         n = self.algebra.dim
         p = self.invariants[0]
         fs = [p, p * p]
         for exps in monomials_up_to(n, degree_bound, self.priority):
             g = CPoly.monomial(n, exps)
             for f in fs:
-                got = star.star(g, f)
-                want = g * f
+                got, want = star.star(g, f), g * f
                 if got != want:
-                    return {
-                        "passed": False,
-                        "witness": {
-                            "factor": g,
-                            "invariant": f,
-                            "got": got,
-                            "expected": want,
-                        },
-                    }
-        return {"passed": True, "witness": None}
+                    return {"factor": g, "invariant": f, "got": got, "expected": want}
+        return None
 
     def first_order_check(self, p1: CPoly, p2: CPoly):
         """For polynomials in x, y on the unit sphere, the product's first
-        two orders follow p1*p2 - h z (dp1/dy)(dp2/dx)."""
+        two orders follow p1*p2 - h z (dp1/dy)(dp2/dx).  Returns both sides
+        mod h^2 as {"got", "expected"}; the rule holds where they agree."""
         n = self.algebra.dim
         if self.lifts[0] != H_ONE:
             raise ValueError("the first-order rule is stated on the unit level")
         for p in (p1, p2):
             if any(e[-1] != 0 for e in p.terms):
                 raise ValueError("inputs must not involve the leading variable")
-        lhs = self.star_product().star(p1, p2).truncate_h(2)
         z = CPoly.variable(n, n - 1)
-        rhs = self.orbit_reduce(
-            p1 * p2 - z * p1.partial(1) * p2.partial(0) * H
-        ).truncate_h(2)
         return {
-            "passed": lhs == rhs,
-            "got": lhs,
-            "expected": rhs,
+            "got": self.star_product().star(p1, p2).truncate_h(2),
+            "expected": self.orbit_reduce(
+                p1 * p2 - z * p1.partial(1) * p2.partial(0) * H).truncate_h(2),
         }
 
     def bidifferential_obstruction(self, coeff_degree_bound, zz_data=None):
@@ -422,7 +408,8 @@ def sphere_orbit(c0=1, lift=None, algebra=None) -> Orbit:
 
 def orbit_from_json(data, algebra=None) -> Orbit:
     """Load an orbit description like {"algebra": "su2", "invariants":
-    ["x^2+y^2+z^2"], "constants": ["1"], "lifts": ["1"]}."""
+    ["x^2+y^2+z^2"], "constants": ["1"], "lifts": ["1"]}, whose three fields
+    are JSON lists; "lifts" is optional."""
     from .exprs import parse_expression, parse_hpoly
 
     if isinstance(data, str):
@@ -430,10 +417,8 @@ def orbit_from_json(data, algebra=None) -> Orbit:
     L = algebra if algebra is not None else orbit_algebra(data)
     invariants = [
         parse_expression(text, mode="commutative", algebra=L)
-        for text in data["invariants"]
+        for text in _list(data["invariants"], "invariants")
     ]
-    constants = [str(c) for c in data["constants"]]
-    lifts = None
-    if data.get("lifts"):
-        lifts = [parse_hpoly(str(t)) for t in data["lifts"]]
-    return Orbit(L, invariants, constants, lifts)
+    constants = [str(c) for c in _list(data["constants"], "constants")]
+    lifts = [parse_hpoly(str(t)) for t in _list(data.get("lifts", []), "lifts")]
+    return Orbit(L, invariants, constants, lifts or None)

@@ -213,7 +213,7 @@ def suite_sym_star(max_degree=None, **_):
     yield (
         f"axioms on {report['pairs']} pairs (deg<={bound}) and "
         f"{report['triples']} triples (deg<={bound + 1})",
-        report["passed"],
+        not report["failures"],
         report["failures"][:1] or None,
     )
 
@@ -241,7 +241,7 @@ def suite_orbit_star(max_degree=None, c0=None, lift=None, **_):
     yield (
         f"axioms with the reduced bracket on {report['pairs']} pairs and "
         f"{report['triples']} triples (deg<={bound})",
-        report["passed"],
+        not report["failures"],
         report["failures"][:1] or None,
     )
 
@@ -266,7 +266,7 @@ def suite_lemma(max_degree=None, **_):
             res = orb.first_order_check(
                 CPoly.monomial(3, e1), CPoly.monomial(3, e2)
             )
-            if not res["passed"]:
+            if res["got"] != res["expected"]:
                 bad = {
                     "pair": (str(e1), str(e2)),
                     "got": _fmt(res["got"], L),
@@ -310,34 +310,27 @@ def suite_tangential(max_degree=None, **_):
     bound = max_degree or 4
     shifts = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2)]
     for s in shifts:
-        res = orb.tangentiality_check(orb.tangential_embed, 1 + s, bound)
+        w = orb.tangentiality_check(orb.tangential_embed, 1 + s, bound)
         yield (f"tangential embed preserves the level {1 + s} ideal "
-               f"(deg<={bound})", res["passed"])
-    res = orb.tangentiality_check(orb.split_embed, 1, bound)
+               f"(deg<={bound})", w is None)
     yield ("split embed preserves its own ideal",
-           res["passed"])
+           orb.tangentiality_check(orb.split_embed, 1, bound) is None)
     # the frozen witness needs degree 5, whatever the bound
-    res = orb.tangentiality_check(orb.split_embed, Fraction(5, 4), max(bound + 1, 5))
-    ok = not res["passed"]
-    witness_ok = False
-    if ok:
-        w = res["witness"]
-        want_cof = CPoly.monomial(3, (0, 1, 2))
-        want_rem = NCPoly(L, {(0, 2): H * Fraction(1, 2),
-                              (1,): H * H * Fraction(1, 4)})
-        witness_ok = w["cofactor"] == want_cof and w["remainder"] == want_rem
-    yield "split embed fails on the shifted level 5/4", ok
+    w = orb.tangentiality_check(orb.split_embed, Fraction(5, 4), max(bound + 1, 5))
+    want = {"cofactor": CPoly.monomial(3, (0, 1, 2)),
+            "remainder": NCPoly(L, {(0, 2): H * Fraction(1, 2),
+                                    (1,): H * H * Fraction(1, 4)})}
+    yield "split embed fails on the shifted level 5/4", w is not None
     yield ("failure witness is y z^2 with remainder "
-           "(h/2) X*Z + (h^2/4) Y", witness_ok,
-           None if witness_ok else {
-               "cofactor": _fmt(res["witness"]["cofactor"], L),
-               "remainder": format_ncpoly(res["witness"]["remainder"]),
-           } if not res["passed"] else "check passed unexpectedly")
+           "(h/2) X*Z + (h^2/4) Y", w == want,
+           None if w == want else {
+               "cofactor": _fmt(w["cofactor"], L),
+               "remainder": format_ncpoly(w["remainder"]),
+           } if w else "check passed unexpectedly")
     for embed, label in ((orb.split_embed, "split"),
                          (orb.tangential_embed, "tangential")):
-        res = orb.reduction_compatibility_check(embed, bound)
         yield (f"{label} embed commutes with reduction (deg<={bound})",
-               res["passed"])
+               orb.reduction_compatibility_check(embed, bound) is None)
 
 
 @_suite("invariant-mult")
@@ -349,25 +342,21 @@ def suite_invariant_mult(max_degree=None, **_):
     bound = max_degree or 3
     x, y, z = _vars(L)
     p = x * x + y * y + z * z
-    res = orb.invariant_product_check(orb.tangential_product(), bound)
+    w = orb.invariant_product_check(orb.tangential_product(), bound)
     yield (f"tangential product: g * p == g p (deg g <= {bound})",
-           res["passed"], res["witness"])
+           w is None, w)
     star = symmetrizer_product(L)
     diff = star.star(x, p) - x * p
     want = x * (H * H * Fraction(-1, 3))
     yield ("symmetrizer product: x * p - x p == -(h^2/3) x",
            diff == want, None if diff == want else _fmt(diff, L))
-    res = orb.invariant_product_check(star, bound)
-    witness = None
-    if not res["passed"]:
-        w = res["witness"]
-        witness = {
-            "factor": _fmt(w["factor"], L),
-            "invariant": _fmt(w["invariant"], L),
-            "discrepancy": _fmt(w["got"] - w["expected"], L),
-        }
+    w = orb.invariant_product_check(star, bound)
     yield ("symmetrizer product violates invariant multiplication",
-           not res["passed"], witness)
+           w is not None, None if w is None else {
+               "factor": _fmt(w["factor"], L),
+               "invariant": _fmt(w["invariant"], L),
+               "discrepancy": _fmt(w["got"] - w["expected"], L),
+           })
 
 
 @_suite("reps")

@@ -562,9 +562,10 @@ _BAD_LABELS = ["1X", "X-1", "", "h", "i"]
     [
         ("algebra", [1, 2], "the top level must be a JSON object"),
         ("algebra", {"dim": None}, "dim must be an integer, not None"),
-        ("algebra", {"dim": 3, "names": 5, "brackets": []}, "has no len()"),
+        ("algebra", {"dim": 3, "names": 5, "brackets": []},
+         "names must be a JSON list, not 5"),
         ("algebra", {"dim": 3, "names": ["X", "Y", "Z"], "brackets": 7},
-         "is not iterable"),
+         "brackets must be a JSON list, not 7"),
         ("algebra", {"dim": 3, "brackets": [[0, 1, [[5, "1"]]]]},
          "bracket component 5 must satisfy 0 <= k < dim"),
         ("algebra", {"dim": 3, "brackets": [[0, 1, [[-1, "1"]]], [1, 2, [[0, "1"]]],
@@ -608,6 +609,38 @@ def test_cli_malformed_config_exit_code(tmp_path, command, config, message):
     assert len(lines) == 1
     assert lines[0].startswith(f"error: config {path}: ")
     assert message in lines[0]
+
+
+_SU2_CONFIG = {"dim": 3, "names": ["X", "Y", "Z"], "varnames": ["a", "b", "c"],
+               "brackets": [[0, 1, [[2, "1"]]], [1, 2, [[0, "1"]]],
+                            [0, 2, [[1, "-1"]]]]}
+_SPHERE_CONFIG = {"algebra": "su2", "invariants": ["x^2+y^2+z^2"],
+                  "constants": ["2"], "lifts": ["2"]}
+_ORBIT_STAR = ["star", "--product", "orbit", "x", "y"]
+
+
+@pytest.mark.parametrize("argv, config, field, value, what", [
+    (["algebra"], _SU2_CONFIG, "names", "XYZ", "names"),
+    (["algebra"], _SU2_CONFIG, "varnames", "abc", "varnames"),
+    (["algebra"], _SU2_CONFIG, "brackets", "abc", "brackets"),
+    (["algebra"], _SU2_CONFIG, "brackets", ["ab"], "bracket entry"),
+    (["algebra"], _SU2_CONFIG, "brackets", [[0, 1, "ab"]], "bracket terms"),
+    (_ORBIT_STAR, _SPHERE_CONFIG, "invariants", "x^2+y^2+z^2", "invariants"),
+    (_ORBIT_STAR, _SPHERE_CONFIG, "constants", "2", "constants"),
+    (_ORBIT_STAR, _SPHERE_CONFIG, "lifts", "2", "lifts"),
+], ids=["names", "varnames", "brackets", "bracket-entry", "bracket-terms",
+        "invariants", "constants", "lifts"])
+def test_cli_config_list_field_given_as_a_string(tmp_path, capsys, argv, config,
+                                                 field, value, what):
+    # a string is iterable, so an unchecked "XYZ" would load as three names
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, field: value}))
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    text = value if isinstance(value, str) else "ab"
+    assert captured.err == (f"error: config {path}: {what} must be a JSON list, "
+                            f"not {text!r}\n")
 
 
 def test_cli_names_that_reparse_print_text_that_parses_back(tmp_path):

@@ -214,6 +214,24 @@ def test_json_loader_rejects_non_integers(data, message):
         algebra_from_json(data)
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("names", "XYZ", "names"), ("varnames", "abc", "varnames"),
+    ("brackets", "abc", "brackets"), ("brackets", ["ab"], "bracket entry"),
+    ("brackets", [[0, 1, "ab"]], "bracket terms"), ("names", None, "names"),
+], ids=["names", "varnames", "brackets", "bracket-entry", "bracket-terms",
+        "names-null"])
+def test_json_loader_rejects_non_lists(field, value, what):
+    # a string is iterable: unchecked, "XYZ" would name three generators
+    data = {"dim": 3, "names": ["X", "Y", "Z"], "brackets": _SU2_BRACKETS,
+            field: value}
+    with pytest.raises(ValueError, match=f"^{what} must be a JSON list, not "):
+        algebra_from_json(data)
+
+
+def test_json_loader_reads_an_empty_names_list_as_the_default():
+    assert algebra_from_json({"dim": 2, "names": []}).names == ("X0", "X1")
+
+
 @pytest.mark.parametrize("names", [("X1", "H", "Z"), ("a_b", "Y", "Z2")])
 def test_names_that_reparse_are_accepted(su2, names):
     L = LieAlgebra(names, su2.c)
