@@ -300,8 +300,15 @@ def cmd_cohomology(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: one `error: ...` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitstar",
         description="Exact star products on coadjoint orbits",
     )

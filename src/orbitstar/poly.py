@@ -375,26 +375,31 @@ def reduce(f: CPoly, system: ReductionSystem):
 # The Kirillov Poisson structure.
 
 def kirillov_bracket(L: LieAlgebra, f: CPoly, g: CPoly) -> CPoly:
-    """{f, g} = sum_{i,j,k} c[i][j][k] x_k (df/dx_i)(dg/dx_j)."""
+    """{f, g} = sum_{i,j,k} c[i][j][k] x_k (df/dx_i)(dg/dx_j), summed pair
+    of terms by pair of terms into one dict."""
     n = L.dim
     if f.nvars != n or g.nvars != n:
         raise ValueError("polynomials do not match the algebra's variables")
-    out = CPoly.zero(n)
-    partials_f = [f.partial(i) for i in range(n)]
-    partials_g = [g.partial(j) for j in range(n)]
-    for i in range(n):
-        if partials_f[i].is_zero():
-            continue
-        for j in range(n):
-            if partials_g[j].is_zero():
-                continue
-            terms = L.bracket_terms(i, j)
-            if not terms:
-                continue
-            prod = partials_f[i] * partials_g[j]
-            for k, v in terms:
-                out = out + prod * CPoly.variable(n, k) * v
-    return out
+    out = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            c = cb if ca is H_ONE else ca * cb
+            for i in range(n):
+                for j in range(n):
+                    m = a[i] * b[j]
+                    if not (m and L.bracket_terms(i, j)):
+                        continue
+                    # x^a x^b / (x_i x_j), times each x_k of [X_i, X_j]
+                    e = list(map(add, a, b))
+                    e[i] -= 1
+                    e[j] -= 1
+                    step = {}
+                    for k, v in L.bracket_terms(i, j):
+                        e[k] += 1
+                        step[tuple(e)] = v
+                        e[k] -= 1
+                    acc_scaled(out, step, c if m == 1 else c * m)
+    return f._new(out)
 
 
 def is_invariant(L: LieAlgebra, p: CPoly) -> bool:

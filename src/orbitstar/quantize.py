@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .envelope import NCPoly, word_exps
+from .envelope import NCPoly, _times, word_exps
 from .lie import LieAlgebra
 from .linalg import LinearSystem
 from .poly import CPoly, acc_scaled, kirillov_bracket, monomials_up_to
-from .scalars import H_ONE, merge_sums
+from .scalars import H_ONE, as_hpoly, merge_sums
 
 
 def _sym_monomial(L: LieAlgebra, exps) -> NCPoly:
@@ -40,7 +40,9 @@ def _sym_monomial(L: LieAlgebra, exps) -> NCPoly:
         for i, e in enumerate(exps):
             if e:
                 rest = _sym_monomial(L, exps[:i] + (e - 1,) + exps[i + 1:])
-                u = u + NCPoly.generator(L, i) * rest * Fraction(e, p)
+                c = as_hpoly(Fraction(e, p))
+                for w, cw in rest.terms.items():
+                    acc_scaled(u.terms, _times(L, i, w), c * cw)
         L._sym_cache[exps] = u
     return u
 

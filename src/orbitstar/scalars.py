@@ -18,7 +18,9 @@ refuses anything else.
 acc_scaled, the step that adds c*v into a term dict for every sum and
 product of CPoly and NCPoly, lives here because it reads HPoly's fields: a
 product of two single powers c*h^k, and its sum with a stored single power
-of the same h-degree, are a few int operations and one new HPoly per key.
+of the same h-degree, are a few int operations and one HPoly per key, shared
+from a bounded, process-wide table (_SMALL) when it is a small integer times
+a power of h, so that equal small coefficients are one object.
 Every other sum (HPoly(coeffs), HPoly.__add__, merge_sums of several term
 dicts) is one _sum per value, per power of h over the lcm of denominators.
 The printers read HPoly's integer fields directly, reducing each numerator
@@ -292,6 +294,12 @@ H_ONE = _hpoly(((1, 0),), 1, 0)
 H = _hpoly(((1, 0),), 1, 1)
 I = _hpoly(((0, 1),), 1, 0)
 
+# _SMALL[val][re] is the canonical re*h^val for 0 < |re| <= _R and val < _V (a
+# negative re indexes from the end of its row), made on first use; never 0.
+_R, _V = 16, 8
+_SMALL = [[None] * (2 * _R + 1) for _ in range(_V)]
+_SMALL[0][1], _SMALL[1][1] = H_ONE, H
+
 
 # ---------------------------------------------------------------------------
 # Accumulation into term dicts (key -> nonzero HPoly), the inner step of
@@ -309,39 +317,31 @@ def acc_term(d, key, c):
 
 def acc_scaled(d, terms, c):
     """Add c times each of terms (key -> coefficient) to d in place, dropping
-    keys that cancel.  c must be nonzero.  With c the interned H_ONE the
-    terms are summed in; a product of two single powers c*h^k, and its sum
-    with a stored single power of the same h-degree, are formed on the
-    integer fields, building one HPoly per updated key; other coefficients
-    go through HPoly arithmetic."""
-    one = H_ONE
-    if c is one:
-        for key, v in terms.items():
-            cur = d.get(key)
-            if cur is None:
-                d[key] = v
-            else:
-                v = cur + v
-                if v:
-                    d[key] = v
-                else:
-                    del d[key]
-        return
+    keys that cancel.  c must be nonzero.  With c the interned H_ONE a term
+    whose key d lacks is stored as it is; a product of two single powers
+    c*h^k, and its sum with a stored single power of the same h-degree, are
+    formed on the integer fields, a small one read from _SMALL; other
+    coefficients go through HPoly arithmetic."""
+    one, small = H_ONE, _SMALL
     if len(c.num) != 1:
         for key, v in terms.items():
             acc_term(d, key, c if v is one else c * v)
         return
+    unit = c is one
     (cr, ci), = c.num
     cden, cval = c.den, c.val
     for key, v in terms.items():
+        cur = d.get(key)
+        if unit and cur is None:
+            d[key] = v
+            continue
         vnum = v.num
         if len(vnum) != 1:
-            acc_term(d, key, c * v)
+            acc_term(d, key, v if unit else c * v)
             continue
         (vr, vi), = vnum
         re, im = cr * vr - ci * vi, cr * vi + ci * vr
         den, val = cden * v.den, cval + v.val
-        cur = d.get(key)
         if cur is not None and len(cur.num) == 1 and cur.val == val:
             (ur, ui), = cur.num
             uden = cur.den
@@ -357,7 +357,12 @@ def acc_scaled(d, terms, c):
             g = gcd(den, re, im)
             if g != 1:
                 re, im, den = re // g, im // g, den // g
-        p = _hpoly(((re, im),), den, val)
+        if den == 1 and not im and val < _V and -_R <= re <= _R:
+            p = small[val][re]
+            if p is None:
+                p = small[val][re] = _hpoly(((re, 0),), 1, val)
+        else:
+            p = _hpoly(((re, im),), den, val)
         if cur is None:
             d[key] = p
         else:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitstar import CPoly, HPoly, NCPoly, predefined, sphere_orbit
+from orbitstar import CPoly, HPoly, LieAlgebra, NCPoly, predefined, sphere_orbit
 from orbitstar.scalars import I
 
 
@@ -16,6 +16,22 @@ def rand_coeff(rng):
         ])
         if c:
             return c
+
+
+def named_algebra(name, scale=1):
+    """su2, sl2, so(4) as su2 + su2, or su3 in the rational compact basis of
+    test_lie, with every structure constant times `scale` (an isomorphic
+    algebra: the Jacobi identity is homogeneous in the constants)."""
+    from test_lie import direct_sum, su3_compact
+
+    if name == "so4":
+        cube = direct_sum(predefined("su2").c, predefined("su2").c)
+    elif name == "su3":
+        cube = su3_compact()[0]
+    else:
+        cube = predefined(name).c
+    cube = [[[v * scale for v in row] for row in plane] for plane in cube]
+    return LieAlgebra([f"T{k}" for k in range(len(cube))], cube)
 
 
 @pytest.fixture(scope="session")

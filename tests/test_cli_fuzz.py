@@ -8,7 +8,9 @@ the contract: exit 0, 1 or 2; no traceback; on exit 2, exactly one
 `error: ...` line on stderr; on exit 0, nothing on stderr.  The one exit 1
 is the known `verify reps --lambda-bound=1`, whose bound is too small to
 separate the two spectra.  Option values go as `--flag=value`, so each draw
-gets past argparse to the engine's own input checks.
+gets past argparse to the engine's own input checks, or in some draws as
+`--flag value`, where argparse reads a value such as `-1/2` as an option
+and must report that as one `error: ...` line too.
 """
 
 import json
@@ -22,7 +24,7 @@ from orbitstar.verify import SUITES
 DRAWS = 1000
 
 _SCALARS = ["1", "2", "-1/2", "3/4", "i", "h", "2*i", "h/3", "0"]
-_LEVELS = ["1", "2", "-1", "1/2", "0", "5/4", "x", "1/0", "", "abc"]
+_LEVELS = ["1", "2", "-1", "-1/2", "1/2", "0", "5/4", "x", "1/0", "", "abc"]
 _LIFTS = ["1", "1 + h", "2 + h/3", "4", "h", "0", "1 + h^2", "x", "1/", "(1"]
 _PRODUCTS = ["sym", "pbw", "orbit", "tangential", "split"]
 # text that must fail to parse, or name a letter the algebra lacks
@@ -121,6 +123,17 @@ def _orbit_flags(rng):
 
 def _draw(seed, tmp):
     rng = random.Random(seed)
+    argv = []
+    for arg in _argv(rng, tmp):
+        flag, eq, value = arg.partition("=")
+        if eq and flag.startswith("--") and rng.random() < 0.3:
+            argv += [flag, value]
+        else:
+            argv.append(arg)
+    return argv
+
+
+def _argv(rng, tmp):
     command = rng.choice(["nf", "star", "reduce", "algebra", "rep",
                           "cohomology", "verify"])
     argv = [command]
@@ -164,7 +177,10 @@ def config_dir(tmp_path_factory):
 @pytest.mark.parametrize("seed", range(DRAWS))
 def test_cli_contract(seed, config_dir, capsys):
     argv = _draw(seed, config_dir)
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error exits from argparse
+        code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, argv
@@ -172,6 +188,8 @@ def test_cli_contract(seed, config_dir, capsys):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
     elif code == 1:
-        assert argv[:2] == ["verify", "reps"] and "--lambda-bound=1" in argv, argv
+        words = " ".join(argv).replace("=", " ").split()
+        assert words[0] == "verify" and "reps" in words, argv
+        assert words[words.index("--lambda-bound") + 1] == "1", argv
     else:
         assert err == "", (argv, err)

@@ -277,6 +277,29 @@ def test_cli_unknown_suite(capsys):
     assert cli.main(["verify", "nope"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["star", "-x", "y"], "the following arguments are required: right"),
+    (["star", "--c", "-1/2", "x", "y"], "argument --c: expected one argument"),
+    (["bogus"], "argument command: invalid choice: 'bogus' "),
+], ids=["unknown-option", "option-like-value", "unknown-command"])
+def test_cli_usage_error_is_one_line(capsys, argv, message):
+    # argparse's own usage block would be five lines; its message is one
+    assert _usage_error(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
+    proc = _run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", captured.err)
+
+
+def test_cli_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["star", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: orbitstar star ")
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("bad\nvalue"),
                                  KeyError("k")])
 def test_cli_suite_fault_exits_3(monkeypatch, capsys, exc):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_coeff
+from conftest import named_algebra, rand_coeff
+from orbitstar import scalars
 from orbitstar.poly import (
     CPoly,
     ReductionSystem,
@@ -92,6 +93,42 @@ def test_bracket_leibniz(su2):
         lhs = kirillov_bracket(su2, f, g * k)
         rhs = kirillov_bracket(su2, f, g) * k + g * kirillov_bracket(su2, f, k)
         assert lhs == rhs
+
+
+def kirillov_oracle(L, f, g):
+    """{f, g} by operator arithmetic on whole polynomials: the partials of f
+    and g, their product, times x_k and the structure constant, summed."""
+    n = L.dim
+    out = CPoly.zero(n)
+    for i in range(n):
+        for j in range(n):
+            for k, v in L.bracket_terms(i, j):
+                out = out + f.partial(i) * g.partial(j) * CPoly.variable(n, k) * v
+    return out
+
+
+def _bracket_operand(rng, n):
+    """Up to four terms of degree <= 3, each coefficient the interned H_ONE,
+    a small integer, or a nonzero Q(i)[h] value (fractional, complex, with
+    several powers of h)."""
+    out = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(n)] += 1
+        roll = rng.random()
+        out[tuple(exps)] = (H_ONE if roll < 0.3 else rng.choice((-2, 2, 3))
+                            if roll < 0.5 else rand_coeff(rng))
+    return CPoly(n, out)
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2", "so4", "su3"])
+def test_kirillov_bracket_against_operator_oracle(name):
+    L = named_algebra(name)
+    rng = random.Random(f"bracket-{name}")
+    for _ in range(30):
+        f, g = _bracket_operand(rng, L.dim), _bracket_operand(rng, L.dim)
+        assert kirillov_bracket(L, f, g) == kirillov_oracle(L, f, g)
 
 
 def test_invariance(su2, xyz, casimir_poly):
@@ -259,10 +296,13 @@ def test_reduce_division_identity(rules):
 
 def _acc_coeff(rng):
     """A nonzero coefficient for the accumulation oracle: the interned H_ONE,
-    a single power c*h^k (denominator 1 or not, valuation 0 or not, with or
-    without an imaginary part) or one with several powers of h."""
+    a single power at the edges of the shared table, a single power c*h^k
+    (denominator 1 or not, valuation 0 or not, with or without an imaginary
+    part) or one with several powers of h."""
     if rng.random() < 0.15:
         return H_ONE
+    if rng.random() < 0.3:
+        return _edge_coeff(rng)
     den = rng.choice((1, 1, 2, 3, 6))
     low = [0] * rng.choice((0, 0, 1, 2))
     while True:
@@ -275,19 +315,65 @@ def _acc_coeff(rng):
             return p
 
 
+def _edge_coeff(rng):
+    """An integer single power r*h^k at the edges of scalars._SMALL: |r| at
+    or next to its bound R (or a factor whose products reach it), k at V - 1
+    or V, now and then over a denominator or with an imaginary part."""
+    R, V = scalars._R, scalars._V
+    re = rng.choice((1, 2, 4, R - 1, R, R + 1)) * rng.choice((1, -1))
+    c = Fraction(re, rng.choice((1, 1, 1, 2))) + rng.choice((0, 0, 0, 1)) * I
+    return HPoly([0] * rng.choice((0, 1, V - 1, V)) + [c])
+
+
+def _table_edge_updates():
+    """(d, terms, c) updates whose results sit at the edges of
+    scalars._SMALL: a computed 1 on each path (a product, a product over a
+    denominator the gcd removes, a unit sum, a complex product), |r| at R
+    and R + 1, k at V - 1 and V, and sums that cancel."""
+    R, V = scalars._R, scalars._V
+    key = (0, 0)
+    hp = lambda r, k=0: HPoly([0] * k + [r])
+    return [
+        ({}, {key: hp(Fraction(1, 2))}, hp(2)),
+        ({}, {key: hp(-1)}, hp(-1)),
+        ({key: hp(R + 1)}, {key: hp(-R)}, H_ONE),
+        ({key: hp(Fraction(1, 2))}, {key: hp(Fraction(1, 2))}, H_ONE),
+        ({}, {key: hp(I)}, hp(-I)),
+        ({}, {key: hp(1 + I)}, hp(1 - I)),
+        ({key: hp(R - 1, V - 1)}, {key: hp(1, V - 1)}, H_ONE),
+        ({key: hp(R, V - 1)}, {key: hp(1, V - 1)}, H_ONE),
+        ({}, {key: hp(-R, 1)}, hp(1, V - 2)),
+        ({}, {key: hp(-R, 1)}, hp(1, V - 1)),
+        ({}, {key: hp(4), (0, 1): hp(-4)}, hp(-4)),
+        ({}, {key: hp(R + 1)}, hp(-1)),
+        ({key: hp(Fraction(R, 2))}, {key: hp(Fraction(1, 2))}, hp(1)),
+        ({key: hp(3)}, {key: hp(3)}, hp(-1)),
+        ({key: hp(R)}, {key: hp(-R)}, H_ONE),
+    ]
+
+
+def _single_power(p):
+    return p is not None and len(p.num) == 1
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_acc_scaled_against_acc_term(seed):
     rng = random.Random(700 + seed)
     keys = [(a, b) for a in range(3) for b in range(3)]
-    updates = cancelled = 0
+    R, V, table = scalars._R, scalars._V, scalars._SMALL
+    updates = cancelled = shared = ones = 0
+    edges = _table_edge_updates()
     while updates < 2000:
-        d = {k: _acc_coeff(rng) for k in rng.sample(keys, rng.randint(0, 9))}
-        c = _acc_coeff(rng)
-        terms = {k: _acc_coeff(rng) for k in rng.sample(keys, rng.randint(1, 9))}
-        for k, v in terms.items():
-            if rng.random() < 0.25:
-                d[k] = -(c * v)  # the update cancels, so the key must go
-                cancelled += 1
+        if edges:
+            d, terms, c = edges.pop()
+        else:
+            d = {k: _acc_coeff(rng) for k in rng.sample(keys, rng.randint(0, 9))}
+            c = _acc_coeff(rng)
+            terms = {k: _acc_coeff(rng) for k in rng.sample(keys, rng.randint(1, 9))}
+            for k, v in terms.items():
+                if rng.random() < 0.25:
+                    d[k] = -(c * v)  # the update cancels, so the key must go
+                    cancelled += 1
         want = dict(d)
         for k, v in terms.items():
             acc_term(want, k, c if v is H_ONE else c * v)
@@ -296,8 +382,37 @@ def test_acc_scaled_against_acc_term(seed):
         assert got == want and list(got) == list(want)
         for k, v in got.items():
             assert (v.num, v.den, v.val) == (want[k].num, want[k].den, want[k].val)
+        # a value formed on the integer fields (single powers in, and not a
+        # term stored as it is) that is r*h^k in range is the table's entry
+        for k, v in terms.items():
+            cur, p = d.get(k), got.get(k)
+            if not (_single_power(p) and _single_power(c) and _single_power(v)):
+                continue
+            if cur is None and c is H_ONE or cur is not None and not _single_power(cur):
+                continue
+            (re, im), = p.num
+            if p.den == 1 and not im and p.val < V and abs(re) <= R:
+                assert p is table[p.val][re], p
+                shared += 1
+            assert p != 1 or p is H_ONE, "a computed 1 is not H_ONE"
+            ones += p == 1
         updates += len(terms)
-    assert cancelled
+    assert cancelled and shared and ones
+    # the table: V rows of 2R + 1, entry r*h^k at row k, index r (a negative
+    # r from the end of its row), canonical; index 0 (zero) is never filled
+    assert table[0][1] is H_ONE and table[1][1] is H
+    assert len(table) == V and all(len(row) == 2 * R + 1 for row in table)
+    filled = 0
+    for k, row in enumerate(table):
+        assert row[0] is None
+        for index, p in enumerate(row):
+            if p is not None:
+                filled += 1
+                (re, im), = p.num
+                assert (im, p.den, p.val) == (0, 1, k) and 0 < abs(re) <= R
+                assert index == re % (2 * R + 1) and row[re] is p
+                assert (p.num, p.den, p.val) == scalars._canonical(p.num, p.den, p.val)
+    assert 2 < filled <= (2 * R + 1) * V
 
 
 def _exponent_add_product(f, g):

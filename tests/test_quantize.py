@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_coeff
+from conftest import named_algebra, rand_coeff
 from orbitstar import quantize, scalars
 from orbitstar.envelope import NCPoly, word_exps
 from orbitstar.exprs import format_cpoly, parse_expression
@@ -39,6 +39,20 @@ def brute_symmetrize(L, exps):
 def test_symmetrize_against_permutation_oracle(name):
     L = predefined(name)
     for exps in monomials_up_to(L.dim, 5):
+        mono = CPoly.monomial(L.dim, exps)
+        assert symmetrize(L, mono) == brute_symmetrize(L, exps)
+
+
+@pytest.mark.parametrize("name, scale, degree", [
+    ("su3", Fraction(2, 3), 3),
+    ("so4", Fraction(1, 2), 4),
+], ids=["su3-2/3", "so4-1/2"])
+def test_symmetrize_against_permutation_oracle_non_integer_constants(name, scale, degree):
+    # the compact su3 and so(4) constants are integers; scaled, the
+    # recursion's 1/p weights meet fractional brackets
+    L = named_algebra(name, scale)
+    assert any(v.den != 1 for plane in L.c for row in plane for v in row)
+    for exps in monomials_up_to(L.dim, degree):
         mono = CPoly.monomial(L.dim, exps)
         assert symmetrize(L, mono) == brute_symmetrize(L, exps)
 
