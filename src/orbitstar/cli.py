@@ -5,9 +5,9 @@ codes: 0 on success, 1 when a verification suite fails, 2 on configuration,
 parse or option errors (a negative bound, or a zero one in verify), 3 on an
 internal fault (an exception escaping a verification suite, or any other
 unexpected exception).  A closed stdout ends the command silently.
-`verify all` runs its suites through `verify.run_suites`, in up to two
-forked child processes when more than one CPU is available; its output
-and exit code do not depend on that.  The modules only `verify`, `rep` and
+`verify all` runs its suites through `verify.run_suites`, in this process
+and one forked child when more than one CPU is available; its output and
+exit code do not depend on that.  The modules only `verify`, `rep` and
 `cohomology` run are imported by those subcommands (and by the exit-3
 handler, for `verify.describe`), so the other commands never compile them.
 """

@@ -23,7 +23,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .envelope import NCPoly, _nf_word
-from .lie import LieAlgebra, _list, orbit_algebra, predefined
+from .lie import LieAlgebra, _list, is_semisimple, orbit_algebra, predefined
 from .linalg import LinearSystem
 from .poly import (
     CPoly,
@@ -40,13 +40,15 @@ from .scalars import H, H_ONE, HPoly, as_hpoly, merge_sums
 
 class Orbit:
     """The sphere p = c0 (p the sum of the squared coordinates, c0 nonzero)
-    together with a lift c(h) of its ideal."""
+    of a semisimple algebra, together with a lift c(h) of its ideal."""
 
     def __init__(self, algebra: LieAlgebra, invariants, constants, lifts=None):
         self.algebra = algebra
         n = algebra.dim
         if not n:
             raise ValueError("an orbit needs an algebra of positive dimension")
+        if not is_semisimple(algebra):
+            raise ValueError("an orbit needs a semisimple algebra")
         self.invariants = tuple(invariants)
         for p in self.invariants:
             if not is_invariant(algebra, p):

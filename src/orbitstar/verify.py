@@ -9,10 +9,11 @@ Every option defaults to None (seed to 0), which a suite reads as its own
 default.  The CLI's verify subcommand and the acceptance tests both run these.
 
 The suites are independent and deterministic, so `run_suites` runs several
-in up to min(#suites, #CPUs, 2) forked child processes and returns the
-same reports, in the same order, as the in-process loop.  The children take
-suite indices from one shared pipe and pickle each outcome back over a pipe
-of their own; no executor, thread or multiprocessing machinery is involved.
+on up to min(#suites, #CPUs, 2) workers, the caller first, and returns the
+same reports, in the same order, as the in-process loop.  The caller takes
+suite 0 (pbw in `verify all`) before it forks, so the memos its suites fill
+outlive the call.  Workers take suite indices from one shared pipe; a child
+pickles each outcome back over a pipe of its own, with no multiprocessing.
 """
 
 from __future__ import annotations
@@ -541,11 +542,11 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-# pbw, the largest suite, is about 30% of `verify all` (0.16 s against
-# 0.39 s for the other ten suites together, in-process medians on a 2-vCPU
-# VM), so two children taking suites in order finish within about 0.03 s of
-# each other; a third could bring each child's 0.27 s towards 0.18 s, but
-# only with three free CPUs, and it holds one more copy of the memos.
+# pbw, the largest suite, is about 30% of `verify all` (35 ms against 80 ms
+# for the other ten suites together, cold in-process medians on a 2-vCPU
+# VM), so the caller, starting with pbw, and one child taking the suites in
+# order end within a few ms of each other; a third worker helps only with
+# three free CPUs, and its child would hold one more copy of the memos.
 _MAX_WORKERS = 2
 
 # a suite index travels as one byte of the task pipe
@@ -582,21 +583,31 @@ def _serve(tasks, results, names, options):
         os._exit(status)
 
 
+def _run_here(name, options):
+    """One suite's reports; an exception escaping it causes InternalError."""
+    try:
+        return run_suite(name, **options)
+    except Exception as exc:
+        raise InternalError(f"suite {name}: {describe(exc)}") from exc
+
+
 def _run_forked(names, workers, options):
-    """run_suites' reports from `workers` forked children.  Every child is
-    reaped before this returns or raises; on an exception here, the
-    children still running are killed first."""
+    """run_suites' reports from this process, which takes suite 0 before it
+    forks `workers - 1` children and more until the queue is empty or one of
+    its suites fails.  Every child is reaped before this returns or raises;
+    on an exception here, the children still running are killed first."""
     tasks, feed = os.pipe()
     # fewer than 512 bytes (POSIX's least PIPE_BUF) always fit, so every
-    # index is queued before any child starts and the write end is closed:
-    # a child reads EOF once the queue is empty
+    # index is queued before any worker starts and the write end is closed:
+    # a worker reads EOF once the queue is empty
     os.write(feed, bytes(range(len(names))))
     os.close(feed)
     streams = {}  # child pid -> the parent's end of its result pipe
     ended = {}  # child pid -> wait status
-    taken, outcomes = {}, {}  # suite index -> child pid, (reports, fault)
+    taken, outcomes = {}, {}  # suite index -> child pid, reports or InternalError
     try:
-        for _ in range(workers):
+        mine = os.read(tasks, 1)
+        for _ in range(workers - 1):
             out, into = os.pipe()
             try:
                 pid = os.fork()
@@ -608,6 +619,12 @@ def _run_forked(names, workers, options):
                 _serve(tasks, into, names, options)
             os.close(into)
             streams[pid] = open(out, "rb")
+        try:
+            while mine:
+                outcomes[mine[0]] = _run_here(names[mine[0]], options)
+                mine = os.read(tasks, 1)
+        except InternalError as err:  # the caller stops at its first fault
+            outcomes[mine[0]] = err
         # a stream ends when its child exits; a child blocked on a full pipe
         # takes no more suites, so the others drain the task queue meanwhile
         for pid, stream in streams.items():
@@ -615,9 +632,11 @@ def _run_forked(names, workers, options):
                 try:
                     index = pickle.load(stream)
                     taken[index] = pid
-                    outcomes[index] = pickle.load(stream)
+                    cases, fault = pickle.load(stream)
                 except (EOFError, pickle.UnpicklingError):  # cut off where the child ended
                     break
+                outcomes[index] = (cases if fault is None else
+                                   InternalError(f"suite {names[index]}: {fault}"))
         for pid in streams:
             ended[pid] = os.waitpid(pid, 0)[1]
     finally:
@@ -638,10 +657,9 @@ def _run_forked(names, workers, options):
             code = os.waitstatus_to_exitcode(ended[pid])
             how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
             raise InternalError(f"suite {name}: child process {how}")
-        cases, fault = outcomes[index]
-        if fault is not None:
-            raise InternalError(f"suite {name}: {fault}")
-        reports.extend(cases)
+        if isinstance(outcomes[index], InternalError):
+            raise outcomes[index]
+        reports.extend(outcomes[index])
     return reports
 
 
@@ -649,11 +667,11 @@ def run_suites(names=None, **options):
     """The reports of the named suites (all of them by default), in order.
 
     With more than one suite and more than one available CPU, where the
-    platform can fork and no other thread runs, the suites run in up to two
-    forked children, which inherit this process's memo tables; the reports
-    are the same as those of the in-process loop.  An exception escaping a
+    platform can fork and no other thread runs, this process shares the
+    suites with one forked child, keeping the memos of those it runs; the
+    reports are those of the in-process loop.  An exception escaping a
     suite, or a child that dies, raises InternalError for the first such
-    suite in the order of `names`; in-process, the exception is its cause.
+    suite in the order of `names`; for a suite run here, it is the cause.
     """
     names = list(SUITES if names is None else names)
     _check_known(names)
@@ -661,10 +679,4 @@ def run_suites(names=None, **options):
     if (workers > 1 and len(names) <= _MAX_FORKED_SUITES and hasattr(os, "fork")
             and threading.active_count() == 1):
         return _run_forked(names, workers, options)
-    reports = []
-    for name in names:
-        try:
-            reports.extend(run_suite(name, **options))
-        except Exception as exc:
-            raise InternalError(f"suite {name}: {describe(exc)}") from exc
-    return reports
+    return [report for name in names for report in _run_here(name, options)]

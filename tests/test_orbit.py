@@ -42,6 +42,14 @@ def test_orbit_validation(su2, xyz):
     # a dimension-0 algebra has no coordinates to square
     with pytest.raises(ValueError, match="positive dimension"):
         Orbit(LieAlgebra([], {}), [CPoly.zero(0)], [1])
+    # every polynomial is invariant on an abelian algebra, so the sum of
+    # squares passes as an invariant, but its level set is no regular
+    # coadjoint orbit of a compact semisimple group
+    for dim in (1, 3):
+        zero = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        abelian = LieAlgebra([f"A{i}" for i in range(dim)], zero)
+        with pytest.raises(ValueError, match="^an orbit needs a semisimple algebra$"):
+            sphere_orbit(1, algebra=abelian)
 
 
 def test_orbit_reduce_goldens(sphere, xyz):

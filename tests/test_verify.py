@@ -1,11 +1,15 @@
-"""run_suites: the forked children (the "pool" of the older test names) and
-the in-process loop give the same reports and the same faults, and every
-child is reaped on every path.  Patching `verify.available_cpus` picks the
-path: one CPU runs the suites in-process, two or more fork up to two
-children.  Also: the suite registry keeps its order and names, `verify`
-hands its options to run_suites unchanged, and the pbw suite's per-word
-associativity sweep gives the verdict, count and witness of a plain triple
-loop."""
+"""run_suites: the caller with its forked child (the "pool" of the older
+test names) and the in-process loop give the same reports and the same
+faults, and every child is reaped on every path.  Patching
+`verify.available_cpus` picks the path: one CPU runs the suites
+in-process; two or more make the caller the first of two workers, taking
+suite 0 before it forks one child.  A test that needs a suite to run in
+the child puts it at index 1 or later, behind a suite 0 that naps, and
+guards it with `_in_child`, so that it fails instead of ending pytest if
+the caller takes it.  Also: the suite registry keeps its order and names,
+`verify` hands its options to run_suites unchanged, and the pbw suite's
+per-word associativity sweep gives the verdict, count and witness of a
+plain triple loop."""
 
 import itertools
 import json
@@ -101,22 +105,44 @@ def _pid_suite(**_):
     return [{"suite": "pid", "case": str(os.getpid()), "status": "pass"}]
 
 
+def _napping_suite(**_):
+    """Suite 0 of a forked run: the caller sleeps in it while its child
+    takes suite 1."""
+    time.sleep(0.2)
+    return _pid_suite()
+
+
+def _in_child(action):
+    """A suite that runs `action` in a forked child; in the caller it raises
+    AssertionError at once, so it can neither end nor hang the tests."""
+    caller = os.getpid()
+
+    def suite(**_):
+        if os.getpid() == caller:
+            raise AssertionError("the caller took a suite meant for its child")
+        return action()
+    return suite
+
+
 def test_pool_runs_suites_in_children(monkeypatch):
-    monkeypatch.setitem(verify.SUITES, "centrality", _pid_suite)
+    monkeypatch.setitem(verify.SUITES, "centrality", _napping_suite)
+    monkeypatch.setitem(verify.SUITES, "grading", _pid_suite)
     names = ["centrality", "grading"]
     here = str(os.getpid())
     _cpus(monkeypatch, 1)
-    assert verify.run_suites(names)[0]["case"] == here
+    assert [rep["case"] for rep in verify.run_suites(names)] == [here, here]
     if HAS_FORK:
         _cpus(monkeypatch, 2)
-        assert verify.run_suites(names)[0]["case"] != here
+        first, later = verify.run_suites(names)
+        assert first["case"] == here and later["case"] != here
 
 
 def test_pool_has_at_most_two_workers(monkeypatch):
     for name in verify.SUITES:
         monkeypatch.setitem(verify.SUITES, name, _pid_suite)
     _cpus(monkeypatch, 8)
-    assert len({rep["case"] for rep in verify.run_suites()}) <= 2
+    pids = {rep["case"] for rep in verify.run_suites()}
+    assert str(os.getpid()) in pids and len(pids) <= 2
 
 
 def test_single_suite_never_forks(monkeypatch):
@@ -167,21 +193,21 @@ def test_in_process_fault_keeps_its_cause(monkeypatch):
 
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
 def test_dead_worker_names_its_suite(monkeypatch, capsys):
-    def killed(**_):
-        os._exit(9)
-
+    killed = _in_child(lambda: os._exit(9))
+    monkeypatch.setitem(verify.SUITES, "centrality", _napping_suite)
     monkeypatch.setitem(verify.SUITES, "lemma", killed)
     _cpus(monkeypatch, 2)
     with pytest.raises(verify.InternalError,
                        match=r"^suite lemma: child process exited with status 9$") as info:
-        verify.run_suites(["lemma", "grading"])
+        verify.run_suites(["centrality", "lemma", "grading"])
     assert info.value.__cause__ is None
-    monkeypatch.setitem(verify.SUITES, "pbw", killed)
+    monkeypatch.setitem(verify.SUITES, "pbw", _napping_suite)
+    monkeypatch.setitem(verify.SUITES, "centrality", killed)
     assert cli.main(["verify", "all"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert lines == ["internal error: suite pbw: child process exited with status 9"]
+    assert lines == ["internal error: suite centrality: child process exited with status 9"]
 
 
 def test_unknown_suite_is_bad_input(monkeypatch):
@@ -198,15 +224,16 @@ def test_unpicklable_exception_in_child_exits_3(monkeypatch, capsys):
             super().__init__("cannot travel")
             self.lock = threading.Lock()
 
-    def broken(**_):
+    def broken():
         raise Unpicklable()
 
-    monkeypatch.setitem(verify.SUITES, "lemma", broken)
+    monkeypatch.setitem(verify.SUITES, "pbw", _napping_suite)
+    monkeypatch.setitem(verify.SUITES, "centrality", _in_child(broken))
     _cpus(monkeypatch, 2)
     assert cli.main(["verify", "all"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: suite lemma: Unpicklable: cannot travel\n"
+    assert captured.err == "internal error: suite centrality: Unpicklable: cannot travel\n"
 
 
 def test_import_leaves_pool_modules_unloaded():
@@ -234,11 +261,11 @@ def _sleeping_suite(**_):
     return []
 
 
-def _exiting_suite(**_):
+def _exiting_suite():
     raise SystemExit(0)
 
 
-def _signalled_suite(**_):
+def _signalled_suite():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -250,19 +277,21 @@ def _assert_no_children():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("suite, error", [
     (_pid_suite, None),
-    (_exiting_suite, r"^suite lemma: child process exited with status 1$"),
-    (_signalled_suite, rf"^suite lemma: child process killed by signal {signal.SIGKILL:d}$"),
+    (_in_child(_exiting_suite), r"^suite lemma: child process exited with status 1$"),
+    (_in_child(_signalled_suite),
+     rf"^suite lemma: child process killed by signal {signal.SIGKILL:d}$"),
 ], ids=["pass", "system-exit", "signal"])
 def test_runner_reaps_every_child(monkeypatch, suite, error):
     # a child that is killed, or that meets an exception no suite fault
     # covers, still ends in os._exit and never returns into the caller
+    monkeypatch.setitem(verify.SUITES, "centrality", _napping_suite)
     monkeypatch.setitem(verify.SUITES, "lemma", suite)
     _cpus(monkeypatch, 2)
     if error is None:
-        assert len(verify.run_suites(["lemma", "centrality", "grading"])) > 1
+        assert len(verify.run_suites(["centrality", "lemma", "grading"])) > 1
     else:
         with pytest.raises(verify.InternalError, match=error):
-            verify.run_suites(["lemma", "centrality", "grading"])
+            verify.run_suites(["centrality", "lemma", "grading"])
     _assert_no_children()
 
 
@@ -271,8 +300,10 @@ def test_fault_in_parent_kills_and_reaps_children(monkeypatch):
     def refused(stream):
         raise RuntimeError("refused")
 
-    monkeypatch.setitem(verify.SUITES, "centrality", _sleeping_suite)
-    monkeypatch.setitem(verify.SUITES, "lemma", _sleeping_suite)
+    # the caller runs centrality itself, then meets the fault reading the
+    # outcome of the child that sleeps in lemma
+    monkeypatch.setitem(verify.SUITES, "centrality", _napping_suite)
+    monkeypatch.setitem(verify.SUITES, "lemma", _in_child(_sleeping_suite))
     monkeypatch.setattr(verify.pickle, "load", refused)
     _cpus(monkeypatch, 2)
     start = time.monotonic()
@@ -291,6 +322,82 @@ def test_suite_fault_reaps_every_child(monkeypatch):
     with pytest.raises(verify.InternalError, match=r"^suite centrality: RuntimeError: boom$"):
         verify.run_suites(["lemma", "centrality", "grading"])
     _assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_caller_fault_keeps_its_cause(monkeypatch, capsys):
+    # suite 0 runs in the caller, so its exception travels as the cause,
+    # as on one CPU, and the child forked for the other suites is reaped
+    err = RuntimeError("boom")
+
+    def broken(**_):
+        raise err
+
+    monkeypatch.setitem(verify.SUITES, "pbw", broken)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(verify.InternalError, match=r"^suite pbw: RuntimeError: boom$") as info:
+        verify.run_suites(["pbw", "centrality", "grading"])
+    assert info.value.__cause__ is err
+    _assert_no_children()
+    assert cli.main(["verify", "all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: suite pbw: RuntimeError: boom\n"
+    _assert_no_children()
+
+
+def _raising_suite():
+    """A suite whose exception names the process that ran it."""
+    caller = os.getpid()
+
+    def suite(**_):
+        raise RuntimeError(f"boom in the {'caller' if os.getpid() == caller else 'child'}")
+    return suite
+
+
+def _slow_suite(**_):
+    time.sleep(0.5)
+    return []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("suites, error", [
+    # the caller fails at once in suite 0, so its child takes suites 1 and 2
+    ((_raising_suite(), _pid_suite, _raising_suite()),
+     r"^suite centrality: RuntimeError: boom in the caller$"),
+    # the child fails in suite 1 and sleeps in suite 2 while the caller,
+    # done napping in suite 0, takes suite 3 and fails there
+    ((_napping_suite, _raising_suite(), _slow_suite, _raising_suite()),
+     r"^suite lemma: RuntimeError: boom in the child$"),
+], ids=["caller-first", "child-first"])
+def test_first_fault_wins_across_processes(monkeypatch, suites, error):
+    names = ["centrality", "lemma", "reps", "grading"][:len(suites)]
+    for name, suite in zip(names, suites):
+        monkeypatch.setitem(verify.SUITES, name, suite)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(verify.InternalError, match=error) as info:
+        verify.run_suites(names)
+    assert (info.value.__cause__ is not None) == error.endswith("caller$")
+    _assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_caller_keeps_the_pbw_memos():
+    # the caller runs pbw, suite 0 of verify all, so the su2 normal forms it
+    # builds stay here for the next call and the child that call forks
+    src = str(Path(orbitstar.__file__).resolve().parents[1])
+    code = (
+        "from orbitstar import verify\n"
+        "from orbitstar.lie import predefined\n"
+        "verify.available_cpus = lambda: 2\n"
+        "first = verify.run_suites()\n"
+        "print(len(predefined('su2')._nf_cache['engine']) > 0,"
+        " verify.run_suites() == first)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
 
 
 def _reference_associativity(L, bound):
