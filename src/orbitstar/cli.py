@@ -254,9 +254,8 @@ def cmd_rep(args):
     }
     omega = sl2_casimir(sl2)
     hw = highest_weight_casimir(sl2, omega)
-    lift_a = parse_hpoly(args.lift) if args.lift else parse_hpoly("4")
-    lift_b = parse_hpoly(args.lift_b) if args.lift_b else parse_hpoly("4 + h*(1/3)")
-    witness = nonisomorphism_witness(lift_a, lift_b, args.lambda_bound)
+    witness = nonisomorphism_witness(parse_hpoly(args.lift), parse_hpoly(args.lift_b),
+                                     args.lambda_bound)
     payload = {
         "casimir_scalars_h1": scalars,
         "highest_weight_casimir": format_cpoly(hw, ("lambda",)),
@@ -359,8 +358,9 @@ def build_parser():
 
     p = sub.add_parser("rep", help="casimir scalars and the spectrum witness")
     common(p, orbit_flags=False, algebra_flags=False)
-    p.add_argument("--lift", help="first ideal lift (default 4)")
-    p.add_argument("--lift-b", help="second ideal lift (default 4 + h/3)")
+    p.add_argument("--lift", default="4", help="first ideal lift (default 4)")
+    p.add_argument("--lift-b", default="4 + h*(1/3)",
+                   help="second ideal lift (default 4 + h/3)")
     p.add_argument("--lambda-bound", type=int, default=20)
     p.set_defaults(fn=cmd_rep)
 

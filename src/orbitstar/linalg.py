@@ -1,8 +1,8 @@
 """Exact linear algebra over the Gaussian rationals (h-free HPolys).
 
 Dense helpers for small matrices (products, determinants, inverses) plus an
-incremental sparse row-reduction used by the coboundary, gauge and
-bidifferential solvers.  LinearSystem.add_polys is the one place where an
+incremental sparse row-reduction used by the coboundary and gauge
+solvers.  LinearSystem.add_polys is the one place where an
 equation between polynomials becomes scalar rows, one per monomial.
 Everything is exact; there is no pivot-size heuristic because there is no
 rounding.

@@ -24,7 +24,6 @@ from heapq import heappop, heappush
 
 from .envelope import NCPoly, _nf_word
 from .lie import LieAlgebra, _list, is_semisimple, orbit_algebra, predefined
-from .linalg import LinearSystem
 from .poly import (
     CPoly,
     ReductionSystem,
@@ -312,55 +311,33 @@ class Orbit:
 
         The ansatz B1(f, g) = sum_{u,v in {x,y}} b_uv (df/du)(dg/dv) with
         on-orbit polynomial coefficients of bounded degree is matched against
-        the engine's first-order values on the coordinate pairs, and against
-        the (z, z) value after clearing the chart denominators (dz/du =
-        -u/z, so z^2 B1(z, z) = sum b_uv u v).  zz_data overrides the cleared
-        (z, z) value for fault-injection controls.  Returns the solve outcome
-        together with the residual equation as a certificate.
+        the engine's first-order values on the coordinate pairs, which force
+        b_uv = B1(x_u, x_v), and against the (z, z) value after clearing the
+        chart denominators (dz/du = -u/z, so z^2 B1(z, z) = sum b_uv u v).
+        zz_data overrides the cleared (z, z) value for fault-injection
+        controls.  The ansatz is feasible when every forced b_uv is within
+        the degree bound and the forced sum equals the cleared value; if
+        not, the certificate is the equation 0 = forced - cleared value.
         """
         n = self.algebra.dim
         star = self.star_product()
-        x = CPoly.variable(n, 0)
-        y = CPoly.variable(n, 1)
-        z = CPoly.variable(n, n - 1)
-        coords = [(0, x), (1, y)]
-        b_values = {}
-        for iu, u in coords:
-            for iv, v in coords:
-                b_values[(iu, iv)] = star.bn(u, v, 1)
-        zz = star.bn(z, z, 1)
-        cleared_zz = (
-            zz_data if zz_data is not None else self.orbit_reduce(z * z * zz)
-        )
-
-        basis = star.monomial_basis(coeff_degree_bound)
-        cols = [(uv, exps) for uv in b_values for exps in basis]
-        # the cleared (z, z) equation: sum_uv b_uv * x_u x_v = cleared value
-        chart = {
-            col: self.orbit_reduce(CPoly.monomial(n, exps) * CPoly.variable(n, iu)
-                                   * CPoly.variable(n, iv))
-            for col, ((iu, iv), exps) in enumerate(cols)
-        }
-        # match the ansatz on coordinate pairs, b_uv = engine B1(x_u, x_v),
-        # where a term of B1 beyond the degree bound is a conflict; then
-        # the chart equation
-        system = LinearSystem(len(cols))
-        feasible = all(
-            system.add_polys(
-                {col: CPoly.monomial(n, exps)
-                 for col, (key, exps) in enumerate(cols) if key == uv},
-                val, tag=("match", uv))
-            for uv, val in b_values.items()
-        ) and system.add_polys(chart, cleared_zz, tag="chart")
-        # the forced ansatz requires cleared_zz = forced; the certificate is
-        # the unsatisfiable equation 0 = forced - cleared_zz
+        coords = [CPoly.variable(n, i) for i in range(n)]
+        b_values = {(iu, iv): star.bn(coords[iu], coords[iv], 1)
+                    for iu in (0, 1) for iv in (0, 1)}
+        z = coords[-1]
+        cleared_zz = (zz_data if zz_data is not None
+                      else self.orbit_reduce(z * z * star.bn(z, z, 1)))
         forced = CPoly.zero(n)
         for (iu, iv), val in b_values.items():
-            forced = forced + val * CPoly.variable(n, iu) * CPoly.variable(n, iv)
-        residual = self.orbit_reduce(forced - cleared_zz)
+            forced = forced + val * coords[iu] * coords[iv]
+        # the product's values are orbit-reduced, so each lies in the span of
+        # the basis monomials of degree <= bound exactly when its degree does
+        feasible = (all(val.is_zero() or val.degree() <= coeff_degree_bound
+                        for val in b_values.values())
+                    and self.orbit_reduce(forced) == cleared_zz)
         return {
             "feasible": feasible,
-            "certificate": None if feasible else residual,
+            "certificate": None if feasible else self.orbit_reduce(forced - cleared_zz),
             "coefficients": b_values,
             "degree_bound": coeff_degree_bound,
         }

@@ -8,12 +8,13 @@ returning case reports shaped as
 Every option defaults to None (seed to 0), which a suite reads as its own
 default.  The CLI's verify subcommand and the acceptance tests both run these.
 
-The suites are independent and deterministic, so `run_suites` runs several
-on up to min(#suites, #CPUs, 2) workers, the caller first, and returns the
-same reports, in the same order, as the in-process loop.  The caller takes
-suite 0 (pbw in `verify all`) before it forks, so the memos its suites fill
-outlive the call.  Workers take suite indices from one shared pipe; a child
-pickles each outcome back over a pipe of its own, with no multiprocessing.
+The suites are independent and deterministic, so on two or more CPUs
+`run_suites` shares them between the caller and one forked child, and
+returns the same reports, in the same order, as the in-process loop.  The
+caller takes suite 0 (pbw in `verify all`) before it forks, so the memos its
+suites fill outlive the call.  Both take suite indices from one shared pipe;
+the child pickles each outcome back over a pipe of its own as its suite
+ends, with no multiprocessing.
 """
 
 from __future__ import annotations
@@ -542,42 +543,27 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-# pbw, the largest suite, is about 30% of `verify all` (35 ms against 80 ms
-# for the other ten suites together, cold in-process medians on a 2-vCPU
-# VM), so the caller, starting with pbw, and one child taking the suites in
-# order end within a few ms of each other; a third worker helps only with
-# three free CPUs, and its child would hold one more copy of the memos.
-_MAX_WORKERS = 2
-
 # a suite index travels as one byte of the task pipe
 _MAX_FORKED_SUITES = 256
 
 
-def _guarded(name, options):
-    """A child's outcome of one suite: (reports, None), or (None, the
-    one-line description of the fault).  The description travels instead
-    of the exception, so an exception that cannot be pickled reaches the
-    parent unchanged."""
-    try:
-        return run_suite(name, **options), None
-    except Exception as exc:
-        return None, describe(exc)
-
-
 def _serve(tasks, results, names, options):
-    """A forked child's whole life: take suite indices from the `tasks` pipe
-    one byte at a time until it is empty, and pickle onto the `results` pipe
-    each index as it starts, then its outcome.  Ends the process on every
-    path, so it never returns into the caller."""
+    """The forked child's whole life: take suite indices from the `tasks`
+    pipe one byte at a time until it is empty, and pickle each (index,
+    reports) onto the `results` pipe as its suite ends, or (index, the
+    fault's one-line text): the text travels instead of the exception, so
+    one that cannot be pickled reaches the parent unchanged.  Ends the
+    process on every path, so it never returns into the caller."""
     status = 1
     try:
         with open(results, "wb") as out:
             while taken := os.read(tasks, 1):
-                index = taken[0]
-                pickle.dump(index, out)
-                out.flush()  # the parent learns who ran a suite that kills its child
-                pickle.dump(_guarded(names[index], options), out)
-                out.flush()
+                try:
+                    outcome = _run_here(names[taken[0]], options)
+                except InternalError as err:
+                    outcome = str(err)
+                pickle.dump((taken[0], outcome), out)
+                out.flush()  # a child that dies later is not blamed for this suite
         status = 0
     finally:
         os._exit(status)
@@ -591,75 +577,67 @@ def _run_here(name, options):
         raise InternalError(f"suite {name}: {describe(exc)}") from exc
 
 
-def _run_forked(names, workers, options):
-    """run_suites' reports from this process, which takes suite 0 before it
-    forks `workers - 1` children and more until the queue is empty or one of
-    its suites fails.  Every child is reaped before this returns or raises;
-    on an exception here, the children still running are killed first."""
+def _run_forked(names, options):
+    """run_suites' reports from this process and one forked child.  The
+    caller takes suite 0 before it forks, then more until the queue is
+    empty or one of its suites fails; the child takes the others.  The child
+    is reaped before this returns or raises; on an exception here, it is
+    killed first."""
     tasks, feed = os.pipe()
     # fewer than 512 bytes (POSIX's least PIPE_BUF) always fit, so every
-    # index is queued before any worker starts and the write end is closed:
-    # a worker reads EOF once the queue is empty
+    # index is queued before the child starts and the write end is closed:
+    # a process reads EOF once the queue is empty
     os.write(feed, bytes(range(len(names))))
     os.close(feed)
-    streams = {}  # child pid -> the parent's end of its result pipe
-    ended = {}  # child pid -> wait status
-    taken, outcomes = {}, {}  # suite index -> child pid, reports or InternalError
+    pid = stream = status = None
+    outcomes = {}  # suite index -> reports or InternalError
     try:
         mine = os.read(tasks, 1)
-        for _ in range(workers - 1):
-            out, into = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(out)
-                os.close(into)
-                raise
+        out, into = os.pipe()
+        stream = open(out, "rb")
+        # pbw, the largest suite, is about 30% of `verify all`, so the caller,
+        # starting with it, and one child end within a few ms of each other;
+        # a second child would hold one more copy of the memo tables
+        try:
+            pid = os.fork()
             if pid == 0:
                 _serve(tasks, into, names, options)
+        finally:
             os.close(into)
-            streams[pid] = open(out, "rb")
         try:
             while mine:
                 outcomes[mine[0]] = _run_here(names[mine[0]], options)
                 mine = os.read(tasks, 1)
         except InternalError as err:  # the caller stops at its first fault
             outcomes[mine[0]] = err
-        # a stream ends when its child exits; a child blocked on a full pipe
-        # takes no more suites, so the others drain the task queue meanwhile
-        for pid, stream in streams.items():
-            while True:
-                try:
-                    index = pickle.load(stream)
-                    taken[index] = pid
-                    cases, fault = pickle.load(stream)
-                except (EOFError, pickle.UnpicklingError):  # cut off where the child ended
-                    break
-                outcomes[index] = (cases if fault is None else
-                                   InternalError(f"suite {names[index]}: {fault}"))
-        for pid in streams:
-            ended[pid] = os.waitpid(pid, 0)[1]
+        # the stream ends when the child exits; a child blocked on a full
+        # pipe takes no more suites, so the caller drains the queue meanwhile
+        while True:
+            try:
+                index, outcome = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):  # cut off where the child ended
+                break
+            outcomes[index] = (InternalError(outcome) if isinstance(outcome, str)
+                               else outcome)
+        status = os.waitpid(pid, 0)[1]
     finally:
-        running = [pid for pid in streams if pid not in ended]
-        for pid in running:
+        if pid and status is None:
             os.kill(pid, signal.SIGKILL)
-        for pid in running:
             os.waitpid(pid, 0)
-        for stream in streams.values():
+        if stream is not None:
             stream.close()
         os.close(tasks)
     reports = []
     for index, name in enumerate(names):
-        if index not in outcomes:
-            # a child dies with the suite it took; one that died before
-            # announcing its suite is the one that did not exit cleanly
-            pid = taken.get(index) or next(p for p, status in ended.items() if status)
-            code = os.waitstatus_to_exitcode(ended[pid])
+        outcome = outcomes.get(index)
+        if outcome is None:
+            # the child sends each outcome as its suite ends, so it died here
+            code = os.waitstatus_to_exitcode(status)
             how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
             raise InternalError(f"suite {name}: child process {how}")
-        if isinstance(outcomes[index], InternalError):
-            raise outcomes[index]
-        reports.extend(outcomes[index])
+        if isinstance(outcome, InternalError):
+            raise outcome
+        reports.extend(outcome)
     return reports
 
 
@@ -675,8 +653,7 @@ def run_suites(names=None, **options):
     """
     names = list(SUITES if names is None else names)
     _check_known(names)
-    workers = min(len(names), available_cpus(), _MAX_WORKERS)
-    if (workers > 1 and len(names) <= _MAX_FORKED_SUITES and hasattr(os, "fork")
-            and threading.active_count() == 1):
-        return _run_forked(names, workers, options)
+    if (1 < len(names) <= _MAX_FORKED_SUITES and available_cpus() > 1
+            and hasattr(os, "fork") and threading.active_count() == 1):
+        return _run_forked(names, options)
     return [report for name in names for report in _run_here(name, options)]

@@ -402,6 +402,18 @@ def test_cli_rep_json(capsys):
     assert payload["witness"]["witness_found"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["rep", "--lift="], ["rep", "--lift-b="], ["star", "--lift=", "x", "y"],
+    ["verify", "centrality", "--lift="],
+], ids=["rep-lift", "rep-lift-b", "star", "verify"])
+def test_cli_empty_lift_exits_2(capsys, argv):
+    # an empty lift is bad input on every command, not a request for the default
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: syntax error at offset 0\n"
+
+
 def test_cli_cohomology(capsys):
     assert cli.main(["cohomology", "--max-degree", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

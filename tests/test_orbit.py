@@ -5,7 +5,9 @@ import pytest
 
 from orbitstar import orbit as orbit_module
 from orbitstar.envelope import NCPoly
+from orbitstar.exprs import parse_hpoly
 from orbitstar.lie import LieAlgebra
+from orbitstar.linalg import LinearSystem
 from orbitstar.orbit import Orbit, orbit_from_json, sphere_orbit
 from orbitstar.poly import (
     CPoly,
@@ -439,6 +441,55 @@ def test_bidifferential_obstruction(sphere, xyz):
     ctrl = sphere.bidifferential_obstruction(3, zz_data=-(x * y * z))
     assert ctrl["feasible"]
     assert ctrl["certificate"] is None
+
+
+def _bidiff_by_linear_solve(orb, bound, zz_data):
+    """bidifferential_obstruction's report from a linear solve: one column
+    per ansatz coefficient b_uv times a basis monomial of degree <= bound,
+    pinned by the coordinate pairs to the engine's B1(x_u, x_v), then the
+    cleared (z, z) equation sum_uv b_uv x_u x_v = cleared value."""
+    n = orb.algebra.dim
+    star = orb.star_product()
+    x, y, z = (CPoly.variable(n, i) for i in range(n))
+    coords = [(0, x), (1, y)]
+    b_values = {(iu, iv): star.bn(u, v, 1) for iu, u in coords for iv, v in coords}
+    cleared_zz = zz_data if zz_data is not None else orb.orbit_reduce(z * z * star.bn(z, z, 1))
+    cols = [(uv, exps) for uv in b_values for exps in star.monomial_basis(bound)]
+    chart = {
+        col: orb.orbit_reduce(CPoly.monomial(n, exps) * CPoly.variable(n, iu)
+                              * CPoly.variable(n, iv))
+        for col, ((iu, iv), exps) in enumerate(cols)
+    }
+    system = LinearSystem(len(cols))
+    feasible = all(
+        system.add_polys({col: CPoly.monomial(n, exps)
+                          for col, (key, exps) in enumerate(cols) if key == uv}, val)
+        for uv, val in b_values.items()
+    ) and system.add_polys(chart, cleared_zz)
+    forced = CPoly.zero(n)
+    for (iu, iv), val in b_values.items():
+        forced = forced + val * CPoly.variable(n, iu) * CPoly.variable(n, iv)
+    return {
+        "feasible": feasible,
+        "certificate": None if feasible else orb.orbit_reduce(forced - cleared_zz),
+        "coefficients": b_values,
+        "degree_bound": bound,
+    }
+
+
+@pytest.mark.parametrize("level, lift", [
+    (1, None), (2, None), (2, "2 + 1/3*h"), ("1/4", None), (1, "1 + h^2"),
+], ids=["unit", "level-2", "level-2-lift", "level-1/4", "lift-1+h^2"])
+def test_bidifferential_obstruction_against_linear_solve(xyz, level, lift):
+    # the bound-0 row with the -x*y*z control is feasible only if the degree
+    # test is skipped: the forced b_yx = -z has degree 1
+    x, y, z = xyz
+    orb = sphere_orbit(level, lift=None if lift is None else parse_hpoly(lift))
+    controls = [None, x * y * z, -(x * y * z), CPoly.zero(3), x * x, z * z * x, z ** 3]
+    for bound in range(6):
+        for zz_data in controls:
+            assert (orb.bidifferential_obstruction(bound, zz_data)
+                    == _bidiff_by_linear_solve(orb, bound, zz_data)), (bound, zz_data)
 
 
 def test_tangential_product_works_with_any_lift(su2, xyz):

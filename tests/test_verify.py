@@ -1,9 +1,9 @@
 """run_suites: the caller with its forked child (the "pool" of the older
 test names) and the in-process loop give the same reports and the same
-faults, and every child is reaped on every path.  Patching
+faults, and the child is reaped on every path.  Patching
 `verify.available_cpus` picks the path: one CPU runs the suites
-in-process; two or more make the caller the first of two workers, taking
-suite 0 before it forks one child.  A test that needs a suite to run in
+in-process; two or more make the caller share them with one forked
+child, taking suite 0 before it forks.  A test that needs a suite to run in
 the child puts it at index 1 or later, behind a suite 0 that naps, and
 guards it with `_in_child`, so that it fails instead of ending pytest if
 the caller takes it.  Also: the suite registry keeps its order and names,
@@ -208,6 +208,20 @@ def test_dead_worker_names_its_suite(monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert lines == ["internal error: suite centrality: child process exited with status 9"]
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+def test_dead_child_is_blamed_for_its_last_suite(monkeypatch):
+    # the child finishes lemma, then dies in reps; lemma's outcome reached
+    # the caller before the death, so reps is the suite named
+    monkeypatch.setitem(verify.SUITES, "centrality", _napping_suite)
+    monkeypatch.setitem(verify.SUITES, "lemma", _in_child(lambda: []))
+    monkeypatch.setitem(verify.SUITES, "reps", _in_child(lambda: os._exit(9)))
+    _cpus(monkeypatch, 2)
+    with pytest.raises(verify.InternalError,
+                       match=r"^suite reps: child process exited with status 9$"):
+        verify.run_suites(["centrality", "lemma", "reps"])
+    _assert_no_children()
 
 
 def test_unknown_suite_is_bad_input(monkeypatch):
