@@ -33,6 +33,7 @@ from .envelope import NCPoly, multiply_at, substitute_generators
 from .quantize import (
     StarProduct,
     check_deformation_axioms,
+    gauge_defect,
     gauge_step,
     pbw_basis_product,
     sym_inverse,

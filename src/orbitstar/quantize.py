@@ -24,7 +24,7 @@ from .envelope import NCPoly, _times, word_exps
 from .lie import LieAlgebra
 from .linalg import LinearSystem
 from .poly import CPoly, acc_scaled, kirillov_bracket, monomials_up_to
-from .scalars import H_ONE, as_hpoly, merge_sums
+from .scalars import H, H_ONE, as_hpoly, merge_sums
 
 
 def _sym_monomial(L: LieAlgebra, exps) -> NCPoly:
@@ -263,28 +263,29 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
 # ---------------------------------------------------------------------------
 # Order-by-order gauge equivalence on degree-bounded subspaces.
 
-def _apply_images(images, f: CPoly) -> CPoly:
-    out = CPoly.zero(f.nvars)
-    for exps, c in f.terms.items():
-        img = images.get(exps)
-        if img is None:
-            raise ValueError(f"operator undefined on monomial {exps}")
-        out = out + img * c
-    return out
+def _apply_gauge(t_ops, f: CPoly) -> CPoly:
+    """T f for T = 1 + sum_i h^i T_i, T_i = t_ops[i - 1] given by its images
+    of basis monomials, summed into one dict."""
+    out = dict(f.terms)
+    for i, images in enumerate(t_ops, 1):
+        hi = H ** i
+        for exps, c in f.terms.items():
+            img = images.get(exps)
+            if img is None:
+                raise ValueError(f"operator undefined on monomial {exps}")
+            acc_scaled(out, img.terms, c * hi)
+    return f._new(out)
 
 
-def _affine(const, parts):
-    """const + sum of mul(image) over the (mul, image) in parts.
-
-    An image is an affine function (const, {unknown: poly}) of the gauge
-    solver's unknowns and mul a linear map of polynomials; so is the result.
-    """
-    lin = {}
-    for mul, (c, img) in parts:
-        const = const + mul(c)
-        for u, p in img.items():
-            lin[u] = lin[u] + mul(p) if u in lin else mul(p)
-    return const, lin
+def gauge_defect(star_a: StarProduct, star_b: StarProduct, t_ops,
+                 f: CPoly, g: CPoly) -> CPoly:
+    """star_b(T f, T g) - T(star_a(f, g)) for T = 1 + sum_i h^i T_i, with
+    t_ops = [T_1..T_k] given by their images of basis monomials.  Its h^m
+    coefficient is sum_{i+j+l=m} B_b,l(T_i f, T_j g) - sum_{i+l=m} T_i(B_a,l(f, g)):
+    zero through m = k where T intertwines the products on (f, g), and at
+    m = k + 1 the order-m defect, the terms with T_m left out."""
+    return (star_b.star(_apply_gauge(t_ops, f), _apply_gauge(t_ops, g))
+            - _apply_gauge(t_ops, star_a.star(f, g)))
 
 
 def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
@@ -298,11 +299,14 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
     bound.  The unknown images of products are pinned down by the derivation
     identity T_n(ab) = a T_n(b) + T_n(a) b + R(a, b), which leaves only the
     generator images free; the remaining pairs become an exact linear system.
+    R(a, b) is gauge_defect(star_a, star_b, t_partial, a, b).h_coefficient(n).
     Returns a feasibility report; feasibility is a statement about the
     bounded subspace only.  Infeasibility is relative to the supplied
     T_1..T_{n-1}: it says they do not extend, not that the products are
     inequivalent to order n, and another T_1 can move the witness pair.
     """
+    if n < 1:
+        raise ValueError(f"gauge order must be at least 1, not {n}")
     if star_a.nvars != star_b.nvars:
         raise ValueError("products over different variable counts")
     basis = star_a.monomial_basis(degree_bound)
@@ -313,99 +317,79 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
         raise ValueError(f"t_partial must supply T_1..T_{n - 1}")
     nv = star_a.nvars
     mono = lambda e: CPoly.monomial(nv, e)
-
-    def T(i, f):
-        return f if i == 0 else _apply_images(t_ops[i - 1], f)
-
-    def defect(m, fa, fb):
-        # sum_{i+j+k=m} B_b,k(T_i a, T_j b) - sum_{i+k=m} T_i(B_a,k(a, b)),
-        # leaving out the terms with T_n
-        top = min(m, n - 1)
-        acc = CPoly.zero(nv)
-        for i in range(top + 1):
-            Ta = T(i, fa)
-            for j in range(min(m - i, n - 1) + 1):
-                acc = acc + star_b.bn(Ta, T(j, fb), m - i - j)
-        for k in range(m - top, m + 1):
-            acc = acc - T(m - k, star_a.bn(fa, fb, k))
-        return acc
-
+    pairs = [(e1, e2) for e1 in basis for e2 in basis
+             if sum(e1) + sum(e2) <= degree_bound]
+    series = {p: gauge_defect(star_a, star_b, t_ops, mono(p[0]), mono(p[1]))
+              for p in pairs}
     # precondition: the partial gauge already matches through order n-1
     for m in range(1, n):
-        for e1 in basis:
-            for e2 in basis:
-                if (sum(e1) + sum(e2) <= degree_bound
-                        and not defect(m, mono(e1), mono(e2)).is_zero()):
-                    raise ValueError(
-                        "inconsistent t_partial: products disagree at order "
-                        f"h^{m} on {e1}, {e2}"
-                    )
+        for e1, e2 in pairs:
+            if series[e1, e2].h_coefficient(m):
+                raise ValueError("inconsistent t_partial: products disagree "
+                                 f"at order h^{m} on {e1}, {e2}")
+    defect = {p: d.h_coefficient(n) for p, d in series.items()}
 
+    table = {}
+
+    def times(b, f):  # b0(x^b, x^f), computed once per pair of monomials
+        hit = table.get((b, f))
+        if hit is None:
+            hit = table[b, f] = star_a.b0(mono(b), mono(f)).terms
+        return hit
+
+    def affine(const, parts):
+        """const + sum of s * b0(image, x^f) over the (s, f, image) in parts;
+        an image is affine in the unknowns, {unknown: poly} with the constant
+        under None, and so is the result."""
+        out = {None: dict(const.terms)}
+        for s, f, image in parts:
+            for u, p in image.items():
+                acc = out.setdefault(u, {})
+                for b, c in p.terms.items():
+                    acc_scaled(acc, times(b, f), s * c)
+        return {u: const._new(t) for u, t in out.items()}
+
+    # the unknowns are the coordinates of the generator images T_n(g)
     gens = [e for e in basis if sum(e) == 1]
-    unknown_index = {}
-    for g in gens:
-        for b in basis:
-            unknown_index[(g, b)] = len(unknown_index)
-
-    b0 = star_a.b0
+    unknowns = len(gens) * len(basis)
     unit = tuple([0] * nv)
-    images = {unit: (-defect(n, mono(unit), mono(unit)), {})}
-    for g in gens:
-        images[g] = (CPoly.zero(nv), {unknown_index[(g, b)]: mono(b) for b in basis})
-    defining = {unit: (unit, unit)}
-    basis_set = set(basis)
+    images = {unit: {None: -defect[unit, unit]}}
+    for k, g in enumerate(gens):
+        images[g] = {k * len(basis) + j: mono(b) for j, b in enumerate(basis)}
+    defining = {(unit, unit)}  # the pairs whose equations define an image
     for e in sorted(basis, key=lambda e: (sum(e), e)):
         if sum(e) < 2:
             continue
-        v = None
         for i in range(nv):
             if e[i] > 0:
-                rest = tuple(x - (1 if j == i else 0) for j, x in enumerate(e))
-                if rest in basis_set:
-                    v = tuple(1 if j == i else 0 for j in range(nv))
+                v = tuple(int(j == i) for j in range(nv))
+                rest = tuple(a - b for a, b in zip(e, v))
+                if rest in images:
                     break
-        if v is None:
+        else:
             raise ValueError(f"monomial {e} does not factor inside the basis")
-        rest = tuple(a - b for a, b in zip(e, v))
         # T_n(v rest) = T_n(rest) v + T_n(v) rest + R(v, rest)
-        images[e] = _affine(defect(n, mono(v), mono(rest)), [
-            (lambda p, f=mono(v): b0(p, f), images[rest]),
-            (lambda p, f=mono(rest): b0(p, f), images[v]),
-        ])
-        defining[e] = (v, rest)
+        images[e] = affine(defect[v, rest], [(H_ONE, v, images[rest]),
+                                             (H_ONE, rest, images[v])])
+        defining.add((v, rest))
 
-    system = LinearSystem(len(unknown_index))
-    for e1 in basis:
-        for e2 in basis:
-            if sum(e1) + sum(e2) > degree_bound:
-                continue
-            prod = b0(mono(e1), mono(e2))
-            key = next(iter(prod.terms)) if len(prod.terms) == 1 else None
-            if key is not None and defining.get(key) == (e1, e2):
-                continue
-            # T_n(e1 e2) - T_n(e1) e2 - T_n(e2) e1 - R(e1, e2) = 0
-            const, lin = _affine(-defect(n, mono(e1), mono(e2)), [
-                *((lambda p, s=c.as_scalar(): p * s, images[exps])
-                  for exps, c in prod.terms.items()),
-                (lambda p, f=mono(e2): -b0(p, f), images[e1]),
-                (lambda p, f=mono(e1): -b0(p, f), images[e2]),
-            ])
-            if not system.add_polys(lin, -const, tag=(e1, e2)):
-                return {
-                    "feasible": False,
-                    "order": n,
-                    "degree_bound": degree_bound,
-                    "witness_pair": system.conflict,
-                    "unknowns": len(unknown_index),
-                }
+    system = LinearSystem(unknowns)
+    for e1, e2 in pairs:
+        if (e1, e2) in defining:
+            continue
+        prod = times(e1, e2)
+        # T_n(e1 e2) - T_n(e1) e2 - T_n(e2) e1 - R(e1, e2) = 0
+        lin = affine(-defect[e1, e2], [
+            *((c, unit, images[exps]) for exps, c in prod.items()),
+            (-H_ONE, e2, images[e1]),
+            (-H_ONE, e1, images[e2]),
+        ])
+        if not system.add_polys(lin, -lin.pop(None), tag=(e1, e2)):
+            return {"feasible": False, "order": n, "degree_bound": degree_bound,
+                    "witness_pair": system.conflict, "unknowns": unknowns}
     solution = system.solve()
-    t_n = {e: sum((p * solution[u] for u, p in images[e][1].items()), images[e][0])
+    t_n = {e: sum((p * solution[u] for u, p in images[e].items() if u is not None),
+                  images[e].get(None, CPoly.zero(nv)))
            for e in basis}
-    return {
-        "feasible": True,
-        "order": n,
-        "degree_bound": degree_bound,
-        "operator": t_n,
-        "unknowns": len(unknown_index),
-        "rank": system.rank,
-    }
+    return {"feasible": True, "order": n, "degree_bound": degree_bound,
+            "operator": t_n, "unknowns": unknowns, "rank": system.rank}

@@ -49,7 +49,7 @@ EXPORTS = (
     "algebra_from_json", "as_hpoly", "casimir_scalar",
     "casimir_spectrum", "change_basis", "check_deformation_axioms", "check_jacobi",
     "d1", "d2", "evaluate", "extend_c1", "format_cpoly", "format_hpoly",
-    "format_ncpoly", "gauge_step", "h2_dimension", "highest_weight_casimir",
+    "format_ncpoly", "gauge_defect", "gauge_step", "h2_dimension", "highest_weight_casimir",
     "is_cocycle", "is_invariant", "is_semisimple", "killing_det", "killing_form",
     "kirillov_bracket", "monomials_of_degree", "monomials_up_to", "multiply_at",
     "nonisomorphism_witness", "orbit_from_json", "parse_expression", "parse_hpoly",

@@ -15,6 +15,7 @@ from orbitstar.poly import CPoly, acc_term, monomials_up_to
 from orbitstar.quantize import (
     StarProduct,
     check_deformation_axioms,
+    gauge_defect,
     gauge_step,
     pbw_basis_product,
     sym_inverse,
@@ -398,9 +399,25 @@ def _gauge_pair(su2, name):
     orb = sphere_orbit(1).star_product()
     if name == "orbit-lifts":
         return orb, sphere_orbit(1, lift=H_ONE + H).star_product()
+    if name == "lifts-h2":
+        return orb, sphere_orbit(1, lift=H_ONE + H ** 2).star_product()
+    if name == "lifts-h3":
+        return orb, sphere_orbit(1, lift=H_ONE + H ** 3).star_product()
     if name == "sym-sym":
         return symmetrizer_product(su2), symmetrizer_product(su2)
     return orb, orb
+
+
+def _gauge_chain(star_a, star_b, bound, order):
+    """gauge_step at orders 1..order, each extending the operators found
+    before; the reports, ending at the first infeasible one."""
+    reports, t_ops = [], []
+    for n in range(1, order + 1):
+        reports.append(gauge_step(star_a, star_b, n, bound, t_partial=t_ops))
+        if not reports[-1]["feasible"]:
+            break
+        t_ops.append(reports[-1]["operator"])
+    return reports
 
 
 @pytest.mark.parametrize("name, bound, order, digest", [
@@ -414,16 +431,57 @@ def _gauge_pair(su2, name):
     ("orbit-lifts", 3, 2, "a504693aa28ff1c0cfdade81c8d948e13d1ce453c7f1148d301efb04f3ba60d9"),
     ("sym-sym", 3, 1, "9f6d578a2058843ae1988098a8d5082353ed0630f01f41e6c7bd56daa79aa1be"),
     ("orbit-orbit", 2, 1, "38217b53f35ecb6d8a4d2dc974f34a2370221a12bca449fd7ce18058af63d3de"),
+    # order 3: sym-pbw feasible (rank 0, 60 unknowns); lifts 1 vs 1 + h^2
+    # infeasible at ((y, x), z); lifts 1 vs 1 + h^3 feasible (rank 36, 75
+    # unknowns) at order 3 and infeasible at ((y, x), z) at order 4
+    ("sym-pbw", 3, 3, "ca32bf0eaa77f38ed57f6b9033d2c8b5b1cafcdd69af97a25724ee5803581664"),
+    ("lifts-h2", 3, 3, "16c71f254d3bd08c8e6a0593df90d7ac93563ed25729d321cda74eae13920b2e"),
+    ("lifts-h3", 4, 3, "aa8a36ac4675f90c4286d02c38c84fd6cc6d3d41062f7c5bde3dec23360ff03b"),
+    ("lifts-h3", 4, 4, "33db75a7269be9a45410bdd0737bfdfc6880a199de6c52ff53415b15097a6233"),
 ])
 def test_gauge_step_report_digests(su2, name, bound, order, digest):
     # the whole report (images, rank, unknowns, witness) is pinned byte for
     # byte, so a rewrite of the solver must reproduce it exactly
-    star_a, star_b = _gauge_pair(su2, name)
-    res = gauge_step(star_a, star_b, 1, bound)
-    if order == 2:
-        res = gauge_step(star_a, star_b, 2, bound, t_partial=[res["operator"]])
-    text = _gauge_report_text(res)
+    reports = _gauge_chain(*_gauge_pair(su2, name), bound, order)
+    assert len(reports) == order
+    text = _gauge_report_text(reports[-1])
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def _reference_defect(star_a, star_b, t_ops, m, f, g):
+    """The order-m gauge defect summed term by term, one star product per
+    (i, j): sum_{i+j+k=m} B_b,k(T_i f, T_j g) - sum_{i+k=m} T_i(B_a,k(f, g)),
+    T_0 the identity and T_i = t_ops[i - 1] for i <= len(t_ops)."""
+    top = min(m, len(t_ops))
+    T = lambda i, p: p if i == 0 else _apply(t_ops[i - 1], p)
+    acc = CPoly.zero(f.nvars)
+    for i in range(top + 1):
+        for j in range(min(m - i, len(t_ops)) + 1):
+            acc = acc + star_b.bn(T(i, f), T(j, g), m - i - j)
+    for i in range(top + 1):
+        acc = acc - T(i, star_a.bn(f, g, m - i))
+    return acc
+
+
+@pytest.mark.parametrize("name", ["sym-pbw", "lifts-h2"])
+def test_gauge_defect_matches_the_term_by_term_sum(su2, name):
+    # every order-n step of the chain at bound 3, every pair in the bound:
+    # each h^m coefficient, m = 0..n, of the one series equals the sum
+    star_a, star_b = _gauge_pair(su2, name)
+    reports = _gauge_chain(star_a, star_b, 3, 3)
+    assert len(reports) == 3
+    basis = star_a.monomial_basis(3)
+    for n in range(1, 4):
+        t_ops = [res["operator"] for res in reports[:n - 1]]
+        for e1 in basis:
+            for e2 in basis:
+                if sum(e1) + sum(e2) > 3:
+                    continue
+                f, g = CPoly.monomial(3, e1), CPoly.monomial(3, e2)
+                series = gauge_defect(star_a, star_b, t_ops, f, g)
+                for m in range(n + 1):
+                    assert series.h_coefficient(m) == _reference_defect(
+                        star_a, star_b, t_ops, m, f, g), (n, m, e1, e2)
 
 
 def test_gauge_step_rejects_bad_partial(su2):
@@ -432,8 +490,48 @@ def test_gauge_step_rejects_bad_partial(su2):
     # a wrong T_1 cannot make the products agree at order h
     basis = star_s.monomial_basis(2)
     bogus = {e: CPoly.monomial(3, e) for e in basis}  # T_1 = Id, not a fix
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         gauge_step(star_s, pbw, 2, 2, t_partial=[bogus])
+    assert str(err.value) == ("inconsistent t_partial: products disagree at "
+                              "order h^1 on (0, 0, 0), (0, 0, 0)")
+
+
+def _bad_partial(star_s, pbw, case):
+    """Operators T_1..T_{n-1} that do not intertwine sym and pbw, and n."""
+    T1 = gauge_step(star_s, pbw, 1, 2)["operator"]
+    T2 = gauge_step(star_s, pbw, 2, 2, t_partial=[T1])["operator"]
+    mono = lambda e: CPoly.monomial(3, e)
+    wrong_y = {**T1, (0, 1, 0): T1[(0, 1, 0)] + mono((1, 0, 0))}
+    wrong_x = {**T1, (1, 0, 0): T1[(1, 0, 0)] + mono((0, 1, 0))}
+    wrong_z = {**T2, (0, 0, 1): T2[(0, 0, 1)] + 1}
+    return {"T1 at y": (2, [wrong_y]),
+            "T2 at z": (3, [T1, wrong_z]),
+            "T1 at x, T2 at z": (3, [wrong_x, wrong_z])}[case]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("T1 at y", "order h^1 on (0, 0, 1), (0, 1, 0)"),
+    ("T2 at z", "order h^2 on (0, 0, 1), (0, 0, 1)"),
+    # order h^2 fails first at ((0, 0, 1), (0, 0, 1)), an earlier pair, but
+    # order h^1 is checked on every pair before order h^2
+    ("T1 at x, T2 at z", "order h^1 on (0, 0, 1), (1, 0, 0)"),
+])
+def test_gauge_step_reports_the_first_disagreement(su2, case, message):
+    # lowest order first, then pairs in basis order
+    star_s = symmetrizer_product(su2)
+    pbw = pbw_basis_product(su2)
+    n, t_ops = _bad_partial(star_s, pbw, case)
+    with pytest.raises(ValueError) as err:
+        gauge_step(star_s, pbw, n, 2, t_partial=t_ops)
+    assert str(err.value) == f"inconsistent t_partial: products disagree at {message}"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_gauge_step_rejects_order_below_one(su2, n):
+    star = symmetrizer_product(su2)
+    with pytest.raises(ValueError) as err:
+        gauge_step(star, star, n, 2)
+    assert str(err.value) == f"gauge order must be at least 1, not {n}"
 
 
 def _bilinear_star(star, f, g):
