@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from .envelope import NCPoly
 from .lie import LieAlgebra
@@ -34,8 +34,7 @@ from .scalars import (
     I,
     _hpoly,
     acc_scaled,
-    coeff_pieces,
-    join_signed,
+    format_terms,
 )
 
 
@@ -51,6 +50,10 @@ _OPS = set("+-*^()")
 _DIGITS = set("0123456789")
 MAX_EXPONENT = 64
 _H_MINUS_ONE = -H_ONE
+
+
+def _monomial_pow(exps, n):
+    return tuple([e * n for e in exps])
 
 
 def _tokenize(text):
@@ -99,15 +102,17 @@ def _natural(text, pos):
 
 class _Parser:
     """Parses straight into term dicts (key -> nonzero HPoly), so the AST is
-    implicit.  The mode supplies the unit key, the key product and the key
-    of each name; sums accumulate in place and every product, of factors or
-    by a power, is one dict product."""
+    implicit.  The mode supplies the unit key, the key product, the key
+    power and the key of each name; sums accumulate in place, every product
+    of factors is one dict product, and so is each step of a power, except
+    that a power of one term is one key power and one coefficient power."""
 
-    def __init__(self, text, unit, key_mul, keys):
+    def __init__(self, text, unit, key_mul, key_pow, keys):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.unit = unit
         self.key_mul = key_mul
+        self.key_pow = key_pow
         self.keys = keys
 
     def peek(self):
@@ -160,10 +165,13 @@ class _Parser:
             n = _natural(text, pos)
             if n > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", pos)
+            if len(value) == 1:
+                (key, c), = value.items()
+                return {self.key_pow(key, n): c if c is H_ONE else c ** n}
             power = value if n else {self.unit: H_ONE}
             for _ in range(n - 1):
                 power = product(power, value, self.key_mul)
-            value = power
+            return power
         return value
 
     def atom(self):
@@ -214,13 +222,13 @@ def parse_expression(text, mode="commutative", algebra: LieAlgebra | None = None
         nvars = len(names)
         keys = {nm: tuple([int(j == k) for j in range(nvars)])
                 for k, nm in enumerate(names)}
-        terms = _Parser(text, (0,) * nvars, monomial_mul, keys).parse()
+        terms = _Parser(text, (0,) * nvars, monomial_mul, _monomial_pow, keys).parse()
         return CPoly.zero(nvars)._new(terms)
     if mode == "noncommutative":
         if algebra is None:
             raise ValueError("noncommutative parsing needs an algebra")
         keys = {nm: (k,) for k, nm in enumerate(algebra.names)}
-        terms = _Parser(text, (), add, keys).parse()
+        terms = _Parser(text, (), add, mul, keys).parse()
         return NCPoly.zero(algebra)._new(terms)
     raise ValueError(f"unknown parse mode {mode!r}")
 
@@ -256,22 +264,6 @@ def _monomial_text(exps, names) -> str:
     return "*".join(pieces)
 
 
-def format_cpoly(f: CPoly, names) -> str:
-    """Canonical text, low degree first, re-parseable by parse_expression."""
-    if f.is_zero():
-        return "0"
-    names = tuple(names)
-
-    def order(item):
-        exps, _ = item
-        return (sum(exps), tuple(-e for e in exps))
-
-    pieces = []
-    for exps, coeff in sorted(f.terms.items(), key=order):
-        pieces.extend(coeff_pieces(coeff, _monomial_text(exps, names)))
-    return join_signed(pieces)
-
-
 def _word_text(word, names) -> str:
     pieces = []
     run_name, run = None, 0
@@ -288,12 +280,41 @@ def _word_text(word, names) -> str:
     return "*".join(pieces)
 
 
+# The printed text of a monomial or word, by (names, key): the same key prints
+# differently under other names.  A memo is cleared when it holds _TEXT_CAP
+# entries, so each stays bounded.
+_TEXT_CAP = 4096
+_MONOMIAL_TEXTS = {}
+_WORD_TEXTS = {}
+
+
+def _format(terms, keys, names, memo, key_text):
+    """The text of the term dict, its keys in the given order."""
+    pairs = []
+    for key in keys:
+        text = memo.get((names, key))
+        if text is None:
+            if len(memo) >= _TEXT_CAP:
+                memo.clear()
+            text = memo[names, key] = key_text(key, names)
+        pairs.append((terms[key], text))
+    return format_terms(pairs)
+
+
+def format_cpoly(f: CPoly, names) -> str:
+    """Canonical text, low degree first (then the higher exponent of the
+    first variable first), re-parseable by parse_expression; names holds
+    one name per variable."""
+    names = tuple(names)
+    if len(names) != f.nvars:
+        raise ValueError(f"{len(names)} names for {f.nvars} variables")
+    keys = sorted(f.terms, reverse=True)
+    keys.sort(key=sum)
+    return _format(f.terms, keys, names, _MONOMIAL_TEXTS, _monomial_text)
+
+
 def format_ncpoly(u: NCPoly) -> str:
     """Canonical text for words, longest words first."""
-    if u.is_zero():
-        return "0"
-    names = u.algebra.names
-    pieces = []
-    for word, coeff in sorted(u.terms.items(), key=lambda kv: (-len(kv[0]), kv[0])):
-        pieces.extend(coeff_pieces(coeff, _word_text(word, names)))
-    return join_signed(pieces)
+    keys = sorted(u.terms)
+    keys.sort(key=len, reverse=True)
+    return _format(u.terms, keys, u.algebra.names, _WORD_TEXTS, _word_text)

@@ -18,7 +18,13 @@ from .scalars import H_ONE, H_ZERO, acc_scaled, acc_term, as_hpoly
 
 def product(a, b, key_mul):
     """The product of two term dicts, key_mul giving the product of keys: the
-    one such loop, for CPoly and the expression parser."""
+    one such loop, for CPoly and the expression parser.  Two single terms,
+    as in every factor chain c*x^a*y^b and every word X*Y*Z, make one term
+    (a product in Q(i)[h] has no zero divisors)."""
+    if len(a) == 1 and len(b) == 1:
+        (k1, c1), = a.items()
+        (k2, c2), = b.items()
+        return {key_mul(k1, k2): c2 if c1 is H_ONE else c1 if c2 is H_ONE else c1 * c2}
     out = {}
     for k1, c1 in a.items():
         acc_scaled(out, {key_mul(k1, k2): c2 for k2, c2 in b.items()}, c1)

@@ -13,7 +13,9 @@ dict per h-weight (deg x_i = deg h = 1), the dicts merged once per key.
 The forward image of each monomial is computed once per product and
 shared by every pair it enters.  The image table is also the product's
 domain: a monomial is checked against poly_reduce when it first enters the
-table, and one that is not reduced raises there.
+table, and one that is not reduced raises there.  The undeformed product
+b0 of two monomials is kept in a table of its own, which the gauge solver
+reads across a chain of orders.
 """
 
 from __future__ import annotations
@@ -106,6 +108,7 @@ class StarProduct:
         self.priority = tuple(priority) if priority is not None else None
         self.name = name
         self._pair_cache = {}
+        self._b0_cache = {}
         self._images = {}
 
     # -- the product ------------------------------------------------------
@@ -162,6 +165,15 @@ class StarProduct:
         if self.poly_reduce is not None:
             prod = self.poly_reduce(prod)
         return prod
+
+    def _b0_monomials(self, e1, e2):
+        """b0(x^e1, x^e2), computed once per pair of monomials."""
+        key = (e1, e2)
+        hit = self._b0_cache.get(key)
+        if hit is None:
+            hit = self._b0_cache[key] = self.b0(CPoly.monomial(self.nvars, e1),
+                                                CPoly.monomial(self.nvars, e2))
+        return hit
 
     def bracket(self, f: CPoly, g: CPoly) -> CPoly:
         b = kirillov_bracket(self.algebra, f, g)
@@ -329,14 +341,6 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
                                  f"at order h^{m} on {e1}, {e2}")
     defect = {p: d.h_coefficient(n) for p, d in series.items()}
 
-    table = {}
-
-    def times(b, f):  # b0(x^b, x^f), computed once per pair of monomials
-        hit = table.get((b, f))
-        if hit is None:
-            hit = table[b, f] = star_a.b0(mono(b), mono(f)).terms
-        return hit
-
     def affine(const, parts):
         """const + sum of s * b0(image, x^f) over the (s, f, image) in parts;
         an image is affine in the unknowns, {unknown: poly} with the constant
@@ -346,7 +350,7 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
             for u, p in image.items():
                 acc = out.setdefault(u, {})
                 for b, c in p.terms.items():
-                    acc_scaled(acc, times(b, f), s * c)
+                    acc_scaled(acc, star_a._b0_monomials(b, f).terms, s * c)
         return {u: const._new(t) for u, t in out.items()}
 
     # the unknowns are the coordinates of the generator images T_n(g)
@@ -377,7 +381,7 @@ def gauge_step(star_a: StarProduct, star_b: StarProduct, n: int,
     for e1, e2 in pairs:
         if (e1, e2) in defining:
             continue
-        prod = times(e1, e2)
+        prod = star_a._b0_monomials(e1, e2).terms
         # T_n(e1 e2) - T_n(e1) e2 - T_n(e2) e1 - R(e1, e2) = 0
         lin = affine(-defect[e1, e2], [
             *((c, unit, images[exps]) for exps, c in prod.items()),

@@ -133,6 +133,17 @@ class HPoly:
         a, b = self.num, other.num
         if not a or not b:
             return H_ZERO
+        val = self.val + other.val
+        den = self.den * other.den
+        if len(a) == 1 and len(b) == 1:
+            (ar, ai), = a
+            (br, bi), = b
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            if den != 1:
+                g = gcd(den, re, im)
+                if g != 1:
+                    re, im, den = re // g, im // g, den // g
+            return _hpoly(((re, im),), den, val)
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
@@ -148,8 +159,6 @@ class HPoly:
                     ims[j + k] += ar * bi + ai * br
             num = tuple(zip(res, ims))
         # Z[i] has no zero divisors, so the end coefficients are nonzero.
-        val = self.val + other.val
-        den = self.den * other.den
         if den == 1:
             return _hpoly(num, 1, val)
         return _hpoly(*_canonical(num, den, val))
@@ -433,52 +442,56 @@ def _ratio_text(n: int, den: int) -> str:
                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def _hterm_pieces(p: HPoly):
-    """(sign, text) for each nonzero term c*h^k of p, read from its integer
-    fields; a leading minus is folded out of a real or imaginary c."""
-    den = p.den
-    pieces = []
-    for k, (re, im) in enumerate(p.num, p.val):
-        sign = "+"
-        if re and im:
-            head = f"({_complex_text(re, im, den)})"
-        elif re or im:
-            if re + im < 0:
-                sign, re, im = "-", -re, -im
-            head = "" if re == den and k else _complex_text(re, im, den)
-        else:
-            continue
-        if k:
-            power = "h" if k == 1 else f"h^{k}"
-            head = f"{head}*{power}" if head else power
-        pieces.append((sign, head))
-    return pieces
+def format_terms(terms) -> str:
+    """The text of the sum of c*m over the (c, m) in terms, c an HPoly and m
+    the text of a monomial ("" for 1), built as one list of pieces and
+    joined once.  Each nonzero c*h^k of c is a signed piece read from its
+    integer fields: a leading minus is folded out of a real or imaginary
+    coefficient, a real unit prints as nothing before h^k or m, and a c of
+    several powers of h is kept in parentheses before m, so the printed
+    expression re-parses to the same value."""
+    out = []
+    for c, mono in terms:
+        group = mono and len(c.num) > 1
+        pieces = [] if group else out
+        put = pieces.append
+        tail = "" if group else mono
+        den = c.den
+        for k, (re, im) in enumerate(c.num, c.val):
+            sep = " + "
+            if not im:
+                if not re:
+                    continue
+                if re < 0:
+                    sep, re = " - ", -re
+                head = "" if re == den else _ratio_text(re, den)
+            elif not re:
+                if im < 0:
+                    sep, im = " - ", -im
+                head = _complex_text(0, im, den)
+            else:
+                head = f"({_complex_text(re, im, den)})"
+            if k:
+                power = "h" if k == 1 else f"h^{k}"
+                head = f"{head}*{power}" if head else power
+            if tail:
+                head = f"{head}*{tail}" if head else tail
+            put(sep)
+            put(head or "1")
+        if group:
+            out.append(" + ")
+            out.append(f"({_signed_join(pieces)})*{mono}")
+    return _signed_join(out)
+
+
+def _signed_join(pieces) -> str:
+    """The text of the alternating separators and terms in pieces, its
+    leading " + " dropped and a leading " - " printed as "-"."""
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def format_hpoly(p: HPoly) -> str:
-    return join_signed(_hterm_pieces(p)) if p.num else "0"
-
-
-def join_signed(pieces) -> str:
-    """Join (sign, text) pieces into an expression string."""
-    sign, text = pieces[0]
-    out = text if sign == "+" else f"-{text}"
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
-
-
-def coeff_pieces(c: HPoly, monomial_text: str):
-    """Signed pieces for the term c*monomial, folding signs where possible.
-
-    Returns a list of (sign, text) suitable for join_signed.  A coefficient
-    with several h-terms is kept in parentheses so the printed expression
-    re-parses to the same value.
-    """
-    pieces = _hterm_pieces(c)
-    if not monomial_text or not pieces:
-        return pieces
-    if len(pieces) > 1:
-        return [("+", f"({join_signed(pieces)})*{monomial_text}")]
-    (sign, text), = pieces
-    return [(sign, monomial_text if text == "1" else f"{text}*{monomial_text}")]
+    return format_terms(((p, ""),))

@@ -448,6 +448,19 @@ def test_gauge_step_report_digests(su2, name, bound, order, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
+def test_gauge_chain_fills_one_b0_table(su2):
+    # the products b0(x^b, x^f) of basis monomials are kept on the product,
+    # so the chain 1 vs 1 + h^3 at bound 4 computes each of them once over
+    # orders 1-4 (one table per gauge_step made 575, 575, 575 and 494 calls)
+    star_a, star_b = _gauge_pair(su2, "lifts-h3")
+    calls = []
+    b0 = star_a.b0
+    star_a.b0 = lambda f, g: calls.append((f, g)) or b0(f, g)
+    reports = _gauge_chain(star_a, star_b, 4, 4)
+    assert [res["feasible"] for res in reports] == [True, True, True, False]
+    assert len(calls) == 575
+
+
 def _reference_defect(star_a, star_b, t_ops, m, f, g):
     """The order-m gauge defect summed term by term, one star product per
     (i, j): sum_{i+j+k=m} B_b,k(T_i f, T_j g) - sum_{i+k=m} T_i(B_a,k(f, g)),

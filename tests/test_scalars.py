@@ -16,9 +16,9 @@ from orbitstar.scalars import (
     H_ZERO,
     I,
     as_hpoly,
-    coeff_pieces,
     format_hpoly,
     format_scalar,
+    format_terms,
     merge_sums,
 )
 
@@ -447,7 +447,8 @@ def test_printers_against_gaussian_oracle(seed):
         for k, s in enumerate(coeffs):
             assert format_scalar(p.coeff(k)) == _oracle_scalar(s)
         for mono in ("", "x", "X^2*Y"):
-            assert coeff_pieces(p, mono) == _oracle_coeff_pieces(coeffs, mono)
+            pieces = _oracle_coeff_pieces(coeffs, mono)
+            assert format_terms([(p, mono)]) == (_oracle_join(pieces) if pieces else "0")
     assert len(seen) == 8
 
 
@@ -466,6 +467,7 @@ def test_printer_units_and_signs():
     for coeffs, (text, pieces) in cases.items():
         p = HPoly(coeffs)
         assert format_hpoly(p) == text
-        assert coeff_pieces(p, "x") == pieces
-    assert coeff_pieces(H_ZERO, "x") == [] and coeff_pieces(H_ZERO, "") == []
-    assert coeff_pieces(HPoly([-1, 0, 2]), "") == [("-", "1"), ("+", "2*h^2")]
+        assert format_terms([(p, "x")]) == _oracle_join(pieces)
+    assert format_terms([(H_ZERO, "x")]) == "0" and format_terms([(H_ZERO, "")]) == "0"
+    assert format_terms([(HPoly([-1, 0, 2]), "")]) == "-1 + 2*h^2"
+    assert format_terms([(-H_ONE, "x"), (HPoly([0, 1]), "y"), (I, "")]) == "-x + h*y + i"
