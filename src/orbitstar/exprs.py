@@ -170,7 +170,7 @@ class _Parser:
                 return {self.key_pow(key, n): c if c is H_ONE else c ** n}
             power = value if n else {self.unit: H_ONE}
             for _ in range(n - 1):
-                power = product(power, value, self.key_mul)
+                power = product(value, power, self.key_mul)
             return power
         return value
 

@@ -4,7 +4,8 @@ quantization, the induced star products, and the checks that probe them.
 An Orbit couples the sum of squares p = x_1^2 + ... + x_n^2 (validated
 Poisson-invariant) with a nonzero level constant c0 and a lift c(h) with
 c(0) = c0.  This rank-one sphere is the only orbit shape implemented, and
-the constructor rejects every other invariant.  On the commutative side the
+the constructor rejects every other invariant and every algebra but a
+three-dimensional one.  On the commutative side the
 ideal (p - c0) is handled by one confluent rewrite rule with the last
 variable leading (z^2 -> c0 - x^2 - y^2); on the deformed side the central
 element P = symmetrize(p) drives the analogous word rewrite
@@ -39,7 +40,8 @@ from .scalars import H, H_ONE, HPoly, as_hpoly, merge_sums
 
 class Orbit:
     """The sphere p = c0 (p the sum of the squared coordinates, c0 nonzero)
-    of a semisimple algebra, together with a lift c(h) of its ideal."""
+    of a three-dimensional semisimple algebra, together with a lift c(h) of
+    its ideal."""
 
     def __init__(self, algebra: LieAlgebra, invariants, constants, lifts=None):
         self.algebra = algebra
@@ -48,6 +50,10 @@ class Orbit:
             raise ValueError("an orbit needs an algebra of positive dimension")
         if not is_semisimple(algebra):
             raise ValueError("an orbit needs a semisimple algebra")
+        # a semisimple algebra has rank one exactly when its dimension is 3
+        if n != 3:
+            raise ValueError(f"only rank-one orbits are implemented: this "
+                             f"semisimple algebra has dimension {n}, not 3")
         self.invariants = tuple(invariants)
         for p in self.invariants:
             if not is_invariant(algebra, p):
@@ -69,11 +75,9 @@ class Orbit:
         for lift, c0 in zip(self.lifts, self.constants):
             if lift.coeff(0) != c0:
                 raise ValueError("lift must restrict to the orbit constant at h=0")
-        # central lifts of the generators
+        # central lifts of the generators: symmetrization intertwines the
+        # adjoint actions, so an invariant's image is central
         self.casimirs = tuple(symmetrize(algebra, p) for p in self.invariants)
-        for P in self.casimirs:
-            if not P.is_central():
-                raise ValueError("symmetrized invariant is not central")
         # the last variable leads the reduction
         self.priority = (n - 1,) + tuple(range(n - 1))
         # the generator p - c0 of the orbit ideal
@@ -389,7 +393,7 @@ def orbit_from_json(data, algebra=None) -> Orbit:
     """Load an orbit description like {"algebra": "su2", "invariants":
     ["x^2+y^2+z^2"], "constants": ["1"], "lifts": ["1"]}, whose three fields
     are JSON lists; "lifts" is optional."""
-    from .exprs import parse_expression, parse_hpoly
+    from .exprs import parse_expression, parse_hpoly, parse_rational
 
     if isinstance(data, str):
         data = json.loads(data)
@@ -398,6 +402,6 @@ def orbit_from_json(data, algebra=None) -> Orbit:
         parse_expression(text, mode="commutative", algebra=L)
         for text in _list(data["invariants"], "invariants")
     ]
-    constants = [str(c) for c in _list(data["constants"], "constants")]
+    constants = [parse_rational(str(c)) for c in _list(data["constants"], "constants")]
     lifts = [parse_hpoly(str(t)) for t in _list(data.get("lifts", []), "lifts")]
     return Orbit(L, invariants, constants, lifts or None)

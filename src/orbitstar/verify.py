@@ -25,6 +25,7 @@ import random
 import signal
 import threading
 from fractions import Fraction
+from functools import cache
 
 from .cohomology import Cochain2, d1, d2, h2_dimension, solve_coboundary
 from .cohomology import coboundary_roundtrip, random_cochain1
@@ -82,6 +83,22 @@ def _fmt(p, L):
     return format_cpoly(p, L.varnames)
 
 
+def _expect(case, got, want, show):
+    """A golden-value case: `show(got)` is its witness where got != want."""
+    ok = got == want
+    return case, ok, None if ok else show(got)
+
+
+def _axioms(star, bound, assoc_degree, scope=""):
+    """check_deformation_axioms as one case, with its first failure as the
+    witness; the pairs' degree is named where the triples' differs."""
+    report = check_deformation_axioms(star, bound, assoc_degree=assoc_degree)
+    pairs = f" (deg<={bound})" if assoc_degree != bound else ""
+    return (f"axioms{scope} on {report['pairs']} pairs{pairs} and "
+            f"{report['triples']} triples (deg<={assoc_degree})",
+            not report["failures"], report["failures"][:1] or None)
+
+
 # ---------------------------------------------------------------------------
 
 @_suite("pbw")
@@ -96,24 +113,19 @@ def suite_pbw(max_degree=None, **_):
         ("Z*Y", (2, 1), {(1, 2): H_ONE, (0,): -H}),
     ]
     for label, word, want in golden:
-        got = NCPoly.word(L, word).normal_form()
-        ok = got == NCPoly(L, want)
-        yield (f"normal_form({label})", ok,
-               None if ok else format_ncpoly(got))
+        yield _expect(f"normal_form({label})", NCPoly.word(L, word).normal_form(),
+                      NCPoly(L, want), format_ncpoly)
 
     words_by_len = {0: [()]}
     for n in range(1, max(bound, 5) + 1):
         words_by_len[n] = [w + (g,) for w in words_by_len[n - 1] for g in range(3)]
     # each word of a triple within the bound has at most bound - 2 letters
     elem = {w: NCPoly.word(L, w) for n in range(1, bound - 1) for w in words_by_len[n]}
-    products = {}
 
+    @cache
     def prod(v, w):
         """elem[v] * elem[w], built once per pair of words."""
-        p = products.get((v, w))
-        if p is None:
-            p = products[v, w] = elem[v] * elem[w]
-        return p
+        return elem[v] * elem[w]
 
     def per_word():
         """The number of word triples if every one associates, else None.
@@ -186,9 +198,7 @@ def suite_centrality(**_):
            P == NCPoly(L, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE}))
     for i in range(3):
         g = NCPoly.generator(L, i)
-        comm = P * g - g * P
-        yield (f"[P, {L.names[i]}] == 0", comm.is_zero(),
-               None if comm.is_zero() else format_ncpoly(comm))
+        yield _expect(f"[P, {L.names[i]}] == 0", P * g - g * P, 0, format_ncpoly)
     yield "is_central(P)", P.is_central()
     yield "is_central(1)", NCPoly.one(L).is_central()
     yield ("X is not central",
@@ -202,22 +212,14 @@ def suite_sym_star(max_degree=None, **_):
     bound = max_degree or 4
     star = symmetrizer_product(L)
     x, y, z = _vars(L)
-    want = x * y + z * (H * Fraction(1, 2))
-    got = star.star(x, y)
-    yield ("x * y == x*y + (h/2) z", got == want,
-           None if got == want else _fmt(got, L))
+    yield _expect("x * y == x*y + (h/2) z", star.star(x, y),
+                  x * y + z * (H * Fraction(1, 2)), lambda p: _fmt(p, L))
     comm = star.star(x, y) - star.star(y, x)
     yield "x*y - y*x == h z", comm == z * H
     yield "B0(x, y) == xy", star.bn(x, y, 0) == x * y
     yield ("B1(x,y) - B1(y,x) == {x,y}",
            star.bn(x, y, 1) - star.bn(y, x, 1) == z)
-    report = check_deformation_axioms(star, bound, assoc_degree=bound + 1)
-    yield (
-        f"axioms on {report['pairs']} pairs (deg<={bound}) and "
-        f"{report['triples']} triples (deg<={bound + 1})",
-        not report["failures"],
-        report["failures"][:1] or None,
-    )
+    yield _axioms(star, bound, bound + 1)
 
 
 @_suite("orbit-star")
@@ -228,24 +230,14 @@ def suite_orbit_star(max_degree=None, c0=None, lift=None, **_):
     bound = max_degree or 4
     x, y, z = _vars(L)
     star = orb.star_product()
+    show = lambda p: _fmt(p, L)
     if orb.constants[0] == 1 and orb.lifts[0] == H_ONE:
-        want = CPoly.one(3) - x * x - y * y
-        got = star.star(z, z)
-        yield ("z * z == 1 - x^2 - y^2", got == want,
-               None if got == want else _fmt(got, L))
-    got = star.star(y, x)
-    want = x * y - z * H
-    yield ("y * x == xy - hz", got == want,
-           None if got == want else _fmt(got, L))
+        yield _expect("z * z == 1 - x^2 - y^2", star.star(z, z),
+                      CPoly.one(3) - x * x - y * y, show)
+    yield _expect("y * x == xy - hz", star.star(y, x), x * y - z * H, show)
     yield ("f * 1 == f",
            star.star(x * y, CPoly.one(3)) == x * y)
-    report = check_deformation_axioms(star, bound, assoc_degree=bound)
-    yield (
-        f"axioms with the reduced bracket on {report['pairs']} pairs and "
-        f"{report['triples']} triples (deg<={bound})",
-        not report["failures"],
-        report["failures"][:1] or None,
-    )
+    yield _axioms(star, bound, bound, " with the reduced bracket")
 
 
 @_suite("lemma")
@@ -258,24 +250,21 @@ def suite_lemma(max_degree=None, **_):
     monos = [
         e for e in monomials_up_to(3, bound) if e[2] == 0
     ]
+    pairs = ((e1, e2) for e1 in monos for e2 in monos
+             if sum(e1) + sum(e2) <= bound)
     bad = None
     checked = 0
-    for e1 in monos:
-        for e2 in monos:
-            if sum(e1) + sum(e2) > bound:
-                continue
-            checked += 1
-            res = orb.first_order_check(
-                CPoly.monomial(3, e1), CPoly.monomial(3, e2)
-            )
-            if res["got"] != res["expected"]:
-                bad = {
-                    "pair": (str(e1), str(e2)),
-                    "got": _fmt(res["got"], L),
-                    "expected": _fmt(res["expected"], L),
-                }
-                break
-        if bad:
+    for e1, e2 in pairs:
+        checked += 1
+        res = orb.first_order_check(
+            CPoly.monomial(3, e1), CPoly.monomial(3, e2)
+        )
+        if res["got"] != res["expected"]:
+            bad = {
+                "pair": (str(e1), str(e2)),
+                "got": _fmt(res["got"], L),
+                "expected": _fmt(res["expected"], L),
+            }
             break
     yield (f"first-order rule on {checked} x,y-monomial "
            f"pairs (deg<={bound})", bad is None, bad)
@@ -291,11 +280,8 @@ def suite_bidiff(max_degree=None, **_):
     res = orb.bidifferential_obstruction(bound)
     yield (f"first-order ansatz infeasible (coeff deg<={bound})",
            not res["feasible"])
-    want_cert = -(x * y * z)
-    got = res["certificate"]
-    yield ("certificate equation 0 == -x*y*z",
-           got == want_cert,
-           None if got == want_cert else _fmt(got, L) if got else "none")
+    yield _expect("certificate equation 0 == -x*y*z", res["certificate"],
+                  -(x * y * z), lambda c: _fmt(c, L) if c else "none")
     yield ("engine B1(z,z) == 0",
            orb.star_product().bn(z, z, 1).is_zero())
     ctrl = orb.bidifferential_obstruction(bound, zz_data=-(x * y * z))
@@ -323,12 +309,11 @@ def suite_tangential(max_degree=None, **_):
             "remainder": NCPoly(L, {(0, 2): H * Fraction(1, 2),
                                     (1,): H * H * Fraction(1, 4)})}
     yield "split embed fails on the shifted level 5/4", w is not None
-    yield ("failure witness is y z^2 with remainder "
-           "(h/2) X*Z + (h^2/4) Y", w == want,
-           None if w == want else {
-               "cofactor": _fmt(w["cofactor"], L),
-               "remainder": format_ncpoly(w["remainder"]),
-           } if w else "check passed unexpectedly")
+    yield _expect("failure witness is y z^2 with remainder "
+                  "(h/2) X*Z + (h^2/4) Y", w, want, lambda got: {
+                      "cofactor": _fmt(got["cofactor"], L),
+                      "remainder": format_ncpoly(got["remainder"]),
+                  } if got else "check passed unexpectedly")
     for embed, label in ((orb.split_embed, "split"),
                          (orb.tangential_embed, "tangential")):
         yield (f"{label} embed commutes with reduction (deg<={bound})",
@@ -348,10 +333,9 @@ def suite_invariant_mult(max_degree=None, **_):
     yield (f"tangential product: g * p == g p (deg g <= {bound})",
            w is None, w)
     star = symmetrizer_product(L)
-    diff = star.star(x, p) - x * p
-    want = x * (H * H * Fraction(-1, 3))
-    yield ("symmetrizer product: x * p - x p == -(h^2/3) x",
-           diff == want, None if diff == want else _fmt(diff, L))
+    yield _expect("symmetrizer product: x * p - x p == -(h^2/3) x",
+                  star.star(x, p) - x * p, x * (H * H * Fraction(-1, 3)),
+                  lambda d: _fmt(d, L))
     w = orb.invariant_product_check(star, bound)
     yield ("symmetrizer product violates invariant multiplication",
            w is not None, None if w is None else {
@@ -374,27 +358,24 @@ def suite_reps(lambda_bound=None, **_):
     yield ("adjoint rep satisfies the brackets",
            validate_rep(su2, adj))
     P = NCPoly(su2, {(0, 0): H_ONE, (1, 1): H_ONE, (2, 2): H_ONE})
-    ok = casimir_scalar(P, defining, 1) == Fraction(-3, 4)
-    yield "casimir scalar -3/4 on the defining rep", ok
-    ok = casimir_scalar(P, adj, 1) == -2
-    yield "casimir scalar -2 on the adjoint rep", ok
+    scalars = [casimir_scalar(P, rep, 1) for rep in (defining, adj)]
+    yield "casimir scalar -3/4 on the defining rep", scalars[0] == Fraction(-3, 4)
+    yield "casimir scalar -2 on the adjoint rep", scalars[1] == -2
 
     omega = sl2_casimir(sl2)
     hw = highest_weight_casimir(sl2, omega)
-    want = CPoly(1, {(2,): HPoly.const(Fraction(1, 2)), (1,): H})
-    yield ("highest-weight casimir == lambda^2/2 + h lambda",
-           hw == want, None if hw == want else format_cpoly(hw, ("lambda",)))
+    yield _expect("highest-weight casimir == lambda^2/2 + h lambda", hw,
+                  CPoly(1, {(2,): HPoly.const(Fraction(1, 2)), (1,): H}),
+                  lambda p: format_cpoly(p, ("lambda",)))
     # cross identity: omega maps to -2 P under F -> iX + Y, H -> 2iZ, E -> iX - Y
     X, Y, Z = (NCPoly.generator(su2, k) for k in range(3))
     images = [X * I + Y, Z * (2 * I), X * I - Y]
     yield ("casimir cross identity omega == -2 P",
            substitute_generators(omega, images) == P * (-2))
     # spin values lambda = d - 1 tie the two computations together
-    for d, rep in ((2, defining), (3, adj)):
-        hw_val = hw.evaluate((d - 1,)).evaluate(1)
-        omega_val = casimir_scalar(P, rep, 1) * (-2)
+    for d, scalar in zip((2, 3), scalars):
         yield (f"hw value at lambda={d - 1} matches the "
-               f"{d}-dim rep", hw_val == omega_val)
+               f"{d}-dim rep", hw.evaluate((d - 1,)).evaluate(1) == scalar * (-2))
     report = nonisomorphism_witness(HPoly.const(4),
                                     HPoly.const(4) + H * Fraction(1, 3), bound)
     ok = (report["spectrum_a"] == [2] and report["spectrum_b"] == []
@@ -415,15 +396,11 @@ def suite_cohomology(max_degree=None, seed=0, **_):
     su2 = predefined("su2")
     bound = max_degree if max_degree is not None else 4
     rng = random.Random(seed)
-    ok = True
-    for d in range(bound + 1):
-        image = d2(su2, d1(su2, random_cochain1(su2, d, rng)))
-        if not all(v.is_zero() for v in image.values()):
-            ok = False
-            break
+    images = (d2(su2, d1(su2, random_cochain1(su2, d, rng))) for d in range(bound + 1))
     drawn, note = (f", seed {seed}", f" (seed {seed})") if seed else ("", "")
     yield (f"d2(d1(C)) == 0 on random cochains "
-           f"(deg<={bound}{drawn})", ok)
+           f"(deg<={bound}{drawn})",
+           all(v.is_zero() for image in images for v in image.values()))
 
     dims = [h2_dimension(su2, d) for d in range(bound + 1)]
     yield (f"h2 dimensions 0..{bound} all vanish",
@@ -448,18 +425,12 @@ def suite_grading(seed=0, **_):
     L = predefined("su2")
     rng = random.Random(seed)
     note = f" (seed {seed})" if seed else ""
-    ok = True
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            rel = NCPoly.word(L, (i, j)) - NCPoly.word(L, (j, i))
-            for k, v in L.bracket_terms(i, j):
-                rel = rel - NCPoly(L, {(k,): H * v})
-            if not rel.is_graded_homogeneous():
-                ok = False
+    relations = (NCPoly.word(L, (i, j)) - NCPoly.word(L, (j, i))
+                 - NCPoly(L, {(k,): H * v for k, v in L.bracket_terms(i, j)})
+                 for i in range(3) for j in range(3) if i != j)
     yield ("defining relations are graded-homogeneous "
-           "(deg X_i = deg h = 1)", ok)
+           "(deg X_i = deg h = 1)",
+           all(rel.is_graded_homogeneous() for rel in relations))
 
     def rand_element(max_len=4, nterms=4):
         terms = {}
@@ -468,52 +439,41 @@ def suite_grading(seed=0, **_):
             terms[w] = HPoly([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
         return NCPoly(L, terms)
 
-    ok = True
-    for _ in range(20):
+    # each sweep draws until its first failure, so a later one starts
+    # where the generator is left
+    def projects():
         a, b = rand_element(), rand_element()
-        if (a * b).project_h0() != a.project_h0() * b.project_h0():
-            ok = False
-            break
+        return (a * b).project_h0() == a.project_h0() * b.project_h0()
     yield ("h -> 0 projection is multiplicative on "
-           f"random pairs{note}", ok)
+           f"random pairs{note}", all(projects() for _ in range(20)))
 
-    ok = True
-    for _ in range(20):
+    def keeps_degree():
         w = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
         e = NCPoly.word(L, w).normal_form()
-        if not e.is_graded_homogeneous():
-            ok = False
-            break
-        if e.graded_degree() != len(w):
-            ok = False
-            break
+        return e.is_graded_homogeneous() and e.graded_degree() == len(w)
     yield ("normal form preserves the graded degree of "
-           f"words{note}", ok)
+           f"words{note}", all(keeps_degree() for _ in range(20)))
 
-    ok = True
-    for _ in range(20):
+    def specializes():
         a, b = rand_element(), rand_element()
         h0 = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-        lhs = (a * b).specialize(h0)
-        rhs = multiply_at(a.specialize(h0), b.specialize(h0), h0)
-        if lhs != rhs:
-            ok = False
-            break
+        return (a * b).specialize(h0) == multiply_at(a.specialize(h0),
+                                                     b.specialize(h0), h0)
     yield (f"specialization commutes with multiplication{note}",
-           ok)
+           all(specializes() for _ in range(20)))
 
-    ok = True
-    for _ in range(30):
+    def ring_map():
         pa = HPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
         pb = HPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
         h0 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        if (pa * pb).evaluate(h0) != pa.evaluate(h0) * pb.evaluate(h0):
-            ok = False
         k = rng.randint(0, 4)
-        if (pa * pb).truncate(k) != (pa.truncate(k) * pb.truncate(k)).truncate(k):
-            ok = False
+        ab = pa * pb
+        return (ab.evaluate(h0) == pa.evaluate(h0) * pb.evaluate(h0)
+                and ab.truncate(k) == (pa.truncate(k) * pb.truncate(k)).truncate(k))
+    # this sweep makes all its draws, whichever of them fails
     yield ("h-evaluation is a ring map and truncation "
-           f"is compatible with products{note}", ok)
+           f"is compatible with products{note}",
+           all([ring_map() for _ in range(30)]))
 
 
 def _check_known(names):

@@ -548,6 +548,56 @@ def test_cli_orbit_config_with_two_lifts_for_one_constant_exits_2(tmp_path, caps
         f"error: config {path}: need one lift per constant"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["star", "--product", "orbit", "x1", "y1"],
+    ["star", "--product", "tangential", "x1", "y1"],
+    ["star", "--product", "split", "x1", "y1"],
+    ["reduce", "z2^2"],
+    ["reduce", "--mode", "ideal", "Z2*Z2"],
+], ids=["orbit", "tangential", "split", "reduce", "reduce-ideal"])
+def test_cli_so4_sphere_exits_2(tmp_path, capsys, argv):
+    # x1^2 + ... + z2^2 = 1 is a union of S^2 x S^2 orbits, not a regular one
+    path = tmp_path / "so4.json"
+    path.write_text(json.dumps(SO4_CONFIG))
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: only rank-one orbits are implemented: this semisimple algebra "
+        "has dimension 6, not 3"]
+
+
+@pytest.mark.parametrize("constant, message", [
+    ("1.5", "unexpected character '.' at offset 1"),
+    ("1e1", "unexpected"),
+    ("1_0", "unexpected"),
+    (1.5, "unexpected character '.' at offset 1"),
+    ("1 + i", "is not a real rational"),
+], ids=["1.5", "1e1", "1_0", "json-1.5", "1+i"])
+def test_cli_config_constant_outside_the_grammar_exits_2(tmp_path, capsys,
+                                                          constant, message):
+    # a config's constants read as --c and the lifts do, not as Fraction()
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"invariants": ["x^2+y^2+z^2"],
+                                "constants": [constant]}))
+    assert cli.main(["reduce", "--config", str(path), "z^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith(f"error: config {path}: ") and message in line
+
+
+@pytest.mark.parametrize("constant", ["1 + 1/2", "(3/2)", "3/2", "6/4"])
+def test_cli_config_constant_reads_with_the_grammar(tmp_path, capsys, constant):
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"invariants": ["x^2+y^2+z^2"],
+                                "constants": [constant]}))
+    assert cli.main(["reduce", "--config", str(path), "z^2"]) == 0
+    assert capsys.readouterr().out == "3/2 - x^2 - y^2\n"
+    assert cli.main(["reduce", "--c", constant, "z^2"]) == 0
+    assert capsys.readouterr().out == "3/2 - x^2 - y^2\n"
+
+
 def test_cli_top_level_invariants_win_over_orbit_entry(tmp_path, capsys):
     path = tmp_path / "orbit.json"
     path.write_text(json.dumps({

@@ -20,7 +20,7 @@ from orbitstar.poly import (
 from orbitstar.quantize import check_deformation_axioms, symmetrizer_product
 from orbitstar.scalars import H, H_ONE, HPoly, I
 
-from conftest import rand_coeff
+from conftest import named_algebra, rand_coeff
 
 
 def test_orbit_validation(su2, xyz):
@@ -52,6 +52,11 @@ def test_orbit_validation(su2, xyz):
         abelian = LieAlgebra([f"A{i}" for i in range(dim)], zero)
         with pytest.raises(ValueError, match="^an orbit needs a semisimple algebra$"):
             sphere_orbit(1, algebra=abelian)
+    # so(4) = su2 + su2 is semisimple of rank two: its sum of squares cuts out
+    # a union of S^2 x S^2 orbits, not one regular orbit
+    so4 = named_algebra("so4")
+    with pytest.raises(ValueError, match="^only rank-one orbits .* dimension 6, not 3$"):
+        sphere_orbit(1, algebra=so4)
 
 
 def test_orbit_reduce_goldens(sphere, xyz):

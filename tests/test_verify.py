@@ -7,15 +7,19 @@ child, taking suite 0 before it forks.  A test that needs a suite to run in
 the child puts it at index 1 or later, behind a suite 0 that naps, and
 guards it with `_in_child`, so that it fails instead of ending pytest if
 the caller takes it.  Also: the suite registry keeps its order and names,
-`verify` hands its options to run_suites unchanged, and the pbw suite's
+`verify` hands its options to run_suites unchanged, the pbw suite's
 per-word associativity sweep gives the verdict, count and witness of a
-plain triple loop."""
+plain triple loop, each golden value's mismatch report is pinned under a
+mutation that reaches it, and a seeded sweep stops drawing at its first
+failure."""
 
+import hashlib
 import itertools
 import json
 import math
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -23,6 +27,7 @@ import threading
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +36,9 @@ from orbitstar import cli, verify
 from orbitstar.envelope import NCPoly
 from orbitstar.exprs import parse_hpoly
 from orbitstar.lie import LieAlgebra, predefined
+from orbitstar.poly import CPoly
+from orbitstar.reps import sl2_casimir
+from orbitstar.scalars import H, H_ONE
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -447,18 +455,175 @@ def test_pbw_counts_every_word_triple(bound):
         assert count == 9018
 
 
-def test_pbw_keeps_the_triple_loop_witness(monkeypatch):
-    # su2 with [X, Y] = Z + X: antisymmetric, but the Jacobiator is Y, so
-    # the rewriting is not associative; a fresh instance keeps its memos apart
+def _broken_su2():
+    """su2 with [X, Y] = Z + X: antisymmetric, but the Jacobiator is Y, so
+    the rewriting is not associative; a fresh instance keeps its memos apart."""
     su2 = predefined("su2")
     broken = LieAlgebra(su2.names, su2.c)
     nz = [list(row) for row in broken._bracket_nz]
     nz[0][1] += ((0, su2.c[0][1][2]),)
     nz[1][0] += ((0, -su2.c[0][1][2]),)
     broken._bracket_nz = tuple(tuple(row) for row in nz)
+    return broken
+
+
+def test_pbw_keeps_the_triple_loop_witness(monkeypatch):
+    broken = _broken_su2()
     monkeypatch.setattr(verify, "predefined", lambda name: broken)
     case = _associativity_case(verify.run_suite("pbw", max_degree=4))
     checked, bad = _reference_associativity(broken, 4)
     assert bad is not None
     assert case == {"suite": "pbw", "status": "fail", "witness": bad,
                     "case": f"associativity on {checked} word triples (len<=4)"}
+
+
+def _su2_times(k):
+    """su2 with every bracket times k: still semisimple with the invariant
+    x^2 + y^2 + z^2, so every suite runs, but each golden value with h moves."""
+    su2 = predefined("su2")
+    return LieAlgebra(su2.names, [[[k * v for v in row] for row in plane]
+                                  for plane in su2.c])
+
+
+def _on_su2(monkeypatch, algebra, patch=lambda orb: None):
+    """Run the suites on `algebra` in place of su2: both `predefined("su2")`
+    and the suites' spheres, each of which `patch` may then alter."""
+    real_predefined, real_sphere = verify.predefined, verify.sphere_orbit
+
+    def sphere(c0=1, lift=None):
+        orb = real_sphere(c0, lift, algebra=algebra)
+        patch(orb)
+        return orb
+    monkeypatch.setattr(verify, "predefined", lambda name: (
+        algebra if name == "su2" else real_predefined(name)))
+    monkeypatch.setattr(verify, "sphere_orbit", sphere)
+
+
+def _lift_ideal(orb):
+    # the deformed ideal is reduced at 1 + h while the orbit says lift 1
+    ideal_reduce = orb.ideal_reduce
+    orb.ideal_reduce = lambda u, **kw: ideal_reduce(u, lift=H_ONE + H, **kw)
+
+
+def _feasible_bidiff(orb):
+    # the first-order ansatz gets the fault-injected control's data
+    x, y, z = (CPoly.variable(3, i) for i in range(3))
+    obstruction = orb.bidifferential_obstruction
+    orb.bidifferential_obstruction = lambda bound, zz_data=None: obstruction(
+        bound, zz_data=-(x * y * z))
+
+
+def _tangential_split(orb):
+    # the split embed is the tangential one, which preserves every level
+    orb.split_embed = orb.tangential_embed
+
+
+def _double_sl2_casimir(monkeypatch):
+    monkeypatch.setattr(verify, "sl2_casimir", lambda L: sl2_casimir(L) * 2)
+
+
+MUTANTS = {
+    "su2 x 2": lambda mp: _on_su2(mp, _su2_times(2)),
+    "broken su2": lambda mp: _on_su2(mp, _broken_su2()),
+    "ideal at 1 + h": lambda mp: _on_su2(mp, predefined("su2"), _lift_ideal),
+    "feasible bidiff": lambda mp: _on_su2(mp, predefined("su2"), _feasible_bidiff),
+    "split = tangential": lambda mp: _on_su2(mp, predefined("su2"), _tangential_split),
+    "sl2 casimir x 2": _double_sl2_casimir,
+}
+
+
+@pytest.mark.parametrize("suite, options, mutant, failing, digest", [
+    ("pbw", {"max_degree": 3}, "su2 x 2",
+     ["normal_form(Y*X)", "normal_form(Z*X)", "normal_form(Z*Y)"],
+     "1faf0cd302675e8d35d726f3ef4909ad5fd36ec7ee3b9fea4e9ae300e690b0a0"),
+    ("centrality", {}, "broken su2", ["[P, X] == 0", "[P, Y] == 0"],
+     "66ac56fa0a4b5c35a60d61d8ce8d6c2b80b4f7d04a6b150dbe4774749c3becad"),
+    ("sym-star", {"max_degree": 2}, "su2 x 2", ["x * y == x*y + (h/2) z"],
+     "36ae365041add9f4afd3a79ed2535c6dbd2ba215544dfded7282bbd449f60c46"),
+    ("sym-star", {"max_degree": 2}, "broken su2",
+     ["axioms on 28 pairs (deg<=2) and 220 triples (deg<=3)"],
+     "d4e07f9d2e683fb74550951e3b59ad763459fdecb9a2a6016165cdeef3be2562"),
+    ("orbit-star", {"max_degree": 2}, "su2 x 2", ["y * x == xy - hz"],
+     "29fdead588964059316ee0403b6186dd4a0fed50b6a1f5ae82716f5e55dec8f4"),
+    ("orbit-star", {"max_degree": 2}, "ideal at 1 + h", ["z * z == 1 - x^2 - y^2"],
+     "a81ca0ae1809ff2027dc185722952f5a3cc572cb5dadf40430350bca9711c262"),
+    ("lemma", {"max_degree": 4}, "su2 x 2",
+     ["first-order rule on 18 x,y-monomial pairs (deg<=4)"],
+     "f790c15a13e80b4babc496af52191dc1b3b4e4021ad6bb0d5a3eb9628941f3a9"),
+    ("bidiff", {"max_degree": 2}, "su2 x 2", ["certificate equation 0 == -x*y*z"],
+     "21232c835edae244a6d9e50bc25b07656935d4b19920a6a01fb0c5f1a80c705b"),
+    ("bidiff", {"max_degree": 2}, "feasible bidiff",
+     ["certificate equation 0 == -x*y*z"],
+     "af7bd6f2e453b5b3ab0d15fc3bc638eaa0075c07550a1886c26354804cbc40d8"),
+    ("tangential", {"max_degree": 2}, "su2 x 2",
+     ["failure witness is y z^2 with remainder (h/2) X*Z + (h^2/4) Y"],
+     "4e55a08c65db8673fd15499c6dbab165f1c85bd8a4199088cbbdca0ad5ede137"),
+    ("tangential", {"max_degree": 2}, "split = tangential",
+     ["failure witness is y z^2 with remainder (h/2) X*Z + (h^2/4) Y"],
+     "5e05c8005970e2b6da13db1fbaa20d5a5ede41db513a28913e974dc97fd78ae2"),
+    ("invariant-mult", {"max_degree": 2}, "su2 x 2",
+     ["symmetrizer product: x * p - x p == -(h^2/3) x"],
+     "085cf5bcfa016fa43859fe92eca08484ac0c85d9f4ddb88233b71955d3601192"),
+    ("reps", {"lambda_bound": 4}, "sl2 casimir x 2",
+     ["highest-weight casimir == lambda^2/2 + h lambda"],
+     "e782bb025bb15de31cf6710e13d4678fdb173b9f6130571f670cdfc028c1b36f"),
+])
+def test_mismatch_report_digests(monkeypatch, suite, options, mutant, failing, digest):
+    # each golden value, checker report and sweep witness is reached by one
+    # mutation of the algebra, the orbit or a product; the suite's whole
+    # report (case texts, statuses, witnesses) is pinned byte for byte
+    MUTANTS[mutant](monkeypatch)
+    reports = verify.run_suite(suite, **options)
+    failed = [r["case"] for r in reports if r["status"] == "fail"]
+    assert set(failing) <= set(failed), failed
+    text = repr(reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+class _CountingRandom(random.Random):
+    """random.Random counting its draws: every randint and randrange of the
+    suites takes its bits through getrandbits."""
+    draws = 0
+
+    def getrandbits(self, k):
+        type(self).draws += 1
+        return super().getrandbits(k)
+
+
+def _fails_at(n, real, wrong=lambda *args: None):
+    """`real`, but `wrong` on its n-th call."""
+    calls = itertools.count(1)
+    return lambda *args: wrong(*args) if next(calls) == n else real(*args)
+
+
+def _failing_sweeps(monkeypatch):
+    # cohomology's third degree, grading's third projection pair (each pair
+    # makes three projections), fourth word and fifth specialization
+    monkeypatch.setattr(verify, "d2", _fails_at(
+        3, verify.d2, lambda L, c: {(0, 1, 2): CPoly.one(L.dim)}))
+    monkeypatch.setattr(NCPoly, "project_h0", _fails_at(7, NCPoly.project_h0))
+    monkeypatch.setattr(NCPoly, "graded_degree", _fails_at(
+        4, NCPoly.graded_degree, lambda e: -1))
+    monkeypatch.setattr(verify, "multiply_at", _fails_at(5, verify.multiply_at))
+
+
+@pytest.mark.parametrize("mutate, suite, seed, failing, draws", [
+    (False, "cohomology", 0, [], 198),
+    (False, "grading", 3, [], 3278),
+    (True, "cohomology", 0, ["d2(d1(C)) == 0 on random cochains (deg<=4)"], 109),
+    (True, "grading", 3, [
+        "h -> 0 projection is multiplicative on random pairs (seed 3)",
+        "normal form preserves the graded degree of words (seed 3)",
+        "specialization commutes with multiplication (seed 3)"], 1079),
+])
+def test_seeded_sweeps_stop_at_their_first_failure(monkeypatch, mutate, suite,
+                                                   seed, failing, draws):
+    # a sweep stops at its first failing draw and the draws after it are
+    # never made, so each later case sees the generator where it is left
+    if mutate:
+        _failing_sweeps(monkeypatch)
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=_CountingRandom))
+    monkeypatch.setattr(_CountingRandom, "draws", 0)
+    reports = verify.run_suite(suite, seed=seed)
+    assert [r["case"] for r in reports if r["status"] == "fail"] == failing
+    assert _CountingRandom.draws == draws
