@@ -19,6 +19,8 @@ does for sums, and skip every product by the interned H_ONE.
 
 from __future__ import annotations
 
+from operator import le
+
 from .lie import LieAlgebra
 from .poly import CPoly, Sparse, acc_scaled, acc_term
 from .scalars import H, H_ONE, as_hpoly
@@ -167,9 +169,7 @@ class NCPoly(Sparse):
 
     # -- structure --------------------------------------------------------
     def is_canonical(self):
-        return all(
-            all(w[k] <= w[k + 1] for k in range(len(w) - 1)) for w in self.terms
-        )
+        return all([all(map(le, w, w[1:])) for w in self.terms])
 
     def _coerce(self, x):
         if isinstance(x, NCPoly):

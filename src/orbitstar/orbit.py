@@ -20,10 +20,10 @@ the largest word in tuple order.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from heapq import heappop, heappush
 
 from .envelope import NCPoly, _nf_word
+from .exprs import parse_expression, parse_hpoly, parse_rational
 from .lie import LieAlgebra, _list, is_semisimple, orbit_algebra, predefined
 from .poly import (
     CPoly,
@@ -182,7 +182,7 @@ class Orbit:
         exps = u.word_exps()
         if any(e[-1] > 1 for e in exps):
             raise ValueError("inputs not in the orbit basis span")
-        return CPoly(self.algebra.dim, exps)
+        return CPoly.zero(self.algebra.dim)._new(exps)
 
     def split_embed(self, f: CPoly) -> NCPoly:
         """Embed along the split f = a*(p - c0) + rem: the cofactor rides on
@@ -196,7 +196,7 @@ class Orbit:
     def split_embed_inverse(self, u: NCPoly) -> CPoly:
         q, r = self.ideal_reduce(u, lift=self.constants[0], track_quotient=True)
         n = self.algebra.dim
-        return CPoly(n, q.word_exps()) * self.generator + self.word_lower(r)
+        return CPoly.zero(n)._new(q.word_exps()) * self.generator + self.word_lower(r)
 
     def tangential_embed(self, f: CPoly) -> NCPoly:
         """Embed along powers of the generator: (p - c0)^k * b maps to
@@ -354,8 +354,9 @@ class Orbit:
 
 
 def _scalar(x):
+    """A level constant: a string is read as parse_rational reads it."""
     try:
-        return HPoly.const(x if not isinstance(x, str) else Fraction(x))
+        return HPoly.const(x if not isinstance(x, str) else parse_rational(x))
     except TypeError:
         raise TypeError(f"bad level constant {x!r}") from None
 
@@ -393,8 +394,6 @@ def orbit_from_json(data, algebra=None) -> Orbit:
     """Load an orbit description like {"algebra": "su2", "invariants":
     ["x^2+y^2+z^2"], "constants": ["1"], "lifts": ["1"]}, whose three fields
     are JSON lists; "lifts" is optional."""
-    from .exprs import parse_expression, parse_hpoly, parse_rational
-
     if isinstance(data, str):
         data = json.loads(data)
     L = algebra if algebra is not None else orbit_algebra(data)

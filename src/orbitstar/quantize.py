@@ -7,26 +7,27 @@ part of sym(x^a), so its inverse is x^a minus the inverses of the strictly
 shorter words of sym(x^a).
 A StarProduct packages an invertible basis correspondence between
 polynomials and the deformed enveloping algebra; the induced product is
-f * g = backward(forward(f) . forward(g)), memoized per monomial pair in a
-pair table that the axiom checker reads too, and summed bilinearly, one
-dict per h-weight (deg x_i = deg h = 1), the dicts merged once per key.
-The forward image of each monomial is computed once per product and
-shared by every pair it enters.  The image table is also the product's
-domain: a monomial is checked against poly_reduce when it first enters the
-table, and one that is not reduced raises there.  The undeformed product
-b0 of two monomials is kept in a table of its own, which the gauge solver
-reads across a chain of orders.
+f * g = backward(forward(f) . forward(g)), kept per monomial pair in a pair
+table as one integer row over one denominator.  star is one integer
+multiply-accumulate of its pairs' rows, and the axiom checker tests each
+triple by such a sum for exact zero.  Each monomial's forward image is
+computed once per product; that image table is the product's domain, and a
+monomial that poly_reduce changes raises where it first enters.  The
+undeformed products b0 of monomials, which the gauge solver reads across a
+chain of orders, have a table of their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
 
 from .envelope import NCPoly, _times, word_exps
 from .lie import LieAlgebra
 from .linalg import LinearSystem
 from .poly import CPoly, acc_scaled, kirillov_bracket, monomials_up_to
-from .scalars import H, H_ONE, as_hpoly, merge_sums
+from .scalars import H, H_ONE, _hpoly, as_hpoly
 
 
 def _sym_monomial(L: LieAlgebra, exps) -> NCPoly:
@@ -56,7 +57,7 @@ def symmetrize(L: LieAlgebra, f: CPoly) -> NCPoly:
     out = {}
     for exps, coeff in f.terms.items():
         acc_scaled(out, _sym_monomial(L, exps).terms, coeff)
-    return NCPoly(L, out)
+    return NCPoly.zero(L)._new(out)
 
 
 def _sym_inv_word(L: LieAlgebra, word):
@@ -86,7 +87,53 @@ def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
     out = {}
     for w, c in u.terms.items():
         acc_scaled(out, _sym_inv_word(L, w), c)
-    return CPoly(L.dim, out)
+    return CPoly.zero(L.dim)._new(out)
+
+
+def _row(terms):
+    """A term dict as a row (den, items): the lcm of its denominators, and an
+    item ((key, k), re, im) per nonzero numerator (re + im*i)/den of h^k key."""
+    den = lcm(*[c.den for c in terms.values()])
+    return den, tuple(((key, k), re * (den // c.den), im * (den // c.den))
+                      for key, c in terms.items()
+                      for k, (re, im) in enumerate(c.num, c.val) if re or im)
+
+
+def _mac(parts):
+    """Sum (wr + wi*i)/d h^shift times a row over the (wr, wi, shift, d, row)
+    in parts as integers over one denominator: (den, re, im), dicts (key, k)
+    -> numerator, im only where an imaginary part reached; zeros are kept."""
+    den = lcm(*[d * row[0] for _, _, _, d, row in parts])
+    re, im = {}, {}
+    get_re, get_im = re.get, im.get
+    for wr, wi, shift, d, (rden, items) in parts:
+        s = den // (d * rden)
+        wr, wi = wr * s, wi * s
+        if shift:
+            items = [((key, k + shift), a, b) for (key, k), a, b in items]
+        for key, a, b in items:
+            re[key] = get_re(key, 0) + wr * a - wi * b
+            if wi or b:
+                im[key] = get_im(key, 0) + wr * b + wi * a
+    return den, re, im
+
+
+def _terms(den, re, im):
+    """The term dict of a sum _mac formed: one canonical HPoly per key, its
+    gcd taken once."""
+    groups = {}
+    for (key, k), a, b in zip(re, re.values(), map(im.get, re, repeat(0))):
+        if a or b:
+            groups.setdefault(key, []).extend((k, a, b))
+    terms = {}
+    for key, group in groups.items():
+        g = gcd(den, *group[1::3], *group[2::3])
+        lo = min(group[::3])
+        num = [(0, 0)] * (max(group[::3]) - lo + 1)
+        for j in range(0, len(group), 3):
+            num[group[j] - lo] = (group[j + 1] // g, group[j + 2] // g)
+        terms[key] = _hpoly(tuple(num), den // g, lo)
+    return terms
 
 
 class StarProduct:
@@ -124,36 +171,35 @@ class StarProduct:
         return u
 
     def _star_monomials(self, e1, e2):
-        key = (e1, e2)
-        hit = self._pair_cache.get(key)
+        """The pair-table row of x^e1 * x^e2 (see _row), built once per pair."""
+        hit = self._pair_cache.get((e1, e2))
         if hit is None:
-            hit = self.backward(self._image(e1) * self._image(e2))
-            self._pair_cache[key] = hit
+            hit = self._pair_cache[e1, e2] = _row(
+                self.backward(self._image(e1) * self._image(e2)).terms)
         return hit
 
-    def star(self, f: CPoly, g: CPoly) -> CPoly:
-        """f * g, extended bilinearly over the monomial basis.
+    def pair_product(self, e1, e2) -> CPoly:
+        """x^e1 * x^e2, the polynomial view of its pair-table row."""
+        return CPoly.zero(self.nvars)._new(
+            _terms(*_mac([(1, 0, 0, 1, self._star_monomials(e1, e2))])))
 
-        Pairs are summed into one dict per h-weight |e1| + |e2| + val(c1*c2),
-        and merge_sums adds the dicts once per key.  In a graded product (sym,
-        pbw) one weight puts a monomial at one power of h, so acc_scaled stays
-        on its single-power step; the orbit products are not graded.  Each
-        new monomial of f, then of g, enters the image table first, so an
-        out-of-domain input raises even when the other factor is zero."""
+    def star(self, f: CPoly, g: CPoly) -> CPoly:
+        """f * g, extended bilinearly over the monomial basis: one _mac of the
+        rows of its pairs, each scaled by c1*c2.  Each new monomial of f, then
+        of g, enters the image table first, so an out-of-domain input raises
+        even when the other factor is zero."""
         if f.nvars != self.nvars or g.nvars != self.nvars:
             raise ValueError("polynomial over the wrong variables")
         for exps in (*f.terms, *g.terms):
             if exps not in self._images:
                 self._image(exps)
-        right = [(e2, c2, sum(e2)) for e2, c2 in g.terms.items()]
-        parts = {}
-        for e1, c1 in f.terms.items():
-            d1 = sum(e1)
-            for e2, c2, d2 in right:
-                c = c2 if c1 is H_ONE else c1 if c2 is H_ONE else c1 * c2
-                acc_scaled(parts.setdefault(d1 + d2 + c.val, {}),
-                           self._star_monomials(e1, e2).terms, c)
-        return f._new(merge_sums(list(parts.values())))
+        pair = self._star_monomials
+        parts = [(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, k1 + k2, c1.den * c2.den, row)
+                 for e1, c1 in f.terms.items() for e2, c2 in g.terms.items()
+                 for row in [pair(e1, e2)]
+                 for k1, (r1, i1) in enumerate(c1.num, c1.val)
+                 for k2, (r2, i2) in enumerate(c2.num, c2.val)]
+        return f._new(_terms(*_mac(parts)))
 
     def _reduced(self, m):
         """Is the monomial m reduced under poly_reduce, so in the domain?"""
@@ -161,25 +207,19 @@ class StarProduct:
 
     def b0(self, f: CPoly, g: CPoly) -> CPoly:
         """The undeformed product (reduced when the domain is a quotient)."""
-        prod = f * g
-        if self.poly_reduce is not None:
-            prod = self.poly_reduce(prod)
-        return prod
+        return f * g if self.poly_reduce is None else self.poly_reduce(f * g)
 
     def _b0_monomials(self, e1, e2):
         """b0(x^e1, x^e2), computed once per pair of monomials."""
-        key = (e1, e2)
-        hit = self._b0_cache.get(key)
+        hit = self._b0_cache.get((e1, e2))
         if hit is None:
-            hit = self._b0_cache[key] = self.b0(CPoly.monomial(self.nvars, e1),
-                                                CPoly.monomial(self.nvars, e2))
+            hit = self._b0_cache[e1, e2] = self.b0(CPoly.monomial(self.nvars, e1),
+                                                   CPoly.monomial(self.nvars, e2))
         return hit
 
     def bracket(self, f: CPoly, g: CPoly) -> CPoly:
         b = kirillov_bracket(self.algebra, f, g)
-        if self.poly_reduce is not None:
-            b = self.poly_reduce(b)
-        return b
+        return b if self.poly_reduce is None else self.poly_reduce(b)
 
     def bn(self, f: CPoly, g: CPoly, n: int) -> CPoly:
         """The coefficient of h^n in f * g, for h-free inputs."""
@@ -210,7 +250,7 @@ def pbw_basis_product(L: LieAlgebra) -> StarProduct:
     """The star product of the ordered-word basis map x^a -> X^a."""
 
     return StarProduct(L, lambda f: NCPoly.ordered_words(L, f),
-                       lambda u: CPoly(L.dim, u.word_exps()), name="pbw")
+                       lambda u: CPoly.zero(L.dim)._new(u.word_exps()), name="pbw")
 
 
 def check_deformation_axioms(star: StarProduct, degree_bound: int,
@@ -228,7 +268,7 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
     basis = star.monomial_basis(max(degree_bound, assoc_degree))
     degree = {e: sum(e) for e in basis}
     mono = {e: CPoly.monomial(star.nvars, e) for e in basis}
-    product = star._star_monomials
+    pair, view = star._star_monomials, star.pair_product
     failures = []
     names = tuple(star.algebra.varnames)
 
@@ -245,30 +285,31 @@ def check_deformation_axioms(star: StarProduct, degree_bound: int,
             if degree[e1] + degree[e2] > degree_bound:
                 continue
             pairs += 1
-            f, g = mono[e1], mono[e2]
-            fg = product(e1, e2)
+            f, g, fg = mono[e1], mono[e2], view(e1, e2)
             want0 = star.b0(f, g)
             if fg.h_coefficient(0) != want0:
                 fail("product-mod-h", (f, g), want0, fg.h_coefficient(0))
-            comm = fg - product(e2, e1)
-            want1 = star.bracket(f, g)
+            comm, want1 = fg - view(e2, e1), star.bracket(f, g)
             if not comm.h_coefficient(0).is_zero() or comm.h_coefficient(1) != want1:
                 fail("commutator-mod-h2", (f, g), want1, comm.h_coefficient(1))
+    # (x^e1 x^e2) x^e3 - x^e1 (x^e2 x^e3) as integers; polynomials only if not 0
     triples = 0
     for e1 in basis:
         for e2 in basis:
             if degree[e1] + degree[e2] > assoc_degree:
                 continue
-            f, fg = mono[e1], product(e1, e2)
+            den12, items12 = pair(e1, e2)
             for e3 in basis:
                 if degree[e1] + degree[e2] + degree[e3] > assoc_degree:
                     continue
                 triples += 1
-                k = mono[e3]
-                left = star.star(fg, k)
-                right = star.star(f, product(e2, e3))
-                if left != right:
-                    fail("associativity", (f, mono[e2], k), right, left)
+                den23, items23 = pair(e2, e3)
+                _, re, im = _mac([(a, b, p, den12, pair(m, e3)) for (m, p), a, b in items12]
+                                 + [(-a, -b, p, den23, pair(e1, m)) for (m, p), a, b in items23])
+                if any(re.values()) or any(im.values()):
+                    f, k = mono[e1], mono[e3]
+                    fail("associativity", (f, mono[e2], k),
+                         star.star(f, view(e2, e3)), star.star(view(e1, e2), k))
     return {"failures": failures, "pairs": pairs, "triples": triples}
 
 

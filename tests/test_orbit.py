@@ -504,6 +504,17 @@ def test_tangential_product_works_with_any_lift(su2, xyz):
     assert orb.tangential_product().star(x * y, p) == x * y * p
 
 
+def test_level_strings_follow_the_expression_grammar(sphere):
+    # a Python caller's level string reads as --c and a config constant do
+    assert sphere_orbit("1/4").constants == (Fraction(1, 4),)
+    assert sphere.neighbor_lift("3/2") == Fraction(3, 2)
+    for text in ("1.5", "1_0"):
+        with pytest.raises(ValueError):
+            sphere_orbit(text)
+    with pytest.raises(ValueError):
+        sphere.neighbor_lift("1e1")
+
+
 @pytest.mark.parametrize("field, value", [
     ("invariants", "x^2+y^2+z^2"), ("constants", "2"), ("lifts", "2"),
     ("constants", 2),

@@ -22,7 +22,7 @@ from orbitstar.quantize import (
     symmetrize,
     symmetrizer_product,
 )
-from orbitstar.scalars import H, H_ONE, HPoly
+from orbitstar.scalars import H, H_ONE, HPoly, I
 
 
 def brute_symmetrize(L, exps):
@@ -271,14 +271,40 @@ def _reference_axioms(star, degree_bound, assoc_degree):
     return {"failures": failures, "pairs": pairs, "triples": triples}
 
 
-def test_axiom_checker_report_matches_plain_loop(su2, xyz):
-    x, y, z = xyz
+def _inject(star, pair, fault):
+    """Add the text fault to the pair table's x^e1 * x^e2, written as a row
+    through the conversion star itself uses; returns the faulty product."""
+    wrong = star.pair_product(*pair) + parse_expression(fault, algebra=star.algebra)
+    star._pair_cache[pair] = quantize._row(wrong.terms)
+    assert star.pair_product(*pair) == wrong
+    return wrong
+
+
+def test_axiom_checker_report_matches_plain_loop(su2):
     star = symmetrizer_product(su2)
     # x * y gains h^2 z in the pair table: the pair checks (mod h, and the
     # commutator mod h^2) still pass, but associativity fails
-    star._pair_cache[(1, 0, 0), (0, 1, 0)] = star.star(x, y) + z * H * H
+    _inject(star, ((1, 0, 0), (0, 1, 0)), "h^2*z")
     report = check_deformation_axioms(star, 2, assoc_degree=3)
     assert {f["property"] for f in report["failures"]} == {"associativity"}
+    assert report == _reference_axioms(star, 2, 3)
+
+
+@pytest.mark.parametrize("pair, fault, properties", [
+    (((1, 0, 0), (0, 1, 0)), "(2 + i)*h^3*y", {"associativity"}),
+    # x * y gains h z: its commutator with y * x is off at h^1
+    (((1, 0, 0), (0, 1, 0)), "1/3*h*z", {"commutator-mod-h2", "associativity"}),
+    # x * x gains z at h^0: the product is off mod h, its commutator is not
+    (((1, 0, 0), (1, 0, 0)), "-i*z", {"product-mod-h", "associativity"}),
+], ids=["associativity", "commutator-mod-h2", "product-mod-h"])
+@pytest.mark.parametrize("kind", ["sym", "orbit"])
+def test_axiom_checker_reports_each_injected_fault(kind, su2, pair, fault, properties):
+    # the checker's integer sums find the fault and report it as the plain
+    # loop of star products does, witnesses included
+    star = _product(kind, su2)
+    _inject(star, pair, fault)
+    report = check_deformation_axioms(star, 2, assoc_degree=3)
+    assert {f["property"] for f in report["failures"]} == properties
     assert report == _reference_axioms(star, 2, 3)
 
 
@@ -552,7 +578,7 @@ def _bilinear_star(star, f, g):
     out = CPoly.zero(star.nvars)
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
-            out = out + star._star_monomials(e1, e2) * (c1 * c2)
+            out = out + star.pair_product(e1, e2) * (c1 * c2)
     return out
 
 
@@ -569,8 +595,9 @@ def _product(kind, L):
             "split": orb.split_product}[kind]()
 
 
-# Inputs in the orbit products' basis.  star sums its pairs by h-weight
-# |e1| + |e2| + val(c1*c2); each case names what its parts do at the merge.
+# Inputs in the orbit products' basis.  star sums the rows of its pairs as
+# integers, each row's powers of h shifted by the weight's; each case names
+# what the sum does.
 STAR_CASES = [
     # several weights, h-carrying coefficients
     ("x + 1/2*y^2 + h*z", "3/4*x*z - 2/3*y + (1+h)*x"),
@@ -584,20 +611,26 @@ STAR_CASES = [
     ("h*x + h*y + h*x*z", "(1+h)*y^2 - x*y"),
     # a single monomial pair: one weight, returned as summed
     ("x*y", "-1/2*h*z"),
+    # x*y cancels to exact zero between the pairs (x, -y) and (y, x)
+    ("x + y", "x - y"),
+    # complex weights: the cross terms cancel the real part of x*y
+    ("x + i*y", "x - i*y"),
+    # h-carrying weights shift each row's powers of h, and cancel at h^0
+    ("h^2*x + (1/3 - h)*y", "i*h*y - 1/3*x"),
 ]
 
 
-@pytest.mark.parametrize("kind", PRODUCTS)
-def test_star_against_bilinear_oracle(kind, su2):
-    star = _product(kind, su2)
+def _against_bilinear_oracle(star, L):
+    """star agrees with the term-by-term sum on STAR_CASES and on seeded
+    draws whose coefficients carry h, and keeps no zero coefficient."""
     basis = star.monomial_basis(3)
     rng = random.Random(43)
-    pairs = [tuple(parse_expression(t, algebra=su2) for t in case)
+    pairs = [tuple(parse_expression(t, algebra=L) for t in case)
              for case in STAR_CASES]
     for _ in range(12):
         f, g = (
             CPoly(3, {
-                e: H_ONE if rng.random() < 0.3 else rand_coeff(rng)
+                e: H_ONE if rng.random() < 0.3 else rand_coeff(rng) * H ** rng.randint(0, 2)
                 for e in rng.sample(basis, rng.randint(1, 4))
             })
             for _ in range(2)
@@ -608,24 +641,63 @@ def test_star_against_bilinear_oracle(kind, su2):
             got = star.star(left, right)
             assert got == _bilinear_star(star, left, right)
             assert all(got.terms.values())
+    return pairs
+
+
+@pytest.mark.parametrize("kind", PRODUCTS)
+def test_star_against_bilinear_oracle(kind, su2):
+    star = _product(kind, su2)
+    pairs = _against_bilinear_oracle(star, su2)
     if kind == "sym":
         f, g = pairs[2]
         assert star.star(f, g) == parse_expression("x^2 + (1+h)*x^3 - h*x",
                                                    algebra=su2)
 
 
+@pytest.mark.parametrize("kind", PRODUCTS)
+def test_star_against_bilinear_oracle_complex_brackets(kind, su2):
+    # su2 with every bracket times 1/2 + i: a row with a bracket term has
+    # imaginary parts, so complex weights meet it in both cross terms
+    scale = Fraction(1, 2) + I
+    L = LieAlgebra(su2.names, [[[v * scale for v in row] for row in plane]
+                               for plane in su2.c])
+    star = _product(kind, L)
+    _, items = star._star_monomials((0, 1, 0), (1, 0, 0))
+    assert any(im for _, _, im in items)
+    _against_bilinear_oracle(star, L)
+
+
 @pytest.mark.parametrize("kind", ["sym", "pbw"])
-def test_graded_star_adds_each_update_at_one_power(kind, su2, monkeypatch):
-    # in a graded product the pairs of one h-weight put a monomial at one
-    # power of h, so no update leaves acc_scaled's single-power step
+def test_graded_star_adds_each_update_at_one_power(kind, su2):
+    # in a graded product (deg x_i = deg h = 1) every item of a pair's row
+    # sits at the pair's weight, |exps| + k = |e1| + |e2|, so one weight of
+    # c1*c2 puts each update of star at one power of h
     star = _product(kind, su2)
     f = parse_expression("x + h*y + 1/2*h^2*z + 3*x*y - 2/3*h*y*z", algebra=su2)
     g = parse_expression("y + x - h + 1/3*h*x^2 + 5/7*h^2*z", algebra=su2)
+    assert star.star(f, g) == _bilinear_star(star, f, g)
+    assert len(star._pair_cache) == len(f.terms) * len(g.terms)
+    for (e1, e2), (_, items) in star._pair_cache.items():
+        assert {sum(exps) + k for (exps, k), _, _ in items} == {sum(e1) + sum(e2)}
+
+
+@pytest.mark.parametrize("kind", PRODUCTS)
+def test_warm_star_does_no_hpoly_arithmetic(kind, su2, monkeypatch):
+    # on a warm pair table star is one integer multiply-accumulate over the
+    # rows: no Q(i)[h] product or sum, only one HPoly built per monomial
+    star = _product(kind, su2)
+    f = parse_expression("x + h*y + 1/2*h^2*z + 3*x*y - 2/3*h*y*z", algebra=su2)
+    g = parse_expression("y + (i - h)*x - h + 1/3*h*x^2 + 5/7*h^2*z", algebra=su2)
     want = _bilinear_star(star, f, g)
-    calls = []
-    monkeypatch.setattr(scalars, "acc_term", lambda *a: calls.append(a))
+
+    def refuse(*args):
+        raise AssertionError("HPoly arithmetic in a warm star")
+
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(scalars.HPoly, name, refuse)
+    monkeypatch.setattr(scalars, "_sum", refuse)
+    monkeypatch.setattr(scalars, "_canonical", refuse)
     assert star.star(f, g) == want
-    assert calls == []
 
 
 def test_orbit_star_domain_memo_still_rejects(su2, xyz):
