@@ -188,15 +188,9 @@ def solve_coboundary(L: LieAlgebra, C: Cochain2, degree: int):
         return None
     basis = monomials_of_degree(n, degree)
     nb = len(basis)
-    values = []
-    for gen in range(n):
-        p = CPoly.zero(n)
-        for t, exps in enumerate(basis):
-            v = solution[gen * nb + t]
-            if v:
-                p = p + CPoly.monomial(n, exps, v)
-        values.append(p)
-    return Cochain1(L, values)
+    return Cochain1(L, [CPoly(n, {exps: solution[gen * nb + t]
+                                  for t, exps in enumerate(basis)})
+                        for gen in range(n)])
 
 
 def h2_dimension(L: LieAlgebra, degree: int) -> int:

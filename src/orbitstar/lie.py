@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from . import linalg
-from .scalars import H_ZERO, HPoly
+from .scalars import H_ZERO, HPoly, acc_term
 
 def _constants_from(c):
     """Normalize nested structure constants into a dense scalar cube."""
@@ -80,8 +80,8 @@ def check_jacobi(c) -> bool:
                 for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, u in nz[a][b]:
                         for l, v in nz[m][d]:
-                            acc[l] = acc.get(l, H_ZERO) + u * v
-                if any(acc.values()):
+                            acc_term(acc, l, u * v)
+                if acc:
                     return False
     return True
 

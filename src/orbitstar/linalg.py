@@ -10,7 +10,7 @@ rounding.
 
 from __future__ import annotations
 
-from .scalars import H_ONE, H_ZERO, HPoly
+from .scalars import H_ONE, H_ZERO, HPoly, acc_scaled
 
 
 def mat(rows):
@@ -141,16 +141,9 @@ class LinearSystem:
                 self.pivots[col] = (norm, rhs * inv)
                 return True
             prow, prhs = hit
-            f = row.pop(col)
-            for c, v in prow.items():
-                if c == col:
-                    continue
-                nv = row.get(c, H_ZERO) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            rhs = rhs - f * prhs
+            f = -row[col]  # prow[col] is 1, so col cancels
+            acc_scaled(row, prow, f)
+            rhs = rhs + f * prhs
         if rhs:
             if self.conflict is None:
                 self.conflict = tag if tag is not None else True

@@ -35,7 +35,7 @@ from .poly import (
     reduce as poly_reduce_by,
 )
 from .quantize import StarProduct, symmetrize
-from .scalars import H, H_ONE, HPoly, as_hpoly, merge_sums
+from .scalars import H, H_ONE, HPoly, as_hpoly
 
 
 class Orbit:
@@ -369,14 +369,14 @@ def _rewrites(words, z):
 
 
 def _substitute(parts, lift):
-    """sum_k lift^k parts[k], the term dicts of the formal powers t^k."""
+    """sum_k lift^k parts[k], the term dicts of t^k, summed into parts[0]."""
     if not lift:
         return parts[0]
-    scaled, power = [parts[0]], H_ONE
+    power = H_ONE
     for part in parts[1:]:
         power = power * lift
-        scaled.append({w: power * c for w, c in part.items()})
-    return merge_sums(scaled)
+        acc_scaled(parts[0], part, power)
+    return parts[0]
 
 
 def _sum_of_squares(n) -> CPoly:

@@ -15,14 +15,15 @@ numerator pair), the scalar of the linear algebra, the structure constants
 and the representations, and the form in which coefficients are read out.
 HPoly.const makes one from an int, a Fraction or an h-free HPoly, and
 refuses anything else.
-acc_scaled, the step that adds c*v into a term dict for every sum and
-product of CPoly and NCPoly, lives here because it reads HPoly's fields: a
+acc_scaled, the one step that adds c*v into a term dict (every sum and
+product of CPoly and NCPoly, the orbit ideal's substitution and the row
+eliminations of LinearSystem), lives here because it reads HPoly's fields: a
 product of two single powers c*h^k, and its sum with a stored single power
 of the same h-degree, are a few int operations and one HPoly per key, shared
 from a bounded, process-wide table (_SMALL) when it is a small integer times
 a power of h, so that equal small coefficients are one object.
-Every other sum (HPoly(coeffs), HPoly.__add__, merge_sums of several term
-dicts) is one _sum per value, per power of h over the lcm of denominators.
+Every other sum (HPoly(coeffs), HPoly.__add__) is one _sum per value, per
+power of h over the lcm of denominators.
 The printers read HPoly's integer fields directly, reducing each numerator
 against the denominator with one gcd.  Values are immutable after
 construction; equality is exact structural equality.
@@ -376,33 +377,6 @@ def acc_scaled(d, terms, c):
             d[key] = p
         else:
             acc_term(d, key, p)
-
-
-def merge_sums(parts):
-    """The sum of a list of term dicts, as one dict.  One dict is returned as
-    it is; a key that one dict holds keeps its HPoly, and a key that several
-    hold has their coefficients added in one _sum.  Keys that cancel are
-    dropped."""
-    if len(parts) == 1:
-        return parts[0]
-    out = {}
-    for part in parts:
-        for key, v in part.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = v
-            elif cur.__class__ is list:
-                cur.append(v)
-            else:
-                out[key] = [cur, v]
-    for key, cs in list(out.items()):
-        if cs.__class__ is list:
-            p = _sum(cs)
-            if p:
-                out[key] = p
-            else:
-                del out[key]
-    return out
 
 
 # ---------------------------------------------------------------------------

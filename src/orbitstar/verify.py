@@ -376,12 +376,14 @@ def suite_reps(lambda_bound=None, **_):
     for d, scalar in zip((2, 3), scalars):
         yield (f"hw value at lambda={d - 1} matches the "
                f"{d}-dim rep", hw.evaluate((d - 1,)).evaluate(1) == scalar * (-2))
+    # the frozen witness is weight 2, whatever the bound
+    wbound = max(bound, 2)
     report = nonisomorphism_witness(HPoly.const(4),
-                                    HPoly.const(4) + H * Fraction(1, 3), bound)
+                                    HPoly.const(4) + H * Fraction(1, 3), wbound)
     ok = (report["spectrum_a"] == [2] and report["spectrum_b"] == []
           and report["witness_found"])
     yield ("lifts 4 and 4 + h/3 give disjoint spectra "
-           f"{{2}} vs {{}} (bound {bound})", ok, report)
+           f"{{2}} vs {{}} (bound {wbound})", ok, report)
     same = nonisomorphism_witness(HPoly.const(4), HPoly.const(4), bound)
     yield ("equal lifts give no witness",
            not same["witness_found"])

@@ -185,3 +185,86 @@ def test_add_polys_rank_matches_hand_flattened_rows(seed):
             dense.append([lin[col].coeff(e).as_scalar() if col in lin else H_ZERO
                           for col in range(ncols)])
     assert system.rank == _rank(dense)
+
+
+def _oracle_rank(rows):
+    """The rank of dense oracle rows by Gaussian elimination on GaussianRational
+    values; shares no code with LinearSystem."""
+    rows = [list(r) for r in rows]
+    rank, ncols = 0, len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / top[col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def _to_oracle(p):
+    """An h-free HPoly as a GaussianRational, read from its integer fields."""
+    if not p.num:
+        return gr(0)
+    (re, im), = p.num
+    return gr(Fraction(re, p.den), Fraction(im, p.den))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_linear_system_against_gaussian_oracle(seed):
+    # sparse Q(i) systems with mixed denominators and imaginary parts; some
+    # rows are combinations of earlier ones, so elimination cancels entries
+    # and the rank falls short; a consistent system has b = A x0, and an
+    # inconsistent one shifts the right-hand side of one combination row
+    rng = random.Random(900 + seed)
+
+    def rand_gauss():
+        return gr(Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 4, 6])),
+                  Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5])))
+
+    inconsistent = 0
+    for trial in range(12):
+        ncols = rng.randint(1, 7)
+        x0 = [rand_gauss() if rng.random() < 0.6 else gr(0) for _ in range(ncols)]
+        rows = []
+        for _ in range(rng.randint(1, 9)):
+            if rows and rng.random() < 0.35:
+                picks = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
+                cs = [rand_gauss() for _ in picks]
+                row = [sum((c * r[j] for c, r in zip(cs, picks)), gr(0))
+                       for j in range(ncols)]
+            else:
+                row = [rand_gauss() if rng.random() < 0.4 else gr(0)
+                       for _ in range(ncols)]
+            rows.append(row)
+        rhs = [sum((a * x for a, x in zip(row, x0)), gr(0)) for row in rows]
+        if trial % 3 == 2:
+            k = rng.randrange(len(rows))
+            rhs[k] = rhs[k] + gr(rng.choice([1, -2, Fraction(1, 3)]),
+                                  rng.choice([0, 1]))
+        system = linalg.LinearSystem(ncols)
+        conflict = None
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            aug = [r + [c] for r, c in zip(rows[:i + 1], rhs[:i + 1])]
+            bad = _oracle_rank(aug) > _oracle_rank(rows[:i + 1])
+            ok = system.add({j: _from_oracle(v) for j, v in enumerate(row) if v},
+                            _from_oracle(b), tag=("row", i))
+            if conflict is None:
+                assert ok == (not bad), (seed, trial, i)
+                if bad:
+                    conflict = ("row", i)
+        assert system.rank == _oracle_rank(rows)
+        assert system.conflict == conflict
+        sol = system.solve()
+        if conflict is not None:
+            inconsistent += 1
+            assert sol is None
+            continue
+        x = [_to_oracle(v) for v in sol]
+        for row, b in zip(rows, rhs):
+            assert sum((a * v for a, v in zip(row, x)), gr(0)) == b
+    assert inconsistent

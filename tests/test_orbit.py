@@ -164,17 +164,21 @@ def test_ideal_reduce_against_rescan_oracle(su2, lift, neighbor):
 
 
 def test_ideal_reduce_adds_single_powers_under_a_multi_power_lift(su2, monkeypatch):
-    # the lift is held as a formal t, so no update adds a value of several
-    # powers of h; multiplying it in at each rewrite would
+    # the expansion holds the lift as a formal t, so no rewrite adds a value
+    # of several powers of h; multiplying it in at each rewrite would.  Only
+    # the final substitution of t = lift adds the lift's powers.
     orb = sphere_orbit(2, lift=_LIFT_H2_I, algebra=su2)
     u = NCPoly.word(su2, (0, 1, 2, 2, 2, 2, 2, 2), Fraction(2, 3)) + NCPoly.word(
         su2, (1, 2, 2, 2, 2, 2), H)
-    want = _rescan_ideal_reduce(orb, u, orb.lifts[0])
     sums = []
     add = HPoly.__add__
-    monkeypatch.setattr(HPoly, "__add__", lambda a, b: sums.append((a, b)) or add(a, b))
-    assert orb.ideal_reduce(u, track_quotient=True) == want
+    with monkeypatch.context() as patch:
+        patch.setattr(HPoly, "__add__", lambda a, b: sums.append((a, b)) or add(a, b))
+        parts, _ = orb._expand(u, True)
+    assert len(parts) > 1
     assert sums and all(len(a.num) == len(b.num) == 1 for a, b in sums)
+    want = _rescan_ideal_reduce(orb, u, orb.lifts[0])
+    assert orb.ideal_reduce(u, track_quotient=True) == want
 
 
 def test_ideal_reduce_memoizes_sums_of_squares(su2, monkeypatch):

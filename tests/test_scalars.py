@@ -15,11 +15,11 @@ from orbitstar.scalars import (
     H_ONE,
     H_ZERO,
     I,
+    acc_scaled,
     as_hpoly,
     format_hpoly,
     format_scalar,
     format_terms,
-    merge_sums,
 )
 
 
@@ -262,9 +262,10 @@ def _fields(p):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_merge_sums_against_gaussian_oracle(seed):
-    """merge_sums, a + b and HPoly(coeffs) share one summation kernel: each
-    is checked against the oracle, and the three agree field for field."""
+def test_dict_sums_against_gaussian_oracle(seed):
+    """Term dicts summed through acc_scaled with the unit H_ONE, a + b and
+    HPoly(coeffs) are each checked against the oracle, and the three agree
+    field for field."""
     rng = random.Random(800 + seed)
 
     def rand_value():
@@ -297,14 +298,18 @@ def test_merge_sums_against_gaussian_oracle(seed):
         want[key] = reduce(_oracle_add, cs, [])
         if len(cs) == 2:
             pairs[key] = [part[key] for part in parts[:2]]
-    got = merge_sums(parts)
+    got = {}
+    for part in parts:
+        acc_scaled(got, part, H_ONE)
     assert cancelled and raised and len(pairs) > 5
     assert set(got) == {key for key, cs in want.items() if cs}
     for key, value in got.items():
         _assert_canonical(value)
         assert [from_hpoly(c) for c in value.coeffs] == want[key]
     for key, (a, b) in pairs.items():
-        one = merge_sums([{key: a}, {key: b}]).get(key, H_ZERO)
+        one = {key: a}
+        acc_scaled(one, {key: b}, H_ONE)
+        one = one.get(key, H_ZERO)
         assert _fields(a + b) == _fields(one) == _fields(hpoly_of(want[key]))
 
 
