@@ -8,8 +8,10 @@ Grammar (shared by the CLI and config loaders):
     atom   := rational | 'i' | 'h' | name | '(' expr ')'
 
 Numbers are ASCII digits (a rational is natural or natural/natural), each
-digit run within Python's integer-string limit, and an exponent is at most
-MAX_EXPONENT.  The parser works straight on term dicts
+digit run within Python's integer-string limit, an exponent is at most
+MAX_EXPONENT, and a product of a terms by b terms (a step of a power
+included) is refused before it is formed when a * b exceeds MAX_TERM_PAIRS.
+The parser works straight on term dicts
 (key -> nonzero HPoly) and wraps the result once: in commutative mode names
 are coordinate variables, keys are exponent vectors and the result is a
 CPoly; in noncommutative mode names are generator labels, keys are words,
@@ -49,6 +51,9 @@ class ExprSyntaxError(ValueError):
 _OPS = set("+-*^()")
 _DIGITS = set("0123456789")
 MAX_EXPONENT = 64
+# (x + 2*y + 3*z + 1)^30 ends with 4 x 4,960 pairs; (X+Y+Z)^10 would take
+# 3 x 3^9 = 59,049
+MAX_TERM_PAIRS = 2 ** 15
 _H_MINUS_ONE = -H_ONE
 
 
@@ -105,7 +110,8 @@ class _Parser:
     implicit.  The mode supplies the unit key, the key product, the key
     power and the key of each name; sums accumulate in place, every product
     of factors is one dict product, and so is each step of a power, except
-    that a power of one term is one key power and one coefficient power."""
+    that a power of one term is one key power and one coefficient power.
+    Each dict product is held to MAX_TERM_PAIRS term pairs."""
 
     def __init__(self, text, unit, key_mul, key_pow, keys):
         self.tokens = _tokenize(text)
@@ -148,17 +154,24 @@ class _Parser:
             acc_scaled(value, self.term(), sign)
         return value
 
+    def multiply(self, a, b, pos):
+        """The dict product a * b, or a syntax error at the operator's offset
+        pos when it takes more than MAX_TERM_PAIRS term pairs."""
+        if len(a) * len(b) > MAX_TERM_PAIRS:
+            raise ExprSyntaxError(f"product above {MAX_TERM_PAIRS} term pairs", pos)
+        return product(a, b, self.key_mul)
+
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            value = product(value, self.factor(), self.key_mul)
+            pos = self.advance()[2]
+            value = self.multiply(value, self.factor(), pos)
         return value
 
     def factor(self):
         value = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            caret = self.advance()[2]
             _, text, pos = self.expect("number")
             if "/" in text:
                 raise ExprSyntaxError("exponent must be a natural number", pos)
@@ -170,7 +183,7 @@ class _Parser:
                 return {self.key_pow(key, n): c if c is H_ONE else c ** n}
             power = value if n else {self.unit: H_ONE}
             for _ in range(n - 1):
-                power = product(value, power, self.key_mul)
+                power = self.multiply(value, power, caret)
             return power
         return value
 
@@ -210,8 +223,8 @@ def parse_expression(text, mode="commutative", algebra: LieAlgebra | None = None
 
     Names resolve against the algebra's varnames or generator names; an
     explicit names sequence overrides the commutative variables.  An
-    exponent above MAX_EXPONENT is a syntax error; this caps the parser
-    only, so a small input such as (X+Y+Z)^16 still expands to 3^16 words.
+    exponent above MAX_EXPONENT is a syntax error, and so is a product of more
+    than MAX_TERM_PAIRS term pairs: (X+Y+Z)^12 is refused at its '^'.
     """
     if mode == "commutative":
         if names is None:

@@ -2,9 +2,9 @@
 
 symmetrize sends a monomial of degree p to the average of its p! orderings,
 built by recursion on the first letter and memoized per monomial.
-sym_inverse reads a table memoized per ordered word: X^a is the top-length
-part of sym(x^a), so its inverse is x^a minus the inverses of the strictly
-shorter words of sym(x^a).
+sym_inverse reads a table of integer rows memoized per ordered word: X^a is
+the top-length part of sym(x^a), so its inverse is x^a minus the inverses
+of the strictly shorter words of sym(x^a).
 A StarProduct packages an invertible basis correspondence between
 polynomials and the deformed enveloping algebra; the induced product is
 f * g = backward(forward(f) . forward(g)), kept per monomial pair in a pair
@@ -15,6 +15,16 @@ computed once per product; that image table is the product's domain, and a
 monomial that poly_reduce changes raises where it first enters.  The
 undeformed products b0 of monomials, which the gauge solver reads across a
 chain of orders, have a table of their own.
+
+The symmetrizer product has parity: B_n(f, g) = (-1)^n B_n(g, f) (Gutt).
+Word reversal tau is an anti-isomorphism U_h -> U_{-h} that fixes every
+symmetrized monomial, so S(a * b) = S(a) S(b) reverses to
+S(a * b) = S(b) S(a) in U_{-h}, that is a *_h b = b *_{-h} a.  This needs
+confluent rewriting, so symmetrizer_product mirrors only when the bracket
+table the rewriting reads passes check_jacobi: the row of x^b * x^a is then
+the stored row of x^a * x^b with its odd powers of h negated.  The axiom
+checker's commutator case and any swapped-order check thus read a derived
+row for the reversed pair; a StarProduct built directly never mirrors.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from itertools import repeat
 from math import gcd, lcm
 
 from .envelope import NCPoly, _times, word_exps
-from .lie import LieAlgebra
+from .lie import LieAlgebra, check_jacobi
 from .linalg import LinearSystem
 from .poly import CPoly, acc_scaled, kirillov_bracket, monomials_up_to
 from .scalars import H, H_ONE, _hpoly, as_hpoly
@@ -61,7 +71,8 @@ def symmetrize(L: LieAlgebra, f: CPoly) -> NCPoly:
 
 
 def _sym_inv_word(L: LieAlgebra, word):
-    """sym_inverse of one nondecreasing word X^a, memoized per word.
+    """sym_inverse of one nondecreasing word X^a as a row (see _row),
+    memoized per word.
 
     The top-length part of sym(x^a) is exactly X^a and its other words are
     strictly shorter, so inv(X^a) = x^a - sum_w c_w inv(w) over those words.
@@ -69,12 +80,18 @@ def _sym_inv_word(L: LieAlgebra, word):
     hit = L._sym_inv_cache.get(word)
     if hit is None:
         exps = word_exps(word, L.dim)
-        hit = {exps: H_ONE}
-        for w, c in _sym_monomial(L, exps).terms.items():
-            if w != word:
-                acc_scaled(hit, _sym_inv_word(L, w), -c)
-        L._sym_inv_cache[word] = hit
+        hit = L._sym_inv_cache[word] = _mac_row(
+            [(1, 0, 0, 1, (1, (((exps, 0), 1, 0),)))]
+            + _sym_inv_parts(L, _sym_monomial(L, exps).terms, -1, word))
     return hit
+
+
+def _sym_inv_parts(L, terms, sign, skip=None):
+    """The _mac parts of sign * sym_inverse of a canonical term dict, its
+    word skip left out: one per power of each coefficient."""
+    return [(sign * re, sign * im, k, c.den, _sym_inv_word(L, w))
+            for w, c in terms.items() if w != skip
+            for k, (re, im) in enumerate(c.num, c.val)]
 
 
 def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
@@ -84,10 +101,7 @@ def sym_inverse(L: LieAlgebra, u: NCPoly) -> CPoly:
         raise ValueError("element lives over a different algebra")
     if not u.is_canonical():
         raise ValueError("sym_inverse expects a canonical element")
-    out = {}
-    for w, c in u.terms.items():
-        acc_scaled(out, _sym_inv_word(L, w), c)
-    return CPoly.zero(L.dim)._new(out)
+    return CPoly.zero(L.dim)._new(_terms(*_mac(_sym_inv_parts(L, u.terms, 1))))
 
 
 def _row(terms):
@@ -116,6 +130,16 @@ def _mac(parts):
             if wi or b:
                 im[key] = get_im(key, 0) + wr * b + wi * a
     return den, re, im
+
+
+def _mac_row(parts):
+    """The sum _mac forms, as a row (see _row): zeros dropped, and the
+    denominator and numerators divided by their gcd."""
+    den, re, im = _mac(parts)
+    items = [(key, a, b) for key, a, b in zip(re, re.values(), map(im.get, re, repeat(0)))
+             if a or b]
+    g = gcd(den, *[a for _, a, _ in items], *[b for _, _, b in items])
+    return den // g, tuple((key, a // g, b // g) for key, a, b in items)
 
 
 def _terms(den, re, im):
@@ -174,9 +198,12 @@ class StarProduct:
         """The pair-table row of x^e1 * x^e2 (see _row), built once per pair."""
         hit = self._pair_cache.get((e1, e2))
         if hit is None:
-            hit = self._pair_cache[e1, e2] = _row(
-                self.backward(self._image(e1) * self._image(e2)).terms)
+            hit = self._pair_cache[e1, e2] = self._fill(e1, e2)
         return hit
+
+    def _fill(self, e1, e2):
+        """The row of a pair the table misses."""
+        return _row(self.backward(self._image(e1) * self._image(e2)).terms)
 
     def pair_product(self, e1, e2) -> CPoly:
         """x^e1 * x^e2, the polynomial view of its pair-table row."""
@@ -236,14 +263,31 @@ class StarProduct:
         ]
 
 
+class _SymmetrizerProduct(StarProduct):
+    """The symmetrizer product.  A miss mirrors the reversed pair's row
+    where the rewriting is confluent (see the module docstring), else sums
+    the inverse rows of the words of its U-product in one _mac."""
+
+    def _fill(self, e1, e2):
+        row = self._pair_cache.get((e2, e1)) if self._mirrors else None
+        if row is not None:
+            den, items = row
+            return den, tuple(((key, k), -a, -b) if k & 1 else ((key, k), a, b)
+                              for (key, k), a, b in items)
+        u = self._image(e1) * self._image(e2)
+        return _mac_row(_sym_inv_parts(self.algebra, u.terms, 1))
+
+
 def symmetrizer_product(L: LieAlgebra) -> StarProduct:
     """The star product induced by the symmetrizer correspondence."""
-    return StarProduct(
+    star = _SymmetrizerProduct(
         L,
         lambda f: symmetrize(L, f),
         lambda u: sym_inverse(L, u),
         name="sym",
     )
+    star._mirrors = check_jacobi(L)
+    return star
 
 
 def pbw_basis_product(L: LieAlgebra) -> StarProduct:

@@ -14,6 +14,7 @@ import orbitstar
 from orbitstar import cli
 from orbitstar.envelope import NCPoly
 from orbitstar.exprs import (
+    MAX_TERM_PAIRS,
     ExprSyntaxError,
     format_cpoly,
     format_ncpoly,
@@ -67,6 +68,27 @@ def test_exponent_cap(su2):
         with pytest.raises(ExprSyntaxError) as err:
             parse_expression(text, algebra=su2)
         assert str(err.value) == f"exponent above 64 at offset {text.index('^') + 1}"
+
+
+def test_term_budget(su2):
+    # each dict product is held to MAX_TERM_PAIRS term pairs, checked before
+    # it is formed: a step of a power at the '^', a product at its '*'
+    assert MAX_TERM_PAIRS == 2 ** 15
+    value = parse_expression("(x + 2*y + 3*z + 1)^30", algebra=su2)
+    assert len(value.terms) == 5456  # its last step takes 4 x 4,960 pairs
+    nc = lambda text: parse_expression(text, mode="noncommutative", algebra=su2)
+    assert len(nc("(X+Y+Z)^9").terms) == 3 ** 9  # 3 x 3^8 pairs at the end
+    # 2^15 x 1 pairs is at the budget; one more term on either side is not
+    wide = " + ".join(f"X^{a}*Y^{b}*Z^{c}"
+                      for a in range(32) for b in range(32) for c in range(32))
+    assert len(nc(f"({wide})*X").terms) == 2 ** 15
+    cases = [("(X+Y+Z)^12", "noncommutative", 7),
+             (f"({wide} + Y*X)*X", "noncommutative", len(wide) + 8),
+             ("(x + y + z + 1)^20 * (x - y)^40", "commutative", 19)]
+    for text, mode, offset in cases:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, mode=mode, algebra=su2)
+        assert str(err.value) == f"product above 32768 term pairs at offset {offset}"
 
 
 def test_syntax_error_position(su2):
@@ -206,6 +228,15 @@ def test_cli_digits_are_ascii(capsys, left, char, offset):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unexpected character {char!r} at offset {offset}\n"
+
+
+def test_cli_huge_power_of_a_sum_exits_2():
+    # the parser refuses the step 3 x 3^9 of the power at once, before any
+    # normal form; without the budget this ran for minutes
+    proc = _run_cli("nf", "(X+Y+Z)^12", module="orbitstar")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: product above 32768 term pairs at offset 7\n"
+    assert proc.stdout == ""
 
 
 def test_cli_huge_exponent_exits_2():

@@ -18,7 +18,13 @@ from fractions import Fraction
 import pytest
 
 from orbitstar.envelope import NCPoly
-from orbitstar.exprs import MAX_EXPONENT, ExprSyntaxError, _tokenize, parse_expression
+from orbitstar.exprs import (
+    MAX_EXPONENT,
+    MAX_TERM_PAIRS,
+    ExprSyntaxError,
+    _tokenize,
+    parse_expression,
+)
 from orbitstar.poly import CPoly, product
 from orbitstar.scalars import H, I
 
@@ -66,17 +72,23 @@ class _ReferenceParser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
+    def budget(self, a, b, pos):
+        if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+            raise ExprSyntaxError(f"product above {MAX_TERM_PAIRS} term pairs", pos)
+
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            value = self.multiply(value, self.factor())
+            pos = self.advance()[2]
+            rhs = self.factor()
+            self.budget(value, rhs, pos)
+            value = self.multiply(value, rhs)
         return value
 
     def factor(self):
         value = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            caret = self.advance()[2]
             tok = self.expect("number")
             if "/" in tok[1]:
                 raise ExprSyntaxError("exponent must be a natural number", tok[2])
@@ -84,7 +96,9 @@ class _ReferenceParser:
             if n > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", tok[2])
             power = self.one
-            for _ in range(n):
+            for k in range(n):
+                if k:  # the first step multiplies by one
+                    self.budget(power, value, caret)
                 power = self.multiply(power, value)
             value = power
         return value
@@ -261,7 +275,8 @@ def test_parser_matches_reference_on_malformed_input(su2, mode, names):
 @pytest.mark.parametrize(
     "text",
     ["", "x +", "(x", "x)", "x^", "x^y", "x^1/2", "x^65", "1/0", "2/0*x", "x y",
-     "--x", "x + w", "3x", "x^٣", "٣*x", "2²", "x*(y+)", "0/0", "x^-1"],
+     "--x", "x + w", "3x", "x^٣", "٣*x", "2²", "x*(y+)", "0/0", "x^-1",
+     "(x + y + z + 1)^20 * (x - y)^40", "((x + y + z + 1)^8 + h^9)^3"],
 )
 def test_parser_errors_match_reference(su2, text):
     new, ref = _both(text, "commutative", su2, None)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -127,12 +128,16 @@ def peel_sym_inverse(L, u):
     return CPoly(n, out)
 
 
-@pytest.mark.parametrize("name", ["su2", "sl2"])
-def test_sym_inverse_against_peeling_oracle(name):
-    L = predefined(name)
+@pytest.mark.parametrize("name, length", [
+    ("su2", 6), ("sl2", 6), ("so4", 4), ("su3", 4),
+], ids=["su2", "sl2", "so4", "su3"])
+def test_sym_inverse_against_peeling_oracle(name, length):
+    # the table's integer rows against the descent, on every ordered word of
+    # the given length or less and on seeded combinations of them
+    L = named_algebra(name)
     words = [tuple(i for i, e in enumerate(exps) for _ in range(e))
-             for exps in monomials_up_to(L.dim, 6)]
-    assert len(words) == 84
+             for exps in monomials_up_to(L.dim, length)]
+    assert len(words) == math.comb(L.dim + length, length)
     for w in words:
         u = NCPoly.word(L, w)
         assert sym_inverse(L, u) == peel_sym_inverse(L, u), w
@@ -154,7 +159,7 @@ def test_sym_inverse_table_filled_once_per_word(monkeypatch):
     # the word Y^3 and the monomial xyz share the key (1, 1, 1)
     assert (1, 1, 1) in table and (1, 1, 1) in L._sym_cache
     assert all(isinstance(u, NCPoly) for u in L._sym_cache.values())
-    assert all(isinstance(t, dict) for t in table.values())
+    assert all(isinstance(den, int) and isinstance(items, tuple) for den, items in table.values())
     assert {word_exps(w, 3) for w in table} <= set(L._sym_cache)
     # a second pass reads the table and symmetrizes nothing
     u = NCPoly(L, {word: 3, (0, 2): H, (1,): 1})
@@ -173,6 +178,74 @@ def test_sym_inverse_rejects_bad_input(su2, sl2):
         sym_inverse(su2, NCPoly.word(su2, (1, 0)))
     with pytest.raises(ValueError, match="different algebra"):
         sym_inverse(su2, NCPoly.word(sl2, (0,)))
+
+
+def _direct_sym(L):
+    """The symmetrizer product built directly: it computes every ordered
+    pair, with no mirrored rows."""
+    return StarProduct(L, lambda f: symmetrize(L, f), lambda u: sym_inverse(L, u))
+
+
+def _count_u_products(monkeypatch):
+    """A list that gains an entry per product of two NCPolys."""
+    calls = []
+    mul = NCPoly.__mul__
+    monkeypatch.setattr(NCPoly, "__mul__", lambda u, v: (
+        calls.append(1) if isinstance(v, NCPoly) else None) or mul(u, v))
+    return calls
+
+
+@pytest.mark.parametrize("name, scale, degree", [
+    ("su2", 1, 3), ("sl2", 1, 3), ("so4", 1, 3), ("su3", 1, 2),
+    ("su2", Fraction(1, 2) + I, 3),
+], ids=["su2", "sl2", "so4", "su3", "su2-complex"])
+def test_sym_parity_against_direct_product(name, scale, degree, monkeypatch):
+    # B_n(a, b) = (-1)^n B_n(b, a): read (a, b) and then (b, a), so the
+    # second row is mirrored from the first, and compare both with the
+    # product built directly
+    L = named_algebra(name, scale)
+    sym = symmetrizer_product(L)
+    direct = _direct_sym(L)
+    basis = monomials_up_to(L.dim, degree)
+    calls = _count_u_products(monkeypatch)
+    for a, b in itertools.combinations_with_replacement(basis, 2):
+        for pair in ((a, b), (b, a)):
+            assert sym.pair_product(*pair) == direct.pair_product(*pair), pair
+    n = len(basis)
+    # one U-product per unordered pair for sym, one per ordered pair directly
+    assert len(calls) == n * (n + 1) // 2 + n * n
+
+
+def test_sym_mirrors_nothing_without_jacobi(monkeypatch):
+    # the broken su2's rewriting is not confluent, so parity may fail: its
+    # product builds every ordered pair and agrees with a direct product
+    from test_verify import _broken_su2
+
+    L = _broken_su2()
+    sym = symmetrizer_product(L)
+    direct = _direct_sym(L)
+    basis = monomials_up_to(3, 2)
+    calls = _count_u_products(monkeypatch)
+    for a, b in itertools.product(basis, repeat=2):
+        assert sym.pair_product(a, b) == direct.pair_product(a, b)
+    assert len(calls) == 2 * len(basis) ** 2
+
+
+def test_sym_fills_one_u_product_per_unordered_pair(su2, monkeypatch):
+    calls = _count_u_products(monkeypatch)
+    star = symmetrizer_product(su2)
+    f = parse_expression("x + y*z - 2*x^2 + h*z", algebra=su2)
+    g = parse_expression("y^2 + (1 + i)*x*z - 3", algebra=su2)
+    star.star(f, g)
+    assert len(calls) == len(f.terms) * len(g.terms) == 12
+    # every pair of g * f is the reverse of a stored one
+    gf = star.star(g, f)
+    assert len(calls) == 12
+    axioms = symmetrizer_product(su2)
+    assert check_deformation_axioms(axioms, 4, 5)["failures"] == []
+    unordered = {tuple(sorted(pair)) for pair in axioms._pair_cache}
+    assert len(calls) - 12 == len(unordered) < len(axioms._pair_cache)
+    assert gf == _direct_sym(su2).star(g, f)
 
 
 def test_star_goldens(su2, xyz):
